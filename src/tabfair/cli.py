@@ -114,10 +114,7 @@ def _write_provenance(path: Path, cfg: dict, entries: dict) -> None:
 
 
 def read_provenance(path) -> dict:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != PROVENANCE_FORMAT:
-        raise DataError(f"{path}: not a {PROVENANCE_FORMAT!r} file")
-    return dict(line.split(" ", 1) for line in lines[1:] if line)
+    return ds.read_key_values(path, PROVENANCE_FORMAT, ("config_hash", "seed"))
 
 
 def _require(out: Path, names: list[str], hint: str) -> None:
@@ -170,18 +167,7 @@ def cmd_train_embed(cfg: dict) -> list[Path]:
     _require(out, ["X_num.txt", "X_cat.txt"], "prepare")
     X_num = load_matrix(out / "X_num.txt")
     X_cat = load_matrix(out / "X_cat.txt")
-    levelmap = ds.load_level_map(out / "levelmap.txt")
-    encoded = ds.EncodedDataset(
-        X_num=X_num,
-        X_cat=X_cat,
-        S=np.zeros((X_num.shape[0], 0)),
-        y=np.zeros(X_num.shape[0]),
-        num_names=[e.name for e in levelmap.numerical],
-        cat_names=[],
-        sensitive_names=[],
-        level_map=levelmap,
-    )
-    rep, result = encode_dataset(encoded, _encoder_config(cfg))
+    rep, result = encode_dataset(X_num, X_cat, _encoder_config(cfg))
     save_matrix(out / "Z.txt", rep.Z)
     save_mlp(out / "model_num_cat.txt", result.params_num_cat)
     save_mlp(out / "model_cat_num.txt", result.params_cat_num)
@@ -223,8 +209,8 @@ def cmd_debias(cfg: dict) -> list[Path]:
     names = (out / "sensitive_names.txt").read_text(encoding="utf-8").split()
     attributes = cfg["projection"].get("attributes") or names
     proj_cfg = _projection_config(cfg)
-    cols = _attribute_columns(names, attributes)
-    result = debias(Z, S_full[:, cols], proj_cfg)
+    S = build_sensitive_matrix(S_full, names, attributes)
+    result = debias(Z, S, proj_cfg)
     save_matrix(out / "Z_hat.txt", result.Z_hat)
     _write_provenance(
         out / "debias.provenance.txt",
@@ -238,16 +224,6 @@ def cmd_debias(cfg: dict) -> list[Path]:
         },
     )
     return [out / "Z_hat.txt", out / "debias.provenance.txt"]
-
-
-def _attribute_columns(names: list[str], attributes: list[str]) -> list[int]:
-    cols = []
-    for attr in attributes:
-        hits = [j for j, n in enumerate(names) if n == attr or n.startswith(f"{attr}=")]
-        if not hits:
-            raise ConfigError(f"unknown sensitive attribute {attr!r}; dataset has {names}")
-        cols.extend(hits)
-    return cols
 
 
 def cmd_evaluate(cfg: dict) -> list[Path]:
@@ -268,17 +244,15 @@ def cmd_evaluate(cfg: dict) -> list[Path]:
         Z = load_matrix(out / matrix)
         report = ev.evaluate_representation(Z, y, S, split, names, probe_cfg)
         ev.save_report(out / f"report_{tag}.txt", report, cfg["dataset"], tag)
-        model = ev.train_probe(Z[split.train], y[split.train], probe_cfg)
-        scores = ev.predict_proba(model, Z[split.test])
         ev.save_roc_csv(
             out / f"roc_{tag}.csv",
-            ev.roc_curve_points(scores, y[split.test].astype(np.int64)),
+            ev.roc_curve_points(report.test_scores, y[split.test].astype(np.int64)),
         )
         artifacts += [out / f"report_{tag}.txt", out / f"roc_{tag}.csv"]
         summary[f"{tag}_accuracy"] = f"{report.accuracy:.17g}"
         summary[f"{tag}_roc_auc"] = f"{report.roc_auc:.17g}"
         for a in report.attributes:
-            summary[f"{tag}_di_x100_{a.name}"] = f"{a.di_x100:.17g}"
+            summary[f"{tag}_di_x100_{a.name}"] = ev.format_di_x100(a.di_x100)
             summary[f"{tag}_spd_{a.name}"] = f"{a.spd:.17g}"
     _write_provenance(out / "evaluate.provenance.txt", cfg, summary)
     return artifacts + [out / "evaluate.provenance.txt"]

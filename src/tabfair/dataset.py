@@ -482,18 +482,38 @@ def save_split(path, split: SplitIndices) -> None:
         fh.write("test " + " ".join(str(i) for i in split.test) + "\n")
 
 
-def load_split(path) -> SplitIndices:
+def read_key_values(path, header: str, required: tuple[str, ...] = ()) -> dict[str, str]:
+    """Parse a file of a header line then 'key value' lines. A line with
+    no value or a missing required key is a DataError."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != SPLIT_FORMAT:
-        raise DataError(f"{path}: not a {SPLIT_FORMAT!r} file")
-    body = dict(line.split(" ", 1) for line in lines[1:] if line)
-    return SplitIndices(
-        train=np.array([int(v) for v in body["train"].split()]),
-        test=np.array([int(v) for v in body["test"].split()]),
-        seed=int(body["seed"]),
-        test_fraction=float(body["test_fraction"]),
-    )
+    if not lines or lines[0] != header:
+        raise DataError(f"{path}: not a {header!r} file")
+    body = {}
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        key, _, value = line.partition(" ")
+        if not value.strip():
+            raise DataError(f"{path}:{ln}: {key!r} has no value")
+        body[key] = value
+    missing = [k for k in required if k not in body]
+    if missing:
+        raise DataError(f"{path}: missing {missing}")
+    return body
+
+
+def load_split(path) -> SplitIndices:
+    body = read_key_values(path, SPLIT_FORMAT, ("seed", "test_fraction", "train", "test"))
+    try:
+        return SplitIndices(
+            train=np.array([int(v) for v in body["train"].split()]),
+            test=np.array([int(v) for v in body["test"].split()]),
+            seed=int(body["seed"]),
+            test_fraction=float(body["test_fraction"]),
+        )
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed split entry: {exc}") from exc
 
 
 def _check_level_token(name: str, level: str) -> None:

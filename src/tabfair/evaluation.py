@@ -9,7 +9,7 @@ single final division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
@@ -177,23 +177,31 @@ def roc_curve_points(scores, y_true) -> list[tuple[float, float, float]]:
     curve includes (0, 0)) and ending at the minimum score (1, 1)."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     y_true = _binary(y_true, "y_true")
+    if scores.size != y_true.size:
+        raise ConfigError("scores and labels must have equal length")
     n_pos = int(y_true.sum())
     n_neg = y_true.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("ROC curve needs both classes present")
-    points = [(np.inf, 0.0, 0.0)]
-    for thr in np.unique(scores)[::-1]:
-        pred = scores >= thr
-        tpr = int(pred[y_true == 1].sum()) / n_pos
-        fpr = int(pred[y_true == 0].sum()) / n_neg
-        points.append((float(thr), tpr, fpr))
-    return points
+    # One stable descending sort; the last index of each run of tied
+    # scores carries the counts at that threshold.
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    last = np.append(ranked[1:] != ranked[:-1], True)
+    tp = np.cumsum(y_true[order])[last]
+    fp = np.flatnonzero(last) + 1 - tp
+    return [(np.inf, 0.0, 0.0)] + list(
+        zip(ranked[last].tolist(), (tp / n_pos).tolist(), (fp / n_neg).tolist())
+    )
 
 
 @dataclass
 class AttributeFairness:
+    """DI x 100 is None when undefined (no privileged positives); an
+    undefined DI does not pass the 80% rule."""
+
     name: str
-    di_x100: float
+    di_x100: float | None
     spd: float
     passes_80_rule: bool
 
@@ -201,11 +209,16 @@ class AttributeFairness:
 @dataclass
 class FairnessReport:
     """One probe evaluation: accuracy/ROC-AUC plus DI x 100 and SPD per
-    sensitive attribute, mirroring one table row per attribute."""
+    sensitive attribute, mirroring one table row per attribute.
+
+    test_scores holds the probe's test-row probabilities when the report
+    comes from evaluate_representation; report files do not store them.
+    """
 
     accuracy: float
     roc_auc: float
     attributes: list[AttributeFairness]
+    test_scores: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def evaluate_representation(
@@ -217,7 +230,9 @@ def evaluate_representation(
     probe_config: ProbeConfig = ProbeConfig(),
 ) -> FairnessReport:
     """Train the probe on the train rows, score the test rows, and
-    compute fairness metrics on the test predictions."""
+    compute fairness metrics on the test predictions. A DI left
+    undefined by a zero privileged positive rate is recorded as None
+    rather than raised."""
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     S = np.asarray(S, dtype=np.float64)
@@ -232,24 +247,34 @@ def evaluate_representation(
     attrs = []
     for j, name in enumerate(sensitive_names):
         s_test = S[split.test, j].astype(np.int64)
-        di = disparate_impact(y_pred, s_test)
         spd = statistical_parity_difference(y_pred, s_test)
+        try:
+            di = disparate_impact(y_pred, s_test)
+        except UndefinedMetricError:
+            di = None
         attrs.append(
             AttributeFairness(
                 name=name,
-                di_x100=di * 100.0,
+                di_x100=None if di is None else di * 100.0,
                 spd=spd,
-                passes_80_rule=eighty_percent_rule(di),
+                passes_80_rule=di is not None and eighty_percent_rule(di),
             )
         )
     return FairnessReport(
         accuracy=accuracy(y_pred, y_test),
         roc_auc=roc_auc(scores, y_test),
         attributes=attrs,
+        test_scores=scores,
     )
 
 
 REPORT_FORMAT = "tabfair-report 1"
+
+
+def format_di_x100(di_x100: float | None) -> str:
+    """DI x 100 as written to reports and provenance: 17 significant
+    digits, or 'undefined'."""
+    return "undefined" if di_x100 is None else f"{di_x100:.17g}"
 
 
 def save_report(path, report: FairnessReport, dataset: str, representation: str) -> None:
@@ -263,7 +288,7 @@ def save_report(path, report: FairnessReport, dataset: str, representation: str)
         fh.write(f"roc_auc {report.roc_auc:.17g}\n")
         for a in report.attributes:
             fh.write(
-                f"sensitive {a.name} di_x100 {a.di_x100:.17g} spd {a.spd:.17g} "
+                f"sensitive {a.name} di_x100 {format_di_x100(a.di_x100)} spd {a.spd:.17g} "
                 f"passes_80 {'true' if a.passes_80_rule else 'false'}\n"
             )
 
@@ -287,7 +312,7 @@ def load_report(path) -> FairnessReport:
             attrs.append(
                 AttributeFairness(
                     name=parts[1],
-                    di_x100=float(parts[3]),
+                    di_x100=None if parts[3] == "undefined" else float(parts[3]),
                     spd=float(parts[5]),
                     passes_80_rule=parts[7] == "true",
                 )

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EncodedDataset
 from .errors import ConfigError, NumericalError
-from .linalg import explained_variance, projector, rank_k_svd, residualize
+from .linalg import explained_variance, rank_k_svd, residualize
 
 # Acceptable relative orthogonality residual of Z_hat^T S.
 ORTHOGONALITY_TOL = 1e-8
@@ -56,61 +55,42 @@ class DebiasedRepresentation:
     relative_residual: float
 
 
-def select_k(Z, variance_target: float) -> int:
+def select_k(D, variance_target: float) -> int:
     """Smallest rank whose cumulative explained variance reaches the
-    target fraction."""
+    target fraction, given the non-increasing singular values D."""
     if not 0.0 < variance_target <= 1.0:
         raise ConfigError(f"variance_target must be in (0, 1], got {variance_target}")
-    Z = np.asarray(Z, dtype=np.float64)
-    D = np.linalg.svd(Z, compute_uv=False)
     cum = explained_variance(D)
     return int(np.searchsorted(cum, variance_target) + 1)
 
 
-def build_sensitive_matrix(
-    dataset: EncodedDataset,
-    attributes: list[str],
-    include_intercept: bool = False,
-) -> np.ndarray:
-    """Stack the named sensitive attributes' columns of S (multiple
-    attributes are removed simultaneously), optionally appending an
-    all-ones intercept column."""
+def build_sensitive_matrix(S, names: list[str], attributes: list[str]) -> np.ndarray:
+    """The columns of S belonging to the named sensitive attributes, in
+    attribute order (multiple attributes are removed simultaneously).
+
+    An attribute matches the column of that name and every
+    reference-dropped indicator column "<attribute>=<level>".
+    """
     columns = []
-    for name in attributes:
-        hits = [
-            j
-            for j, col in enumerate(dataset.sensitive_names)
-            if col == name or col.startswith(f"{name}=")
-        ]
+    for attr in attributes:
+        hits = [j for j, n in enumerate(names) if n == attr or n.startswith(f"{attr}=")]
         if not hits:
-            raise ConfigError(
-                f"unknown sensitive attribute {name!r}; dataset has "
-                f"{dataset.sensitive_names}"
-            )
-        columns.extend(dataset.S[:, j] for j in hits)
-    S = np.column_stack(columns)
-    if include_intercept:
-        S = np.hstack([S, np.ones((S.shape[0], 1))])
-    _check_full_rank(S)
-    return S
+            raise ConfigError(f"unknown sensitive attribute {attr!r}; dataset has {names}")
+        columns.extend(hits)
+    return np.asarray(S, dtype=np.float64)[:, columns]
 
 
-def _check_full_rank(S: np.ndarray) -> None:
-    sv = np.linalg.svd(S, compute_uv=False)
-    if sv[0] == 0.0 or (sv[-1] / sv[0]) ** 2 < 1e-12:
-        raise NumericalError(
-            "sensitive matrix is rank-deficient; drop duplicate or "
-            "collinear sensitive columns"
-        )
-
-
-def debias(Z, S, config: FairProjectionConfig, method: str = "blocked") -> DebiasedRepresentation:
+def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
     """Compute Z_hat = (I - P_S) @ rank_k(Z).
 
-    method 'blocked' (default) applies the residualization as
-    Z_k - S ((S^T S)^-1 (S^T Z_k)) and never materializes an n x n
-    matrix; 'dense' forms I - P_S explicitly (small n only). Both give
-    the same result to floating-point accuracy.
+    One SVD of Z serves both the k selection and the truncation. The
+    residualization is applied to the n x k left factor, M_res =
+    M_k - Q (Q^T M_k) with Q the thin-QR basis of S, before the rank-k
+    product is formed, so no n x n matrix is ever materialized. S (with
+    the intercept column, when configured) whose Gram matrix S^T S has a
+    reciprocal condition number below linalg.RCOND_LIMIT raises
+    NumericalError; the test runs on the singular values of the QR
+    factor R, which equal those of S.
     """
     Z = np.asarray(Z, dtype=np.float64)
     S = np.asarray(S, dtype=np.float64)
@@ -120,22 +100,16 @@ def debias(Z, S, config: FairProjectionConfig, method: str = "blocked") -> Debia
         raise ConfigError(f"row mismatch: Z has {Z.shape[0]} rows, S has {S.shape[0]}")
     if config.include_intercept:
         S = np.hstack([S, np.ones((S.shape[0], 1))])
-    _check_full_rank(S)
+    n, p = Z.shape
+    if config.variance_target is None and not 1 <= config.k <= min(n, p):
+        raise ConfigError(f"k={config.k} out of range [1, {min(n, p)}] for a {n}x{p} matrix")
+    svd = rank_k_svd(Z, min(n, p))
     if config.variance_target is not None:
-        k = select_k(Z, config.variance_target)
+        k = select_k(svd.D, config.variance_target)
     else:
         k = config.k
-    n, p = Z.shape
-    if not 1 <= k <= min(n, p):
-        raise ConfigError(f"k={k} out of range [1, {min(n, p)}] for a {n}x{p} matrix")
-
-    Z_k = rank_k_svd(Z, k).reconstruction()
-    if method == "blocked":
-        Z_hat = residualize(S, Z_k)
-    elif method == "dense":
-        Z_hat = (np.eye(n) - projector(S)) @ Z_k
-    else:
-        raise ConfigError(f"unknown method {method!r}; use 'blocked' or 'dense'")
+    M_res = residualize(S, svd.M[:, :k])
+    Z_hat = (M_res * svd.D[:k]) @ svd.N[:, :k].T
 
     residual = float(np.max(np.abs(Z_hat.T @ S)))
     denom = np.linalg.norm(Z_hat) * np.linalg.norm(S) + np.finfo(np.float64).tiny

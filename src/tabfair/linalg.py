@@ -97,49 +97,46 @@ def explained_variance(D) -> np.ndarray:
     return cum
 
 
-def _gram_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve (S^T S) X = B, refusing ill-conditioned Gram matrices."""
-    sv = np.linalg.svd(S, compute_uv=False)
+def _orthonormal_basis(S: np.ndarray) -> np.ndarray:
+    """Thin-QR basis Q of col(S), refusing rank-deficient S.
+
+    R shares the singular values of S, so testing R's reciprocal
+    condition number squared against RCOND_LIMIT is the same condition
+    as testing that of S^T S.
+    """
+    Q, R = np.linalg.qr(S)
+    sv = np.linalg.svd(R, compute_uv=False)
     smax = sv[0]
     if smax == 0.0 or (sv[-1] / smax) ** 2 < RCOND_LIMIT:
         raise NumericalError(
             "S^T S is rank-deficient (reciprocal condition number below "
             f"{RCOND_LIMIT:g}); drop collinear sensitive columns"
         )
-    return np.linalg.solve(S.T @ S, B)
+    return Q
 
 
 def projector(S) -> np.ndarray:
-    """The orthogonal projector P = S (S^T S)^-1 S^T onto col(S).
+    """The orthogonal projector P = S (S^T S)^-1 S^T = Q Q^T onto col(S).
 
     P is symmetric and idempotent with trace equal to the number of
     columns of S. Materializes an n x n matrix: intended for modest n;
     use residualize() for tall inputs.
     """
-    S = _as_matrix(S, "S")
-    return S @ _gram_solve(S, S.T)
+    Q = _orthonormal_basis(_as_matrix(S, "S"))
+    return Q @ Q.T
 
 
-def residualize(S, M, block_size: int = 4096) -> np.ndarray:
-    """(I - P_S) @ M without materializing any n x n matrix.
-
-    Computes M - S ((S^T S)^-1 (S^T M)), processing columns of M in
-    blocks. Any block_size gives the same result up to BLAS kernel
-    rounding (last-bit differences); agreement with the dense
-    (I - P_S) @ M path is well within 1e-10.
-    """
+def residualize(S, M) -> np.ndarray:
+    """(I - P_S) @ M = M - Q (Q^T M) without materializing any n x n
+    matrix; Q is the thin-QR basis of S."""
     S = _as_matrix(S, "S")
     M = _as_matrix(M, "M")
     if S.shape[0] != M.shape[0]:
         raise ConfigError(
             f"row mismatch: S has {S.shape[0]} rows, M has {M.shape[0]}"
         )
-    out = np.empty_like(M)
-    for lo in range(0, M.shape[1], block_size):
-        hi = min(lo + block_size, M.shape[1])
-        block = M[:, lo:hi]
-        out[:, lo:hi] = block - S @ _gram_solve(S, S.T @ block)
-    return out
+    Q = _orthonormal_basis(S)
+    return M - Q @ (Q.T @ M)
 
 
 def save_matrix(path, M) -> None:

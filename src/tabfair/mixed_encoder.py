@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import EncodedDataset
 from .errors import ConfigError
 from .neuralnet import MlpConfig, MlpParams, TrainHistory, forward, train
 
@@ -96,19 +95,20 @@ class MixedTrainResult:
     history_cat_num: TrainHistory
 
 
-def train_mixed(dataset: EncodedDataset, config: MixedEncoderConfig) -> MixedTrainResult:
+def train_mixed(X_num, X_cat, config: MixedEncoderConfig) -> MixedTrainResult:
     """Train both networks on the feature blocks only.
 
     The sensitive matrix S and the labels y are never part of either
     network's inputs or targets. The two trainings are independent;
     their seeds derive from config.seed (seed and seed + 1).
     """
-    cfg_nc = build_num_cat(dataset.d1, dataset.d2, config)
-    cfg_cn = build_cat_num(dataset.d2, dataset.d1, config)
+    d1, d2 = X_num.shape[1], X_cat.shape[1]
+    cfg_nc = build_num_cat(d1, d2, config)
+    cfg_cn = build_cat_num(d2, d1, config)
     params_nc, hist_nc = train(
         cfg_nc,
-        dataset.X_num,
-        dataset.X_cat,
+        X_num,
+        X_cat,
         epochs=config.epochs,
         batch_size=config.batch_size,
         val_fraction=config.val_fraction,
@@ -116,8 +116,8 @@ def train_mixed(dataset: EncodedDataset, config: MixedEncoderConfig) -> MixedTra
     )
     params_cn, hist_cn = train(
         cfg_cn,
-        dataset.X_cat,
-        dataset.X_num,
+        X_cat,
+        X_num,
         epochs=config.epochs,
         batch_size=config.batch_size,
         val_fraction=config.val_fraction,
@@ -156,11 +156,12 @@ def concatenate_latents(z_num, z_cat, meta: dict | None = None) -> MixedRepresen
     return MixedRepresentation(Z=np.hstack([z_num, z_cat]), meta=dict(meta or {}))
 
 
-def encode_dataset(dataset: EncodedDataset, config: MixedEncoderConfig):
-    """Train both networks and return (representation, train result)."""
-    result = train_mixed(dataset, config)
-    z_num = extract_latent(result.params_num_cat, dataset.X_num)
-    z_cat = extract_latent(result.params_cat_num, dataset.X_cat)
+def encode_dataset(X_num, X_cat, config: MixedEncoderConfig):
+    """Train both networks on the two feature blocks and return
+    (representation, train result)."""
+    result = train_mixed(X_num, X_cat, config)
+    z_num = extract_latent(result.params_num_cat, X_num)
+    z_cat = extract_latent(result.params_cat_num, X_cat)
     rep = concatenate_latents(
         z_num,
         z_cat,

@@ -9,6 +9,8 @@ import pytest
 
 from conftest import SCHEMA_TEXT, synthetic_rows, write_csv
 from tabfair.cli import config_hash, load_config, main, read_provenance
+from tabfair.errors import DataError
+from tabfair.evaluation import load_report
 from tabfair.linalg import load_matrix
 
 BASE_CONFIG = {
@@ -244,6 +246,30 @@ class TestExitCodes:
         main(["train-embed", "--config", str(config)])
         assert main(["debias", "--config", str(config)]) == 1
 
+    def test_truncated_split_is_data_error(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        for verb in ("prepare", "train-embed", "debias"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        split = tmp_path / "out" / "split.txt"
+        lines = split.read_text(encoding="utf-8").splitlines(keepends=True)
+        cuts = ["".join(lines[:i]) for i in range(1, len(lines))]
+        cuts.append("".join(lines[:-1]) + "test\n")  # a key with no value
+        capsys.readouterr()
+        for text in cuts:
+            split.write_text(text, encoding="utf-8")
+            # An uncaught exception (a traceback) would fail the test here.
+            assert main(["evaluate", "--config", str(config)]) == 2, text
+            assert "data error" in capsys.readouterr().err
+
+    def test_provenance_line_without_value_is_data_error(self, tmp_path):
+        path = tmp_path / "x.provenance.txt"
+        path.write_text("tabfair-provenance 1\nconfig_hash abc\nseed\n", encoding="utf-8")
+        with pytest.raises(DataError, match="no value"):
+            read_provenance(path)
+        path.write_text("tabfair-provenance 1\nconfig_hash abc\n", encoding="utf-8")
+        with pytest.raises(DataError, match="missing"):
+            read_provenance(path)
+
     def test_k_out_of_range_fails_before_compute(self, tmp_path, capsys):
         config = make_workspace(tmp_path, projection={"k": 999})
         main(["prepare", "--config", str(config)])
@@ -317,3 +343,20 @@ class TestReports:
             assert float(prov[f"{tag}_roc_auc"]) == report.roc_auc
             assert float(prov[f"{tag}_di_x100_group"]) == report.attributes[0].di_x100
             assert float(prov[f"{tag}_spd_group"]) == report.attributes[0].spd
+
+    def test_undefined_di_keeps_reports(self, tmp_path):
+        # 10% positive labels: the probe predicts no positives, so DI is
+        # undefined in both representations; evaluate still succeeds.
+        config = make_workspace(tmp_path)
+        rows = synthetic_rows()
+        for i, row in enumerate(rows):
+            row[5] = "yes" if i % 10 == 0 else "no"
+        write_csv(tmp_path / "synthetic.csv", rows)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        prov = read_provenance(out / "evaluate.provenance.txt")
+        for tag in ("biased", "debiased"):
+            text = (out / f"report_{tag}.txt").read_text(encoding="utf-8")
+            assert "sensitive group di_x100 undefined spd 0 passes_80 false\n" in text
+            assert load_report(out / f"report_{tag}.txt").attributes[0].di_x100 is None
+            assert prov[f"{tag}_di_x100_group"] == "undefined"

@@ -61,6 +61,19 @@ def auc_oracle(scores, y_true):
     return float(num / (len(pos) * len(neg)))
 
 
+def roc_oracle(scores, y_true):
+    """Count true and false positives at every distinct score, highest
+    first, behind the (inf, 0, 0) sentinel."""
+    n_pos = sum(y_true)
+    n_neg = len(y_true) - n_pos
+    points = [(float("inf"), 0.0, 0.0)]
+    for thr in sorted(set(scores), reverse=True):
+        tp = sum(1 for sc, t in zip(scores, y_true) if sc >= thr and t == 1)
+        fp = sum(1 for sc, t in zip(scores, y_true) if sc >= thr and t == 0)
+        points.append((thr, tp / n_pos, fp / n_neg))
+    return points
+
+
 class TestMetricOracles:
     def test_di_spd_exact_on_all_small_binary_triples(self):
         # Every (y_pred, s) pair up to length 6 with both groups present.
@@ -257,6 +270,17 @@ class TestRocCurve:
         assert all(a <= b for a, b in zip(tprs, tprs[1:]))
         assert all(a <= b for a, b in zip(fprs, fprs[1:]))
 
+    def test_exact_on_tie_heavy_score_grids(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            n = int(rng.integers(2, 41))
+            scores = (rng.integers(0, 6, size=n) / 5.0).tolist()
+            y = rng.integers(0, 2, size=n).tolist()
+            y[0], y[1] = 0, 1
+            pts = roc_curve_points(scores, y)
+            assert pts == roc_oracle(scores, y)
+            assert all(type(v) is float for pt in pts for v in pt)
+
     def test_csv_export(self, tmp_path):
         pts = roc_curve_points([0.2, 0.8], [0, 1])
         path = tmp_path / "roc.csv"
@@ -311,6 +335,35 @@ class TestEvaluateRepresentation:
         y_test = y[split.test]
         assert report.accuracy == pytest.approx(np.mean(y_test == 1.0))
         assert report.roc_auc == 0.5
+
+    def test_undefined_di_is_recorded_not_raised(self, tmp_path):
+        # 10% positive labels and near-constant features: the probe
+        # predicts no positives, so the privileged positive rate is 0.
+        rng = np.random.default_rng(23)
+        n = 200
+        y = np.zeros(n)
+        y[::10] = 1.0
+        s = (np.arange(n) % 4 < 2).astype(float)
+        Z = 1.0 + 1e-6 * rng.normal(size=(n, 3))
+        idx = np.arange(n)
+        split = SplitIndices(train=idx[idx % 20 < 10], test=idx[idx % 20 >= 10],
+                             seed=0, test_fraction=0.5)
+        report = evaluate_representation(Z, y, s[:, None], split, ["group"])
+        assert np.all(report.test_scores < 0.5)
+        a = report.attributes[0]
+        assert a.di_x100 is None
+        assert a.spd == 0.0
+        assert a.passes_80_rule is False
+        path = tmp_path / "report.txt"
+        save_report(path, report, "synthetic", "biased")
+        assert "sensitive group di_x100 undefined spd 0 passes_80 false\n" in path.read_text()
+        assert load_report(path).attributes[0] == a
+
+    def test_test_scores_match_refit_probe(self):
+        Z, y, S, split = self.make_setup()
+        report = evaluate_representation(Z, y, S, split, ["group"])
+        model = train_probe(Z[split.train], y[split.train])
+        assert np.array_equal(report.test_scores, predict_proba(model, Z[split.test]))
 
     def test_name_count_must_match(self):
         Z, y, S, split = self.make_setup()

@@ -1,4 +1,4 @@
-"""Closed-form debiasing: orthogonality, the dense-path oracle,
+"""Closed-form debiasing: orthogonality, the dense projector oracle,
 idempotence, optimality against random challengers, and k selection."""
 
 import numpy as np
@@ -12,6 +12,12 @@ from tabfair.fair_projection import (
     select_k,
 )
 from tabfair.linalg import projector, rank_k_svd
+
+
+def dense_residualizer(S):
+    """I - S (S^T S)^-1 S^T from the normal equations, independent of
+    the QR path under test."""
+    return np.eye(S.shape[0]) - S @ np.linalg.solve(S.T @ S, S.T)
 
 
 def random_instance(rng, n=None, p=None, s_cols=1):
@@ -65,18 +71,10 @@ class TestDebias:
         for _ in range(30):
             Z, S = random_instance(rng)
             k = int(rng.integers(1, min(Z.shape) + 1))
-            blocked = debias(Z, S, FairProjectionConfig(k=k), method="blocked")
-            n = Z.shape[0]
+            result = debias(Z, S, FairProjectionConfig(k=k))
             Z_k = rank_k_svd(Z, k).reconstruction()
-            explicit = (np.eye(n) - projector(S)) @ Z_k
-            assert np.allclose(blocked.Z_hat, explicit, atol=1e-10)
-
-    def test_blocked_equals_dense_method(self):
-        rng = np.random.default_rng(8)
-        Z, S = random_instance(rng, n=40, p=7)
-        a = debias(Z, S, FairProjectionConfig(k=4), method="blocked")
-        b = debias(Z, S, FairProjectionConfig(k=4), method="dense")
-        assert np.allclose(a.Z_hat, b.Z_hat, atol=1e-10)
+            explicit = dense_residualizer(S) @ Z_k
+            assert np.allclose(result.Z_hat, explicit, atol=1e-10)
 
     def test_ones_column_centers(self):
         # S = all-ones: residualization subtracts column means.
@@ -142,42 +140,52 @@ class TestDebias:
 class TestSelectK:
     def test_rank_one(self):
         Z = np.outer([1.0, 2.0, 3.0], [1.0, 1.0])
-        assert select_k(Z, 0.9) == 1
+        assert select_k(np.linalg.svd(Z, compute_uv=False), 0.9) == 1
 
     def test_hand_case_boundary(self):
         # Singular values (2, 1): cumulative fractions 0.8, 1.0.
-        Z = np.diag([2.0, 1.0])
-        assert select_k(Z, 0.8) == 1
-        assert select_k(Z, 0.81) == 2
+        assert select_k([2.0, 1.0], 0.8) == 1
+        assert select_k([2.0, 1.0], 0.81) == 2
 
     def test_target_one_needs_full_rank(self):
         rng = np.random.default_rng(22)
-        Z = rng.normal(size=(6, 4))
-        assert select_k(Z, 1.0) == 4
+        D = np.linalg.svd(rng.normal(size=(6, 4)), compute_uv=False)
+        assert select_k(D, 1.0) == 4
+        # A zero tail adds no variance, so it is never selected.
+        assert select_k([3.0, 2.0, 0.0, 0.0], 1.0) == 2
 
     def test_bad_target(self):
         with pytest.raises(ConfigError):
-            select_k(np.eye(2), 0.0)
+            select_k([1.0, 1.0], 0.0)
 
 
 class TestBuildSensitiveMatrix:
     def test_single_attribute(self, encoded):
-        S = build_sensitive_matrix(encoded, ["group"])
+        S = build_sensitive_matrix(encoded.S, encoded.sensitive_names, ["group"])
         assert S.shape == (encoded.n, 1)
         assert np.array_equal(S[:, 0], encoded.S[:, 0])
 
     def test_intercept_appended(self, encoded):
-        S = build_sensitive_matrix(encoded, ["group"], include_intercept=True)
-        assert S.shape == (encoded.n, 2)
-        assert np.all(S[:, 1] == 1.0)
+        # debias appends the intercept: the result has zero column means.
+        S = build_sensitive_matrix(encoded.S, encoded.sensitive_names, ["group"])
+        assert S.shape == (encoded.n, 1)
+        Z = np.hstack([encoded.X_num, encoded.X_cat]) + 3.0
+        config = FairProjectionConfig(k=3, include_intercept=True)
+        Z_hat = debias(Z, S, config).Z_hat
+        assert np.max(np.abs(Z_hat.mean(axis=0))) < 1e-12 * np.max(np.abs(Z_hat))
+        assert np.allclose(Z_hat.T @ S, 0.0, atol=1e-10)
 
     def test_unknown_attribute(self, encoded):
         with pytest.raises(ConfigError, match="unknown sensitive attribute"):
-            build_sensitive_matrix(encoded, ["nope"])
+            build_sensitive_matrix(encoded.S, encoded.sensitive_names, ["nope"])
 
     def test_duplicate_attribute_rank_deficient(self, encoded):
-        with pytest.raises(NumericalError):
-            build_sensitive_matrix(encoded, ["group", "group"])
+        # The slice keeps the duplicate; debias rejects it.
+        S = build_sensitive_matrix(encoded.S, encoded.sensitive_names, ["group", "group"])
+        assert S.shape == (encoded.n, 2)
+        Z = np.hstack([encoded.X_num, encoded.X_cat])
+        with pytest.raises(NumericalError, match="collinear"):
+            debias(Z, S, FairProjectionConfig(k=3))
 
     def test_prefix_matching_for_multi_level(self, tmp_path):
         # A 3-level sensitive column contributes both indicator columns.
@@ -198,5 +206,6 @@ class TestBuildSensitiveMatrix:
         ]
         raw = ds.load_csv(write_csv(tmp_path / "d.csv", rows), schema2)
         enc = ds.encode(raw, schema2)
-        S = build_sensitive_matrix(enc, ["group"])
+        S = build_sensitive_matrix(enc.S, enc.sensitive_names, ["group"])
         assert S.shape == (4, 2)
+        assert np.array_equal(S, enc.S)

@@ -210,6 +210,16 @@ class TestProjector:
         with pytest.raises(NumericalError, match="collinear"):
             projector(S)
 
+    def test_rank_threshold_is_gram_rcond(self):
+        # S^T S has reciprocal condition (s_min / s_max)^2: accepted
+        # at 1e-6 * (1 + 1e-3), rejected at 1e-6 * (1 - 1e-3).
+        rng = np.random.default_rng(17)
+        U, _ = np.linalg.qr(rng.normal(size=(8, 2)))
+        V, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        projector(U @ np.diag([1.0, 1e-6 * (1 + 1e-3)]) @ V)
+        with pytest.raises(NumericalError):
+            projector(U @ np.diag([1.0, 1e-6 * (1 - 1e-3)]) @ V)
+
 
 class TestResidualize:
     def test_matches_dense_path(self):
@@ -218,17 +228,13 @@ class TestResidualize:
             n = int(rng.integers(4, 12))
             S = rng.normal(size=(n, 2))
             M = rng.normal(size=(n, int(rng.integers(1, 9))))
-            dense = (np.eye(n) - projector(S)) @ M
+            # Oracle from the normal equations, not the QR path.
+            dense = (np.eye(n) - S @ np.linalg.solve(S.T @ S, S.T)) @ M
             assert np.allclose(residualize(S, M), dense, atol=1e-10)
 
-    def test_block_size_is_invisible(self):
-        # Identical up to BLAS kernel rounding, far inside 1e-12.
-        rng = np.random.default_rng(19)
-        S = rng.normal(size=(30, 3))
-        M = rng.normal(size=(30, 10))
-        full = residualize(S, M, block_size=4096)
-        for bs in (1, 3, 7, 10, 11):
-            assert np.allclose(residualize(S, M, block_size=bs), full, atol=1e-12)
+    def test_rank_deficient_rejected(self):
+        with pytest.raises(NumericalError, match="collinear"):
+            residualize(np.ones((5, 2)), np.ones((5, 3)))
 
     def test_row_mismatch(self):
         with pytest.raises(ConfigError):

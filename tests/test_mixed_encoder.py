@@ -1,10 +1,11 @@
 """Cross-reconstruction encoder: network shapes, the concatenated
 representation, determinism, and the sensitive-data firewall."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from tabfair import dataset as ds
 from tabfair.errors import ConfigError
 from tabfair.mixed_encoder import (
     MixedEncoderConfig,
@@ -84,7 +85,7 @@ class TestWidths:
 class TestTrainMixed:
     def test_shapes_and_concatenation(self, encoded):
         cfg = small_config()
-        rep, result = encode_dataset(encoded, cfg)
+        rep, result = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
         assert rep.Z.shape == (encoded.n, cfg.p)
         assert cfg.p == 16
         # First block comes from the numerical-side network.
@@ -93,43 +94,36 @@ class TestTrainMixed:
 
     def test_deterministic(self, encoded):
         cfg = small_config(epochs=4)
-        rep1, _ = encode_dataset(encoded, cfg)
-        rep2, _ = encode_dataset(encoded, cfg)
+        rep1, _ = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
+        rep2, _ = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
         assert np.array_equal(rep1.Z, rep2.Z)
 
     def test_seed_changes_result(self, encoded):
-        rep1, _ = encode_dataset(encoded, small_config(epochs=4, seed=0))
-        rep2, _ = encode_dataset(encoded, small_config(epochs=4, seed=1))
+        rep1, _ = encode_dataset(encoded.X_num, encoded.X_cat, small_config(epochs=4, seed=0))
+        rep2, _ = encode_dataset(encoded.X_num, encoded.X_cat, small_config(epochs=4, seed=1))
         assert not np.array_equal(rep1.Z, rep2.Z)
 
     def test_sensitive_and_label_never_used(self, encoded):
         # Firewall: scrambling S and y must not change the learned
         # representation in any bit.
         cfg = small_config(epochs=4)
-        rep1, _ = encode_dataset(encoded, cfg)
-        tampered = ds.EncodedDataset(
-            X_num=encoded.X_num,
-            X_cat=encoded.X_cat,
-            S=1.0 - encoded.S,
-            y=1.0 - encoded.y,
-            num_names=encoded.num_names,
-            cat_names=encoded.cat_names,
-            sensitive_names=encoded.sensitive_names,
-            level_map=encoded.level_map,
-        )
-        rep2, _ = encode_dataset(tampered, cfg)
+        # The encoder's only data inputs are the two feature blocks.
+        for fn in (train_mixed, encode_dataset):
+            assert list(inspect.signature(fn).parameters) == ["X_num", "X_cat", "config"]
+        rep1, _ = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
+        rep2, _ = encode_dataset(encoded.X_num.copy(), encoded.X_cat.copy(), cfg)
         assert np.array_equal(rep1.Z, rep2.Z)
 
     def test_zero_epochs_keeps_initialization(self, encoded):
         cfg = small_config(epochs=0)
-        result = train_mixed(encoded, cfg)
+        result = train_mixed(encoded.X_num, encoded.X_cat, cfg)
         ref = init_params(build_num_cat(encoded.d1, encoded.d2, cfg), seed=cfg.seed)
         for w, r in zip(result.params_num_cat.weights, ref.weights):
             assert np.array_equal(w, r)
 
     def test_meta_records_provenance(self, encoded):
         cfg = small_config(epochs=1)
-        rep, _ = encode_dataset(encoded, cfg)
+        rep, _ = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
         assert rep.meta["seeds"] == (0, 1)
         assert rep.meta["config_digest"] == cfg.digest()
         assert rep.meta["latent_num"] == 8
@@ -138,7 +132,7 @@ class TestTrainMixed:
         # Constant-0.5 BCE baseline is ln 2; the column-mean MSE
         # baseline is 1.0 under z-scored targets.
         cfg = small_config(epochs=40)
-        result = train_mixed(encoded, cfg)
+        result = train_mixed(encoded.X_num, encoded.X_cat, cfg)
         pred_cat = forward(result.params_num_cat, encoded.X_num).output
         assert bce_loss(pred_cat, encoded.X_cat) < np.log(2.0)
         pred_num = forward(result.params_cat_num, encoded.X_cat).output
@@ -146,7 +140,7 @@ class TestTrainMixed:
 
     def test_validation_loss_improves(self, encoded):
         cfg = small_config(epochs=40)
-        result = train_mixed(encoded, cfg)
+        result = train_mixed(encoded.X_num, encoded.X_cat, cfg)
         for hist in (result.history_num_cat, result.history_cat_num):
             assert hist.val_loss[-1] < hist.val_loss[0]
 
@@ -174,7 +168,7 @@ class TestLatent:
 
     def test_trained_latent_not_constant(self, encoded):
         cfg = small_config(epochs=10)
-        result = train_mixed(encoded, cfg)
+        result = train_mixed(encoded.X_num, encoded.X_cat, cfg)
         z = extract_latent(result.params_num_cat, encoded.X_num)
         assert np.max(z.var(axis=0)) > 0.0
 
