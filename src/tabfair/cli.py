@@ -1,11 +1,12 @@
 """Pipeline orchestration: prepare -> train-embed -> debias -> evaluate.
 
-Every stage reads and writes files under the configured output
-directory, so stages can be rerun or swapped independently. A JSON
-config fixes the dataset paths, network shapes, projection rank, probe
-settings, and the seed; given the same config, every stage is
-idempotent and byte-identical (the pipeline manifest's timestamp and
-timings aside).
+Every stage writes files under the configured output directory, so
+stages can be rerun or swapped independently. A stage run on its own
+reads its inputs from disk; `pipeline` hands each matrix on in memory
+and parses back no file it wrote. A JSON config fixes the dataset paths,
+network shapes, projection rank, probe settings, and the seed; given
+the same config, every stage is idempotent and byte-identical either
+way (the pipeline manifest's timestamp and timings aside).
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
 failure.
@@ -31,6 +32,14 @@ from .mixed_encoder import MixedEncoderConfig, encode_dataset
 from .neuralnet import save_mlp
 
 PROVENANCE_FORMAT = "tabfair-provenance 1"
+
+# The stage that writes each artifact a later stage reads.
+PRODUCERS = {
+    **dict.fromkeys(("X_num.txt", "X_cat.txt", "S.txt", "y.txt", "split.txt",
+                     "sensitive_names.txt"), "prepare"),
+    "Z.txt": "train-embed",
+    "Z_hat.txt": "debias",
+}
 
 
 def load_config(path, seed: int | None = None, out_dir: str | None = None) -> dict:
@@ -98,51 +107,78 @@ def _probe_config(cfg: dict) -> ev.ProbeConfig:
     )
 
 
-def _out(cfg: dict) -> Path:
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class Run:
+    """The output directory of one CLI invocation; every stage writes
+    and reads its artifacts through it. Writes are recorded in order. A
+    value written earlier in the same process is handed on from memory,
+    which is exact: the text formats round-trip float64 and save_matrix
+    has checked the values are finite. Other reads come from disk."""
+
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+        self.out = Path(cfg["out_dir"])
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.written: list[Path] = []
+        self._kept: dict[str, object] = {}
+
+    def write(self, name: str, save, value, *args) -> None:
+        """save(path, value, *args), then keep value for later reads."""
+        path = self.out / name
+        save(path, value, *args)
+        self.written.append(path)
+        self._kept[name] = value
+
+    def write_matrix(self, name: str, M) -> None:
+        # Hand on what load_matrix would return: C-contiguous float64.
+        self.write(name, save_matrix, np.ascontiguousarray(M, dtype=np.float64))
+
+    def write_provenance(self, name: str, entries: dict) -> None:
+        body = {"config_hash": config_hash(self.cfg), "seed": self.cfg["seed"], **entries}
+        self.write(name, _save_provenance, {k: str(v) for k, v in body.items()})
+
+    def read(self, name: str, load):
+        """The value written as `name` in this process, else load(path)."""
+        if name in self._kept:
+            return self._kept[name]
+        path = self.out / name
+        if not path.exists():
+            raise ConfigError(f"missing {path}; run {PRODUCERS[name]} first")
+        return load(path)
 
 
-def _write_provenance(path: Path, cfg: dict, entries: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(PROVENANCE_FORMAT + "\n")
-        fh.write(f"config_hash {config_hash(cfg)}\n")
-        fh.write(f"seed {cfg['seed']}\n")
-        for key, value in entries.items():
-            fh.write(f"{key} {value}\n")
+def _save_provenance(path: Path, body: dict) -> None:
+    lines = [PROVENANCE_FORMAT] + [f"{key} {value}" for key, value in body.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_provenance(path) -> dict:
     return ds.read_key_values(path, PROVENANCE_FORMAT, ("config_hash", "seed"))
 
 
-def _require(out: Path, names: list[str], hint: str) -> None:
-    missing = [n for n in names if not (out / n).exists()]
-    if missing:
-        raise ConfigError(f"missing artifacts {missing} in {out}; run {hint} first")
+def _save_names(path: Path, names: list[str]) -> None:
+    path.write_text("\n".join(names) + "\n", encoding="utf-8")
 
 
-def cmd_prepare(cfg: dict) -> list[Path]:
+def _load_names(path: Path) -> list[str]:
+    return path.read_text(encoding="utf-8").split()
+
+
+def cmd_prepare(run: Run) -> None:
     """Load, encode, and split the dataset; persist every encoded block
     plus the level map and split indices."""
-    schema = ds.load_schema(cfg["schema"])
-    raw = ds.load_csv(cfg["csv"], schema)
+    schema = ds.load_schema(run.cfg["schema"])
+    raw = ds.load_csv(run.cfg["csv"], schema)
     encoded = ds.encode(raw, schema)
-    split = ds.stratified_split(encoded.y, cfg["test_fraction"], cfg["seed"])
-    out = _out(cfg)
-    save_matrix(out / "X_num.txt", encoded.X_num)
-    save_matrix(out / "X_cat.txt", encoded.X_cat)
-    save_matrix(out / "S.txt", encoded.S)
-    save_matrix(out / "y.txt", encoded.y[:, None])
-    ds.save_level_map(out / "levelmap.txt", encoded.level_map)
-    ds.save_split(out / "split.txt", split)
-    (out / "sensitive_names.txt").write_text(
-        "\n".join(encoded.sensitive_names) + "\n", encoding="utf-8"
-    )
-    _write_provenance(
-        out / "prepare.provenance.txt",
-        cfg,
+    split = ds.stratified_split(encoded.y, run.cfg["test_fraction"], run.cfg["seed"])
+    run.write_matrix("X_num.txt", encoded.X_num)
+    run.write_matrix("X_cat.txt", encoded.X_cat)
+    run.write_matrix("S.txt", encoded.S)
+    run.write_matrix("y.txt", encoded.y[:, None])
+    run.write("levelmap.txt", ds.save_level_map, encoded.level_map)
+    run.write("split.txt", ds.save_split, split)
+    run.write("sensitive_names.txt", _save_names, list(encoded.sensitive_names))
+    run.write_provenance(
+        "prepare.provenance.txt",
         {
             "rows": encoded.n,
             "rows_dropped_missing": raw.dropped_rows,
@@ -151,32 +187,22 @@ def cmd_prepare(cfg: dict) -> list[Path]:
             "sensitive_columns": encoded.s,
         },
     )
-    return [
-        out / n
-        for n in (
-            "X_num.txt", "X_cat.txt", "S.txt", "y.txt", "levelmap.txt",
-            "split.txt", "sensitive_names.txt", "prepare.provenance.txt",
-        )
-    ]
 
 
-def cmd_train_embed(cfg: dict) -> list[Path]:
+def cmd_train_embed(run: Run) -> None:
     """Train both reconstruction networks and persist the mixed
     representation, the models, and the per-epoch loss histories."""
-    out = _out(cfg)
-    _require(out, ["X_num.txt", "X_cat.txt"], "prepare")
-    X_num = load_matrix(out / "X_num.txt")
-    X_cat = load_matrix(out / "X_cat.txt")
-    rep, result = encode_dataset(X_num, X_cat, _encoder_config(cfg))
-    save_matrix(out / "Z.txt", rep.Z)
-    save_mlp(out / "model_num_cat.txt", result.params_num_cat)
-    save_mlp(out / "model_cat_num.txt", result.params_cat_num)
-    result.history_num_cat.to_csv(out / "loss_num_cat.csv")
-    result.history_cat_num.to_csv(out / "loss_cat_num.csv")
+    X_num = run.read("X_num.txt", load_matrix)
+    X_cat = run.read("X_cat.txt", load_matrix)
+    rep, result = encode_dataset(X_num, X_cat, _encoder_config(run.cfg))
     hist_nc, hist_cn = result.history_num_cat, result.history_cat_num
-    _write_provenance(
-        out / "train_embed.provenance.txt",
-        cfg,
+    run.write_matrix("Z.txt", rep.Z)
+    run.write("model_num_cat.txt", save_mlp, result.params_num_cat)
+    run.write("model_cat_num.txt", save_mlp, result.params_cat_num)
+    run.write("loss_num_cat.csv", lambda path, h: h.to_csv(path), hist_nc)
+    run.write("loss_cat_num.csv", lambda path, h: h.to_csv(path), hist_cn)
+    run.write_provenance(
+        "train_embed.provenance.txt",
         {
             "p": rep.p,
             "final_train_bce": _fmt_last(hist_nc.train_loss),
@@ -185,36 +211,25 @@ def cmd_train_embed(cfg: dict) -> list[Path]:
             "final_val_mse": _fmt_last(hist_cn.val_loss),
         },
     )
-    return [
-        out / n
-        for n in (
-            "Z.txt", "model_num_cat.txt", "model_cat_num.txt",
-            "loss_num_cat.csv", "loss_cat_num.csv", "train_embed.provenance.txt",
-        )
-    ]
 
 
 def _fmt_last(values: list[float]) -> str:
     return f"{values[-1]:.17g}" if values else "none"
 
 
-def cmd_debias(cfg: dict) -> list[Path]:
+def cmd_debias(run: Run) -> None:
     """Project the representation orthogonal to the configured
     sensitive attributes and persist it with the residual report."""
-    out = _out(cfg)
-    _require(out, ["Z.txt"], "train-embed")
-    _require(out, ["S.txt", "sensitive_names.txt"], "prepare")
-    Z = load_matrix(out / "Z.txt")
-    S_full = load_matrix(out / "S.txt")
-    names = (out / "sensitive_names.txt").read_text(encoding="utf-8").split()
-    attributes = cfg["projection"].get("attributes") or names
-    proj_cfg = _projection_config(cfg)
+    Z = run.read("Z.txt", load_matrix)
+    S_full = run.read("S.txt", load_matrix)
+    names = run.read("sensitive_names.txt", _load_names)
+    attributes = run.cfg["projection"].get("attributes") or names
+    proj_cfg = _projection_config(run.cfg)
     S = build_sensitive_matrix(S_full, names, attributes)
     result = debias(Z, S, proj_cfg)
-    save_matrix(out / "Z_hat.txt", result.Z_hat)
-    _write_provenance(
-        out / "debias.provenance.txt",
-        cfg,
+    run.write_matrix("Z_hat.txt", result.Z_hat)
+    run.write_provenance(
+        "debias.provenance.txt",
         {
             "k": result.k,
             "include_intercept": str(proj_cfg.include_intercept).lower(),
@@ -223,46 +238,47 @@ def cmd_debias(cfg: dict) -> list[Path]:
             "relative_residual": f"{result.relative_residual:.17g}",
         },
     )
-    return [out / "Z_hat.txt", out / "debias.provenance.txt"]
 
 
-def cmd_evaluate(cfg: dict) -> list[Path]:
+def cmd_evaluate(run: Run) -> None:
     """Probe and fairness-score both the biased and debiased
     representations on the persisted split."""
-    out = _out(cfg)
-    _require(out, ["X_num.txt", "S.txt", "y.txt", "split.txt"], "prepare")
-    _require(out, ["Z.txt"], "train-embed")
-    _require(out, ["Z_hat.txt"], "debias")
-    S = load_matrix(out / "S.txt")
-    y = load_matrix(out / "y.txt").ravel()
-    names = (out / "sensitive_names.txt").read_text(encoding="utf-8").split()
-    split = ds.load_split(out / "split.txt")
-    probe_cfg = _probe_config(cfg)
-    artifacts = []
+    S = run.read("S.txt", load_matrix)
+    y = run.read("y.txt", load_matrix).ravel()
+    names = run.read("sensitive_names.txt", _load_names)
+    split = run.read("split.txt", ds.load_split)
+    # Read both before writing anything: a missing Z_hat.txt leaves no report.
+    representations = {"biased": run.read("Z.txt", load_matrix),
+                        "debiased": run.read("Z_hat.txt", load_matrix)}
+    probe_cfg = _probe_config(run.cfg)
     summary = {}
-    for tag, matrix in (("biased", "Z.txt"), ("debiased", "Z_hat.txt")):
-        Z = load_matrix(out / matrix)
+    for tag, Z in representations.items():
         report = ev.evaluate_representation(Z, y, S, split, names, probe_cfg)
-        ev.save_report(out / f"report_{tag}.txt", report, cfg["dataset"], tag)
-        ev.save_roc_csv(
-            out / f"roc_{tag}.csv",
-            ev.roc_curve_points(report.test_scores, y[split.test].astype(np.int64)),
-        )
-        artifacts += [out / f"report_{tag}.txt", out / f"roc_{tag}.csv"]
+        run.write(f"report_{tag}.txt", ev.save_report, report, run.cfg["dataset"], tag)
+        points = ev.roc_curve_points(report.test_scores, y[split.test].astype(np.int64))
+        run.write(f"roc_{tag}.csv", ev.save_roc_csv, points)
         summary[f"{tag}_accuracy"] = f"{report.accuracy:.17g}"
         summary[f"{tag}_roc_auc"] = f"{report.roc_auc:.17g}"
         for a in report.attributes:
             summary[f"{tag}_di_x100_{a.name}"] = ev.format_di_x100(a.di_x100)
             summary[f"{tag}_spd_{a.name}"] = f"{a.spd:.17g}"
-    _write_provenance(out / "evaluate.provenance.txt", cfg, summary)
-    return artifacts + [out / "evaluate.provenance.txt"]
+    run.write_provenance("evaluate.provenance.txt", summary)
 
 
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    # Streamed, so hashing Z.txt does not hold the whole file in memory.
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
-def cmd_pipeline(cfg: dict) -> Path:
+def _save_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def cmd_pipeline(run: Run) -> None:
     """Run all stages in order and write a manifest tying every artifact
     to the config hash. A stage failure halts with the stage name."""
     stages = [
@@ -271,40 +287,32 @@ def cmd_pipeline(cfg: dict) -> Path:
         ("debias", cmd_debias),
         ("evaluate", cmd_evaluate),
     ]
-    out = _out(cfg)
-    artifacts: list[Path] = []
     timings = {}
     for name, fn in stages:
         start = time.perf_counter()
         try:
-            artifacts.extend(fn(cfg))
+            fn(run)
         except TabfairError as exc:
             raise type(exc)(f"stage {name!r} failed: {exc}") from exc
         timings[name] = time.perf_counter() - start
+    losses = run.read("train_embed.provenance.txt", read_provenance)
+    scores = run.read("evaluate.provenance.txt", read_provenance)
     manifest = {
         "format": "tabfair-manifest 1",
-        "config_hash": config_hash(cfg),
-        "dataset": cfg["dataset"],
-        "seed": cfg["seed"],
+        "config_hash": config_hash(run.cfg),
+        "dataset": run.cfg["dataset"],
+        "seed": run.cfg["seed"],
         "artifacts": [
-            {"name": p.name, "sha256": _sha256_file(p)} for p in artifacts
+            {"name": p.name, "sha256": _sha256_file(p)} for p in run.written
         ],
-        "loss_summary": {
-            k: v
-            for k, v in read_provenance(out / "train_embed.provenance.txt").items()
-            if k.startswith("final_")
-        },
+        "loss_summary": {k: v for k, v in losses.items() if k.startswith("final_")},
         "report_summary": {
-            k: v
-            for k, v in read_provenance(out / "evaluate.provenance.txt").items()
-            if k not in ("config_hash", "seed")
+            k: v for k, v in scores.items() if k not in ("config_hash", "seed")
         },
         "timings_seconds": {k: round(v, 3) for k, v in timings.items()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    run.write("manifest.json", _save_json, manifest)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -323,14 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
         "debiasing and fairness evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb, help_text in (
-        ("prepare", "encode the CSV and write the split"),
-        ("train-embed", "train both networks and write the representation"),
-        ("debias", "project the representation orthogonal to S"),
-        ("evaluate", "probe and fairness-score both representations"),
-        ("pipeline", "run all stages and write a manifest"),
+    for verb, help_text, command in (
+        ("prepare", "encode the CSV and write the split", cmd_prepare),
+        ("train-embed", "train both networks and write the representation", cmd_train_embed),
+        ("debias", "project the representation orthogonal to S", cmd_debias),
+        ("evaluate", "probe and fairness-score both representations", cmd_evaluate),
+        ("pipeline", "run all stages and write a manifest", cmd_pipeline),
     ):
         p = sub.add_parser(verb, help=help_text)
+        p.set_defaults(func=command)
         p.add_argument("--config", required=True, help="pipeline config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
@@ -343,16 +352,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    commands = {
-        "prepare": cmd_prepare,
-        "train-embed": cmd_train_embed,
-        "debias": cmd_debias,
-        "evaluate": cmd_evaluate,
-        "pipeline": cmd_pipeline,
-    }
     try:
-        cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
-        result = commands[args.command](cfg)
+        run = Run(load_config(args.config, seed=args.seed, out_dir=args.out))
+        args.func(run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -362,11 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if isinstance(result, Path):
-        print(result)
-    else:
-        for path in result:
-            print(path)
+    # pipeline prints only its manifest, the last file it wrote.
+    for path in run.written[-1:] if args.func is cmd_pipeline else run.written:
+        print(path)
     return 0
 
 

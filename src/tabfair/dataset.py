@@ -547,32 +547,39 @@ def save_level_map(path, lm: LevelMap) -> None:
 
 
 def load_level_map(path) -> LevelMap:
+    """Read a level map written by save_level_map(). A truncated or
+    malformed file is a DataError; the label line is always last."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != LEVELMAP_FORMAT:
         raise DataError(f"{path}: not a {LEVELMAP_FORMAT!r} file")
     numerical, categorical, sensitive = [], [], []
     label_name, label_positive = None, None
-    for line in lines[1:]:
+    for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split()
         kind = parts[0]
-        if kind == "numerical":
-            numerical.append(
-                NumericalEncoding(parts[1], float(parts[2]), float(parts[3]))
-            )
-        elif kind == "categorical":
-            categorical.append(CategoricalEncoding(parts[1], tuple(parts[2].split("|"))))
-        elif kind == "sensitive":
-            detail = tuple(parts[3].split("|")) if len(parts) > 3 else ()
-            sensitive.append(SensitiveEncoding(parts[1], parts[2], detail))
-        elif kind == "label":
-            label_name = parts[1]
-            if len(parts) > 2 and parts[2].startswith("positive="):
-                label_positive = parts[2].split("=", 1)[1]
-        else:
-            raise DataError(f"{path}: unknown level-map entry {kind!r}")
+        try:
+            if kind == "numerical":
+                numerical.append(
+                    NumericalEncoding(parts[1], float(parts[2]), float(parts[3]))
+                )
+            elif kind == "categorical":
+                categorical.append(CategoricalEncoding(parts[1], tuple(parts[2].split("|"))))
+            elif kind == "sensitive":
+                detail = tuple(parts[3].split("|")) if len(parts) > 3 else ()
+                sensitive.append(SensitiveEncoding(parts[1], parts[2], detail))
+            elif kind == "label":
+                label_name = parts[1]
+                if len(parts) > 2 and parts[2].startswith("positive="):
+                    label_positive = parts[2].split("=", 1)[1]
+            else:
+                raise DataError(f"{path}: unknown level-map entry {kind!r}")
+        except (IndexError, ValueError) as exc:
+            raise DataError(f"{path}:{ln}: malformed {kind} entry") from exc
+    if label_name is None:
+        raise DataError(f"{path}: no label line (truncated file?)")
     return LevelMap(
         numerical=tuple(numerical),
         categorical=tuple(categorical),

@@ -294,29 +294,36 @@ def save_report(path, report: FairnessReport, dataset: str, representation: str)
 
 
 def load_report(path) -> FairnessReport:
+    """Read a report written by save_report(). A truncated or malformed
+    file, or one naming no sensitive attribute, is a DataError."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != REPORT_FORMAT:
         raise DataError(f"{path}: not a {REPORT_FORMAT!r} file")
     acc = auc = None
     attrs = []
-    for line in lines[1:]:
+    for ln, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "accuracy":
-            acc = float(parts[1])
-        elif parts[0] == "roc_auc":
-            auc = float(parts[1])
-        elif parts[0] == "sensitive":
-            attrs.append(
-                AttributeFairness(
-                    name=parts[1],
-                    di_x100=None if parts[3] == "undefined" else float(parts[3]),
-                    spd=float(parts[5]),
-                    passes_80_rule=parts[7] == "true",
+        try:
+            if parts[0] == "accuracy":
+                acc = float(parts[1])
+            elif parts[0] == "roc_auc":
+                auc = float(parts[1])
+            elif parts[0] == "sensitive":
+                attrs.append(
+                    AttributeFairness(
+                        name=parts[1],
+                        di_x100=None if parts[3] == "undefined" else float(parts[3]),
+                        spd=float(parts[5]),
+                        passes_80_rule=parts[7] == "true",
+                    )
                 )
-            )
+        except (IndexError, ValueError) as exc:
+            raise DataError(f"{path}:{ln}: malformed {parts[0]} line") from exc
+    if acc is None or auc is None or not attrs:
+        raise DataError(f"{path}: missing accuracy, roc_auc or sensitive lines")
     return FairnessReport(accuracy=acc, roc_auc=auc, attributes=attrs)
 
 

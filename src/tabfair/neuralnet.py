@@ -365,7 +365,8 @@ def save_mlp(path, params: MlpParams) -> None:
 
 
 def load_mlp(path) -> MlpParams:
-    """Load a network written by save_mlp()."""
+    """Load a network written by save_mlp(). A truncated or malformed
+    file is a DataError."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -378,31 +379,36 @@ def load_mlp(path) -> MlpParams:
             raise DataError(f"{path}: line {i + 1}: expected {key!r}")
         return parts[1:]
 
-    widths = tuple(int(w) for w in fields(1, "widths"))
-    hidden = fields(2, "hidden_activation")[0]
-    output = fields(3, "output_activation")[0]
-    latent = int(fields(4, "latent_index")[0])
-    config = MlpConfig(
-        layer_widths=widths,
-        output_activation=output,
-        latent_index=latent,
-        hidden_activation=hidden,
-    )
-    weights, biases = [], []
-    i = 5
-    for l in range(config.n_layers):
-        r, c = (int(v) for v in fields(i, "layer")[2:])
-        i += 1
-        W = np.array([[float(v) for v in lines[i + r_].split()] for r_ in range(r)])
-        if W.shape != (r, c):
-            raise DataError(f"{path}: layer {l} weight block malformed")
-        i += r
-        nb = int(fields(i, "layer")[2])
-        i += 1
-        b = np.array([float(v) for v in lines[i].split()])
-        if b.shape != (nb,):
-            raise DataError(f"{path}: layer {l} bias block malformed")
-        i += 1
-        weights.append(W)
-        biases.append(b)
+    # A cut file runs out of lines (IndexError) or fields (ValueError);
+    # a cut header line can leave an invalid shape (ConfigError).
+    try:
+        widths = tuple(int(w) for w in fields(1, "widths"))
+        hidden = fields(2, "hidden_activation")[0]
+        output = fields(3, "output_activation")[0]
+        latent = int(fields(4, "latent_index")[0])
+        config = MlpConfig(
+            layer_widths=widths,
+            output_activation=output,
+            latent_index=latent,
+            hidden_activation=hidden,
+        )
+        weights, biases = [], []
+        i = 5
+        for l in range(config.n_layers):
+            r, c = (int(v) for v in fields(i, "layer")[2:])
+            i += 1
+            W = np.array([[float(v) for v in lines[i + r_].split()] for r_ in range(r)])
+            if W.shape != (r, c):
+                raise DataError(f"{path}: layer {l} weight block malformed")
+            i += r
+            nb = int(fields(i, "layer")[2])
+            i += 1
+            b = np.array([float(v) for v in lines[i].split()])
+            if b.shape != (nb,):
+                raise DataError(f"{path}: layer {l} bias block malformed")
+            i += 1
+            weights.append(W)
+            biases.append(b)
+    except (IndexError, ValueError, ConfigError) as exc:
+        raise DataError(f"{path}: truncated or malformed model file: {exc}") from exc
     return MlpParams(config=config, weights=weights, biases=biases)

@@ -7,11 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tabfair.cli
 from conftest import SCHEMA_TEXT, synthetic_rows, write_csv
 from tabfair.cli import config_hash, load_config, main, read_provenance
+from tabfair.dataset import load_level_map, save_level_map
 from tabfair.errors import DataError
-from tabfair.evaluation import load_report
+from tabfair.evaluation import AttributeFairness, FairnessReport, load_report, save_report
 from tabfair.linalg import load_matrix
+from tabfair.neuralnet import MlpConfig, init_params, load_mlp, save_mlp
 
 BASE_CONFIG = {
     "dataset": "synthetic",
@@ -100,6 +103,25 @@ class TestStages:
         (tmp_path / "out" / "S.txt").unlink()
         (tmp_path / "out" / "y.txt").unlink()
         assert main(["train-embed", "--config", str(config)]) == 0
+
+    def test_pipeline_equals_stage_by_stage(self, tmp_path):
+        # pipeline hands artifacts on in memory; single stages read them
+        # from disk. Both paths must write the same bytes.
+        config = make_workspace(tmp_path)
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+        for verb in ("prepare", "train-embed", "debias", "evaluate"):
+            assert main([verb, "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+        for name in PIPELINE_ARTIFACTS:
+            a = (tmp_path / "a" / name).read_bytes()
+            assert a == (tmp_path / "b" / name).read_bytes(), name
+
+    def test_pipeline_reads_back_no_matrix(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"pipeline read back {path}")
+
+        monkeypatch.setattr(tabfair.cli, "load_matrix", refuse)
+        config = make_workspace(tmp_path)
+        assert main(["pipeline", "--config", str(config)]) == 0
 
     def test_debias_provenance_records_rank_and_residual(self, tmp_path):
         config = make_workspace(tmp_path)
@@ -221,6 +243,40 @@ class TestExitCodes:
         assert main(["train-embed", "--config", str(config)]) == 1
         assert "run prepare first" in capsys.readouterr().err
 
+    # Every upstream file each stage reads, with the stage that writes it.
+    STAGE_INPUTS = {
+        "train-embed": {"X_num.txt": "prepare", "X_cat.txt": "prepare"},
+        "debias": {"Z.txt": "train-embed", "S.txt": "prepare",
+                   "sensitive_names.txt": "prepare"},
+        "evaluate": {"S.txt": "prepare", "y.txt": "prepare", "split.txt": "prepare",
+                     "sensitive_names.txt": "prepare", "Z.txt": "train-embed",
+                     "Z_hat.txt": "debias"},
+    }
+
+    def test_each_missing_input_names_its_producer(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        for verb in ("prepare", "train-embed", "debias"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        out = tmp_path / "out"
+        capsys.readouterr()
+        for stage, inputs in self.STAGE_INPUTS.items():
+            for name, producer in inputs.items():
+                saved = (out / name).read_bytes()
+                (out / name).unlink()
+                # An uncaught exception (a traceback) would fail the test here.
+                assert main([stage, "--config", str(config)]) == 1, (stage, name)
+                err = capsys.readouterr().err
+                assert f"run {producer} first" in err and name in err, (stage, name, err)
+                (out / name).write_bytes(saved)
+
+    def test_evaluate_reads_no_feature_blocks(self, tmp_path):
+        config = make_workspace(tmp_path)
+        for verb in ("prepare", "train-embed", "debias"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        for name in ("X_num.txt", "X_cat.txt", "levelmap.txt"):
+            (tmp_path / "out" / name).unlink()
+        assert main(["evaluate", "--config", str(config)]) == 0
+
     def test_collinear_sensitive_is_numerical_error(self, tmp_path, capsys):
         schema = SCHEMA_TEXT.replace(
             "column group sensitive privileged=B",
@@ -270,12 +326,54 @@ class TestExitCodes:
         with pytest.raises(DataError, match="missing"):
             read_provenance(path)
 
+    def test_truncated_artifacts_are_data_errors(self, tmp_path, encoded):
+        formats = {
+            "levelmap": (save_level_map, load_level_map, encoded.level_map),
+            "model": (save_mlp, load_mlp,
+                      init_params(MlpConfig((3, 4, 2, 3), "sigmoid", 2), seed=0)),
+            "report": (lambda p, r: save_report(p, r, "synthetic", "biased"), load_report,
+                       FairnessReport(0.75, 0.8, [AttributeFairness("group", 90.0, 0.05, True)])),
+        }
+        for fmt, (save, load, value) in formats.items():
+            path = tmp_path / fmt
+            save(path, value)
+            load(path)
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            cuts = ["".join(lines[:i]) for i in range(len(lines))]
+            # each line cut after its first word (a key with no value)
+            cuts += ["".join(lines[:i]) + line.split()[0] + "\n"
+                     for i, line in enumerate(lines) if len(line.split()) > 1]
+            for text in cuts:
+                path.write_text(text, encoding="utf-8")
+                with pytest.raises(DataError):
+                    load(path)
+
     def test_k_out_of_range_fails_before_compute(self, tmp_path, capsys):
         config = make_workspace(tmp_path, projection={"k": 999})
         main(["prepare", "--config", str(config)])
         main(["train-embed", "--config", str(config)])
         assert main(["debias", "--config", str(config)]) == 1
         assert "out of range" in capsys.readouterr().err
+
+
+class TestTooling:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_traced_targets_resolve(self):
+        # perfbench/traced_cli.py wraps functions by name; a renamed one
+        # makes every traced benchmark invocation fail in install().
+        import importlib
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "traced_cli", self.ROOT / "perfbench" / "traced_cli.py"
+        )
+        traced_cli = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(traced_cli)
+        for module_name, functions in traced_cli.TARGETS.values():
+            module = importlib.import_module(module_name)
+            for fn_name in functions:
+                assert callable(getattr(module, fn_name, None)), (module_name, fn_name)
 
 
 class TestShippedConfigs:
