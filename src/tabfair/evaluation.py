@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .dataset import SplitIndices
 from .errors import ConfigError, DataError, UndefinedMetricError
@@ -112,6 +111,20 @@ def accuracy(y_pred, y_true) -> float:
     return int((y_pred == y_true).sum()) / y_pred.size
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, each tie run sharing the mean of its ranks.
+
+    Every rank is a half-integer, computed exactly."""
+    order = np.argsort(x, kind="stable")
+    x_sorted = x[order]
+    starts = np.r_[True, x_sorted[1:] != x_sorted[:-1]]
+    dense = np.empty(x.size, dtype=np.intp)
+    dense[order] = np.cumsum(starts)
+    # count[j] is the number of values below the (j+1)-th distinct value.
+    count = np.r_[np.flatnonzero(starts), x.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def roc_auc(scores, y_true) -> float:
     """Mann-Whitney AUC: (concordant + 0.5 * tied) / (pos * neg) pairs,
     computed via average ranks."""
@@ -119,11 +132,13 @@ def roc_auc(scores, y_true) -> float:
     y_true = _binary(y_true, "y_true")
     if scores.size != y_true.size:
         raise ConfigError("scores and labels must have equal length")
+    if np.isnan(scores).any():
+        raise DataError("scores contain NaN")
     n_pos = int(y_true.sum())
     n_neg = y_true.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("ROC-AUC needs both classes present")
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     u = float(ranks[y_true == 1].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 

@@ -61,6 +61,12 @@ class MlpConfig:
         """Number of weight layers (connections), not counting the input."""
         return len(self.layer_widths) - 1
 
+    @property
+    def n_params(self) -> int:
+        """Number of weights and biases over all layers."""
+        w = self.layer_widths
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(w[:-1], w[1:]))
+
     def loss_kind(self) -> str:
         """The loss paired with the output activation: sigmoid <-> bce,
         linear <-> mse."""
@@ -69,18 +75,41 @@ class MlpConfig:
 
 @dataclass
 class MlpParams:
-    """Per-layer weight matrices (in x out) and bias vectors."""
+    """Per-layer weight matrices (in x out) and bias vectors.
+
+    Every weight and bias is a view into `flat`, one contiguous float64
+    buffer laid out layer by layer (row-major weights, then bias), so
+    an Adam step updates all parameters in one vectorized pass. Writing
+    into a view writes into `flat`; rebinding a list entry does not.
+    """
 
     config: MlpConfig
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.flat.shape != (self.config.n_params,) or self.flat.dtype != np.float64:
+            raise ConfigError(
+                f"parameter buffer must be float64 of shape ({self.config.n_params},), "
+                f"got {self.flat.dtype} {self.flat.shape}"
+            )
+        self.weights, self.biases = [], []
+        at = 0
+        widths = self.config.layer_widths
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            self.weights.append(self.flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+            at += fan_in * fan_out
+            self.biases.append(self.flat[at : at + fan_out])
+            at += fan_out
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            config=self.config,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return MlpParams(config=self.config, flat=self.flat.copy())
+
+
+def _flatten(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
+    """Per-layer tensors in the MlpParams.flat layout."""
+    return np.concatenate([t.ravel() for pair in zip(weights, biases) for t in pair])
 
 
 @dataclass
@@ -91,12 +120,11 @@ class Gradients:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment accumulators and step count."""
+    """First/second moment accumulators over MlpParams.flat, and the
+    step count."""
 
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     lr: float = ADAM_LR
     beta1: float = ADAM_BETA1
@@ -105,13 +133,7 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: MlpParams, lr: float = ADAM_LR) -> "AdamState":
-        return cls(
-            m_weights=[np.zeros_like(w) for w in params.weights],
-            v_weights=[np.zeros_like(w) for w in params.weights],
-            m_biases=[np.zeros_like(b) for b in params.biases],
-            v_biases=[np.zeros_like(b) for b in params.biases],
-            lr=lr,
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr)
 
 
 @dataclass
@@ -146,12 +168,12 @@ class TrainHistory:
 def init_params(config: MlpConfig, seed: int) -> MlpParams:
     """Glorot-uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(config.layer_widths[:-1], config.layer_widths[1:]):
+    params = MlpParams(config=config, flat=np.zeros(config.n_params))
+    for W in params.weights:
+        fan_in, fan_out = W.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(config=config, weights=weights, biases=biases)
+        W[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return params
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -164,19 +186,29 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(params: MlpParams, X) -> ForwardCache:
-    """Run the network on a batch, keeping every layer's values for
-    backpropagation."""
+def _check_input(config: MlpConfig, X) -> np.ndarray:
+    """X as a finite float64 batch of the network's input width."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ConfigError("X must be 2-D (batch x features)")
     if not np.isfinite(X).all():
         raise DataError("network input contains non-finite values")
-    cfg = params.config
-    if X.shape[1] != cfg.layer_widths[0]:
+    if X.shape[1] != config.layer_widths[0]:
         raise ConfigError(
-            f"input width {X.shape[1]} != network input width {cfg.layer_widths[0]}"
+            f"input width {X.shape[1]} != network input width {config.layer_widths[0]}"
         )
+    return X
+
+
+def forward(params: MlpParams, X) -> ForwardCache:
+    """Run the network on a batch, keeping every layer's values for
+    backpropagation."""
+    return _forward(params, _check_input(params.config, X))
+
+
+def _forward(params: MlpParams, X: np.ndarray) -> ForwardCache:
+    """forward() on a batch already checked by _check_input()."""
+    cfg = params.config
     pre, acts = [], [X]
     a = X
     last = cfg.n_layers - 1
@@ -204,6 +236,10 @@ def bce_loss(pred, target) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     _check_shapes(pred, target)
+    return _bce(pred, target)
+
+
+def _bce(pred: np.ndarray, target: np.ndarray) -> float:
     p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
     return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log1p(-p)))
 
@@ -213,6 +249,10 @@ def mse_loss(pred, target) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     _check_shapes(pred, target)
+    return _mse(pred, target)
+
+
+def _mse(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean((pred - target) ** 2))
 
 
@@ -252,24 +292,27 @@ def backward(params: MlpParams, cache: ForwardCache, target, loss_kind: str) -> 
 
 
 def adam_step(params: MlpParams, grads: Gradients, state: AdamState):
-    """One Adam update with bias correction. Parameters and state are
-    updated in place and returned."""
+    """One Adam update with bias correction, fused over the flat
+    parameter buffer. Parameters and state are updated in place and
+    returned."""
+    if len(grads.weights) != len(params.weights) or len(grads.biases) != len(params.biases):
+        raise ConfigError("gradient layer count does not match parameter layer count")
+    for p, g in zip(params.weights + params.biases, grads.weights + grads.biases):
+        if p.shape != g.shape:
+            raise ConfigError("gradient shape does not match parameter shape")
+    g = _flatten(grads.weights, grads.biases)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for i in range(len(params.weights)):
-        for p, g, m, v in (
-            (params.weights[i], grads.weights[i], state.m_weights[i], state.v_weights[i]),
-            (params.biases[i], grads.biases[i], state.m_biases[i], state.v_biases[i]),
-        ):
-            if p.shape != g.shape:
-                raise ConfigError("gradient shape does not match parameter shape")
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m, v = state.m, state.v
+    # Operation order is part of the result: (1 - b2) * g * g and
+    # (1 - b2) * g**2 round differently, and models are byte-compared.
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    params.flat -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
     return params, state
 
 
@@ -297,12 +340,19 @@ def train(
     Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ConfigError("X and Y must be 2-D with equal row counts")
+    if Y.shape[1] != config.layer_widths[-1]:
+        raise ConfigError(
+            f"target width {Y.shape[1]} != network output width {config.layer_widths[-1]}"
+        )
     if not 0.0 <= val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in [0, 1), got {val_fraction}")
     if epochs < 0 or batch_size < 1:
         raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+    # Checked once here: every batch below is a row subset of X, so the
+    # loop runs the unchecked forward pass and loss.
+    X = _check_input(config, X)
     n = X.shape[0]
-    loss_fn = bce_loss if config.loss_kind() == "bce" else mse_loss
+    loss_fn = _bce if config.loss_kind() == "bce" else _mse
 
     params = init_params(config, seed)
     rng = np.random.default_rng(seed)
@@ -322,8 +372,9 @@ def train(
         total, seen = 0.0, 0
         for lo in range(0, order.size, batch_size):
             batch = order[lo : lo + batch_size]
-            cache = forward(params, X[batch])
-            loss = loss_fn(cache.output, Y[batch])
+            Y_batch = Y[batch]
+            cache = _forward(params, X[batch])
+            loss = loss_fn(cache.output, Y_batch)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"training diverged: non-finite loss at epoch {epoch + 1}, "
@@ -331,11 +382,11 @@ def train(
                 )
             total += loss * batch.size
             seen += batch.size
-            grads = backward(params, cache, Y[batch], config.loss_kind())
+            grads = backward(params, cache, Y_batch, config.loss_kind())
             adam_step(params, grads, state)
         history.train_loss.append(total / seen)
         if n_val > 0:
-            val = loss_fn(forward(params, X_val).output, Y_val)
+            val = loss_fn(_forward(params, X_val).output, Y_val)
             if not np.isfinite(val):
                 raise NumericalError(
                     f"training diverged: non-finite validation loss at epoch {epoch + 1}"
@@ -411,4 +462,4 @@ def load_mlp(path) -> MlpParams:
             biases.append(b)
     except (IndexError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: truncated or malformed model file: {exc}") from exc
-    return MlpParams(config=config, weights=weights, biases=biases)
+    return MlpParams(config=config, flat=_flatten(weights, biases))

@@ -2,6 +2,8 @@
 determinism, manifest integrity, and the exit-code taxonomy."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +376,19 @@ class TestTooling:
             module = importlib.import_module(module_name)
             for fn_name in functions:
                 assert callable(getattr(module, fn_name, None)), (module_name, fn_name)
+
+    def test_cli_import_loads_no_scipy(self):
+        # Every stage is a fresh process, so what `import tabfair.cli`
+        # pulls in is paid on each one; scipy alone cost about 1 s.
+        src = Path(tabfair.cli.__file__).resolve().parents[1]
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import tabfair.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestShippedConfigs:

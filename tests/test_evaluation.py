@@ -102,16 +102,31 @@ class TestMetricOracles:
 
     def test_auc_exact_on_random_score_sets(self):
         rng = np.random.default_rng(0)
+        cases = []
         for _ in range(300):
             n = int(rng.integers(2, 9))
             y = rng.integers(0, 2, size=n)
             if y.sum() in (0, n):
                 continue
             # Draw from a small grid so ties actually happen.
-            scores = rng.choice([0.1, 0.25, 0.5, 0.5, 0.9], size=n)
+            cases.append((rng.choice([0.1, 0.25, 0.5, 0.5, 0.9], size=n), y))
+        for _ in range(12):
+            # Probe-sized sets: saturated sigmoids tie at exactly 0 and 1,
+            # next to long runs of distinct scores and grid ties.
+            n = int(rng.integers(150, 400))
+            logits = rng.normal(scale=rng.choice([1.0, 40.0, 800.0]), size=n)
+            with np.errstate(over="ignore"):
+                scores = 1.0 / (1.0 + np.exp(-logits))
+            grid = rng.random(n) < 0.2
+            scores[grid] = rng.choice([0.25, 0.5, 0.75], size=int(grid.sum()))
+            cases.append((scores, (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)))
+        saturated = 0
+        for scores, y in cases:
+            saturated += int(np.isin(scores, (0.0, 1.0)).sum() >= 2)
             got = roc_auc(scores, y)
             want = auc_oracle(scores.tolist(), y.tolist())
             assert got == want
+        assert saturated >= 4
 
     def test_auc_monotone_invariance(self):
         rng = np.random.default_rng(1)
@@ -183,6 +198,10 @@ class TestMetricCases:
     def test_auc_single_class_rejected(self):
         with pytest.raises(DataError):
             roc_auc([0.1, 0.2], [1, 1])
+
+    def test_auc_nan_score_rejected(self):
+        with pytest.raises(DataError):
+            roc_auc([0.1, float("nan"), 0.8], [0, 1, 1])
 
     def test_non_binary_rejected(self):
         with pytest.raises(DataError):

@@ -10,6 +10,10 @@ import pytest
 
 from tabfair.errors import ConfigError, DataError, NumericalError
 from tabfair.neuralnet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    ADAM_LR,
     AdamState,
     Gradients,
     MlpConfig,
@@ -289,6 +293,43 @@ class TestAdam:
         assert state.t == 3
 
 
+def reference_train(config, X, Y, *, epochs, batch_size, val_fraction, seed, lr=ADAM_LR):
+    """train() written out with the public, checked forward, backward
+    and losses, and Adam applied one tensor at a time."""
+    loss_fn = bce_loss if config.loss_kind() == "bce" else mse_loss
+    params = init_params(config, seed)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(X.shape[0])
+    n_val = int(round(val_fraction * X.shape[0]))
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    tensors = params.weights + params.biases
+    ms = [np.zeros_like(p) for p in tensors]
+    vs = [np.zeros_like(p) for p in tensors]
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    t = 0
+    train_loss, val_loss = [], []
+    for _ in range(epochs):
+        order = train_idx[rng.permutation(train_idx.size)]
+        total = 0.0
+        for lo in range(0, order.size, batch_size):
+            batch = order[lo : lo + batch_size]
+            cache = forward(params, X[batch])
+            total += loss_fn(cache.output, Y[batch]) * batch.size
+            grads = backward(params, cache, Y[batch], config.loss_kind())
+            t += 1
+            c1 = 1.0 - b1**t
+            c2 = 1.0 - b2**t
+            for p, g, m, v in zip(tensors, grads.weights + grads.biases, ms, vs):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        train_loss.append(total / order.size)
+        val_loss.append(loss_fn(forward(params, X[val_idx]).output, Y[val_idx]))
+    return params, train_loss, val_loss
+
+
 class TestTrain:
     def make_linear_data(self, n=128):
         rng = np.random.default_rng(4)
@@ -326,6 +367,34 @@ class TestTrain:
         _, history = train(cfg, X, Y, epochs=4, batch_size=10, val_fraction=0.25, seed=1)
         assert len(history.val_loss) == 4
         assert all(np.isfinite(v) for v in history.val_loss)
+
+    @pytest.mark.parametrize("output", ["sigmoid", "linear"])
+    def test_bits_match_per_tensor_reference(self, output):
+        # 103 rows, 15 held out: 88 training rows in batches of 16 leave
+        # a ragged last batch of 8.
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(103, 5))
+        cfg = MlpConfig(layer_widths=(5, 7, 3, 4), output_activation=output, latent_index=2)
+        if output == "sigmoid":
+            Y = (X[:, :4] + rng.normal(scale=0.5, size=(103, 4)) > 0).astype(np.float64)
+        else:
+            Y = X[:, 1:] * 2.0 - 0.5
+        kwargs = dict(epochs=6, batch_size=16, val_fraction=0.15, seed=8, lr=0.01)
+        params, history = train(cfg, X, Y, **kwargs)
+        ref, train_loss, val_loss = reference_train(cfg, X, Y, **kwargs)
+        for got, want in zip(params.weights + params.biases, ref.weights + ref.biases):
+            assert got.tobytes() == want.tobytes()
+        assert history.train_loss == train_loss
+        assert history.val_loss == val_loss
+        assert len(val_loss) == 6
+
+    def test_target_width_checked_before_training(self):
+        # The batch loop's loss skips its shape check; a wrong Y width
+        # must fail up front, before any step (even with zero epochs).
+        cfg = MlpConfig(layer_widths=(3, 4, 3), output_activation="linear", latent_index=1)
+        X, Y = self.make_linear_data(20)
+        with pytest.raises(ConfigError):
+            train(cfg, X, Y[:, :1], epochs=0, batch_size=4, val_fraction=0.0, seed=0)
 
     def test_batch_size_exceeding_train_rows(self):
         cfg = MlpConfig(layer_widths=(3, 4, 3), output_activation="linear", latent_index=1)
