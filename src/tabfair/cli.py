@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,9 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
         cfg[key] = str((base / cfg[key]).resolve()) if not Path(cfg[key]).is_absolute() else cfg[key]
     if not isinstance(cfg["seed"], int):
         raise ConfigError("config seed must be an explicit integer")
+    # Built here as well, so a bad section fails before any stage runs.
+    for build in (_encoder_config, _projection_config, _probe_config):
+        build(cfg)
     return cfg
 
 
@@ -76,35 +80,33 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _section(cfg: dict, name: str, cls, cli_keys=(), **given):
+    """cfg[name] as a cls: omitted keys take the library defaults, and a
+    key cls does not declare is a ConfigError. cli_keys are read by the
+    CLI itself; `given` fills fields the section may not set."""
+    if not isinstance(cfg[name], dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    section = {k: v for k, v in cfg[name].items() if k not in cli_keys}
+    declared = {f.name for f in fields(cls)}
+    for key in section:
+        if key not in declared:
+            raise ConfigError(f"config section {name!r}: unknown key {key!r}")
+    try:
+        return cls(**section, **given)
+    except TypeError as exc:  # a required key is missing, or a `given` one set
+        raise ConfigError(f"config section {name!r}: {exc}") from exc
+
+
 def _encoder_config(cfg: dict) -> MixedEncoderConfig:
-    e = cfg["encoder"]
-    return MixedEncoderConfig(
-        latent_num=e["latent_num"],
-        latent_cat=e["latent_cat"],
-        hidden_num_cat=e.get("hidden_num_cat", 3),
-        hidden_cat_num=e.get("hidden_cat_num", 3),
-        epochs=e.get("epochs", 100),
-        batch_size=e.get("batch_size", 64),
-        val_fraction=e.get("val_fraction", 0.1),
-        seed=cfg["seed"],
-    )
+    return _section(cfg, "encoder", MixedEncoderConfig, seed=cfg["seed"])
 
 
 def _projection_config(cfg: dict) -> FairProjectionConfig:
-    p = cfg["projection"]
-    return FairProjectionConfig(
-        k=p.get("k"),
-        include_intercept=p.get("include_intercept", False),
-        variance_target=p.get("variance_target"),
-    )
+    return _section(cfg, "projection", FairProjectionConfig, cli_keys=("attributes",))
 
 
 def _probe_config(cfg: dict) -> ev.ProbeConfig:
-    p = cfg["probe"]
-    return ev.ProbeConfig(
-        learning_rate=p.get("learning_rate", 0.01),
-        epochs=p.get("epochs", 500),
-    )
+    return _section(cfg, "probe", ev.ProbeConfig)
 
 
 class Run:

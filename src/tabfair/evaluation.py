@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import SplitIndices
 from .errors import ConfigError, DataError, UndefinedMetricError
-from .neuralnet import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _sigmoid, bce_loss
+from .neuralnet import AdamState, _adam_update, _sigmoid, bce_loss
 
 DI_PASS_THRESHOLD = 80.0  # DI x 100 must exceed this (strict) to pass
 
@@ -53,26 +53,16 @@ def train_probe(Z, y, config: ProbeConfig = ProbeConfig()) -> LogisticModel:
     if np.unique(y).size < 2:
         raise DataError("probe training labels contain a single class")
     n, p = Z.shape
-    w = np.zeros(p)
-    b = 0.0
-    m_w = np.zeros(p)
-    v_w = np.zeros(p)
-    m_b = v_b = 0.0
-    for t in range(1, config.epochs + 1):
-        pred = _sigmoid(Z @ w + b)
+    # theta is [weights, bias]; w is a view of its first p entries.
+    theta = np.zeros(p + 1)
+    w = theta[:p]
+    state = AdamState(m=np.zeros(p + 1), v=np.zeros(p + 1), lr=config.learning_rate)
+    for _ in range(config.epochs):
+        pred = _sigmoid(Z @ w + theta[p])
         # Mean-BCE gradient through the sigmoid.
         delta = (pred - y) / n
-        g_w = Z.T @ delta
-        g_b = float(delta.sum())
-        c1 = 1.0 - ADAM_BETA1**t
-        c2 = 1.0 - ADAM_BETA2**t
-        m_w = ADAM_BETA1 * m_w + (1.0 - ADAM_BETA1) * g_w
-        v_w = ADAM_BETA2 * v_w + (1.0 - ADAM_BETA2) * g_w**2
-        w -= config.learning_rate * (m_w / c1) / (np.sqrt(v_w / c2) + ADAM_EPS)
-        m_b = ADAM_BETA1 * m_b + (1.0 - ADAM_BETA1) * g_b
-        v_b = ADAM_BETA2 * v_b + (1.0 - ADAM_BETA2) * g_b**2
-        b -= config.learning_rate * (m_b / c1) / (np.sqrt(v_b / c2) + ADAM_EPS)
-    return LogisticModel(weights=w, bias=b)
+        _adam_update(theta, np.append(Z.T @ delta, delta.sum()), state)
+    return LogisticModel(weights=w, bias=float(theta[p]))
 
 
 def predict_proba(model: LogisticModel, Z) -> np.ndarray:

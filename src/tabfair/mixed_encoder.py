@@ -10,8 +10,7 @@ concatenated row-wise into the mixed-space representation Z.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,11 +45,6 @@ class MixedEncoderConfig:
     @property
     def p(self) -> int:
         return self.latent_num + self.latent_cat
-
-    def digest(self) -> str:
-        """Short stable hash of every field, for provenance metadata."""
-        blob = repr(sorted(asdict(self).items())).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def interpolated_widths(start: int, end: int, steps: int) -> list[int]:
@@ -134,17 +128,16 @@ def extract_latent(params: MlpParams, X) -> np.ndarray:
 
 @dataclass
 class MixedRepresentation:
-    """The n x p concatenated latent matrix plus provenance."""
+    """The n x p concatenated latent matrix."""
 
     Z: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def p(self) -> int:
         return self.Z.shape[1]
 
 
-def concatenate_latents(z_num, z_cat, meta: dict | None = None) -> MixedRepresentation:
+def concatenate_latents(z_num, z_cat) -> MixedRepresentation:
     """Column-wise concatenation, numerical-side code first."""
     z_num = np.asarray(z_num, dtype=np.float64)
     z_cat = np.asarray(z_cat, dtype=np.float64)
@@ -153,7 +146,7 @@ def concatenate_latents(z_num, z_cat, meta: dict | None = None) -> MixedRepresen
             f"row mismatch: {z_num.shape[0]} numerical-side rows vs "
             f"{z_cat.shape[0]} categorical-side rows"
         )
-    return MixedRepresentation(Z=np.hstack([z_num, z_cat]), meta=dict(meta or {}))
+    return MixedRepresentation(Z=np.hstack([z_num, z_cat]))
 
 
 def encode_dataset(X_num, X_cat, config: MixedEncoderConfig):
@@ -162,14 +155,4 @@ def encode_dataset(X_num, X_cat, config: MixedEncoderConfig):
     result = train_mixed(X_num, X_cat, config)
     z_num = extract_latent(result.params_num_cat, X_num)
     z_cat = extract_latent(result.params_cat_num, X_cat)
-    rep = concatenate_latents(
-        z_num,
-        z_cat,
-        meta={
-            "config_digest": config.digest(),
-            "latent_num": config.latent_num,
-            "latent_cat": config.latent_cat,
-            "seeds": (config.seed, config.seed + 1),
-        },
-    )
-    return rep, result
+    return concatenate_latents(z_num, z_cat), result

@@ -120,16 +120,13 @@ class Gradients:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators over MlpParams.flat, and the
-    step count."""
+    """First/second moment accumulators over a flat parameter vector,
+    the step count, and the learning rate."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
     lr: float = ADAM_LR
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
     @classmethod
     def for_params(cls, params: MlpParams, lr: float = ADAM_LR) -> "AdamState":
@@ -300,20 +297,24 @@ def adam_step(params: MlpParams, grads: Gradients, state: AdamState):
     for p, g in zip(params.weights + params.biases, grads.weights + grads.biases):
         if p.shape != g.shape:
             raise ConfigError("gradient shape does not match parameter shape")
-    g = _flatten(grads.weights, grads.biases)
+    _adam_update(params.flat, _flatten(grads.weights, grads.biases), state)
+    return params, state
+
+
+def _adam_update(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam step on the flat vector theta, in place,
+    with g its gradient and state its moments."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**state.t
-    c2 = 1.0 - b2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
     # Operation order is part of the result: (1 - b2) * g * g and
     # (1 - b2) * g**2 round differently, and models are byte-compared.
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    v += (1.0 - b2) * g * g
-    params.flat -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return params, state
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def train(

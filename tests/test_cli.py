@@ -220,6 +220,16 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["prepare", "--config", str(path)]) == 1
 
+    def test_unknown_section_key_is_config_error(self, tmp_path, capsys):
+        typos = {"encoder": "epoch", "projection": "include_intercep", "probe": "learning_rte"}
+        for section, key in typos.items():
+            config = make_workspace(tmp_path, **{section: {key: 1}})
+            # An uncaught exception (a traceback) would fail the test here.
+            assert main(["pipeline", "--config", str(config)]) == 1, section
+            err = capsys.readouterr().err
+            assert "config error" in err and repr(key) in err and section in err, err
+            assert not (tmp_path / "out").exists()
+
     def test_missing_csv_is_config_error(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
         (tmp_path / "synthetic.csv").unlink()

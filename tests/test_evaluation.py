@@ -28,6 +28,7 @@ from tabfair.evaluation import (
     statistical_parity_difference,
     train_probe,
 )
+from tabfair.neuralnet import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _sigmoid
 
 # --- exact-rational oracles -------------------------------------------------
 
@@ -267,6 +268,37 @@ class TestProbe:
         Z, y = self.separable()
         model = train_probe(Z, y, ProbeConfig(epochs=0))
         assert probe_loss(model, Z, y) == pytest.approx(np.log(2.0), abs=1e-15)
+
+    def test_bits_match_separate_moment_reference(self):
+        # The probe shares the networks' Adam update over [w, b]; a loop
+        # with separate weight and bias moments in the same operation
+        # order must give the same bits.
+        def reference_probe(Z, y, config):
+            n, p = Z.shape
+            w, b = np.zeros(p), 0.0
+            m_w, v_w, m_b, v_b = np.zeros(p), np.zeros(p), 0.0, 0.0
+            lr, b1, b2 = config.learning_rate, ADAM_BETA1, ADAM_BETA2
+            for t in range(1, config.epochs + 1):
+                delta = (_sigmoid(Z @ w + b) - y) / n
+                g_w, g_b = Z.T @ delta, float(delta.sum())
+                c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+                m_w = b1 * m_w + (1.0 - b1) * g_w
+                v_w = b2 * v_w + ((1.0 - b2) * g_w) * g_w
+                w = w - lr * (m_w / c1) / (np.sqrt(v_w / c2) + ADAM_EPS)
+                m_b = b1 * m_b + (1.0 - b1) * g_b
+                v_b = b2 * v_b + ((1.0 - b2) * g_b) * g_b
+                b = b - lr * (m_b / c1) / (np.sqrt(v_b / c2) + ADAM_EPS)
+            return w, b
+
+        rng = np.random.default_rng(11)
+        Z_big = rng.normal(size=(3000, 200))
+        y_big = (Z_big[:, :5].sum(axis=1) + rng.normal(size=3000) > 0).astype(float)
+        for Z, y, config in ((*self.separable(), ProbeConfig(epochs=300)),
+                             (Z_big, y_big, ProbeConfig())):
+            model = train_probe(Z, y, config)
+            w, b = reference_probe(Z, y, config)
+            assert np.array_equal(model.weights, w)
+            assert model.bias == b
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):

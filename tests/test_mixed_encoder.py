@@ -121,13 +121,6 @@ class TestTrainMixed:
         for w, r in zip(result.params_num_cat.weights, ref.weights):
             assert np.array_equal(w, r)
 
-    def test_meta_records_provenance(self, encoded):
-        cfg = small_config(epochs=1)
-        rep, _ = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
-        assert rep.meta["seeds"] == (0, 1)
-        assert rep.meta["config_digest"] == cfg.digest()
-        assert rep.meta["latent_num"] == 8
-
     def test_beats_trivial_baselines(self, encoded):
         # Constant-0.5 BCE baseline is ln 2; the column-mean MSE
         # baseline is 1.0 under z-scored targets.
