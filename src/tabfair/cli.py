@@ -19,7 +19,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import fields
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -82,19 +82,34 @@ def config_hash(cfg: dict) -> str:
 
 def _section(cfg: dict, name: str, cls, cli_keys=(), **given):
     """cfg[name] as a cls: omitted keys take the library defaults, and a
-    key cls does not declare is a ConfigError. cli_keys are read by the
-    CLI itself; `given` fills fields the section may not set."""
+    key cls does not declare, or a value that does not fit its field's
+    type, is a ConfigError. cli_keys are read by the CLI itself; `given`
+    fills fields the section may not set."""
     if not isinstance(cfg[name], dict):
         raise ConfigError(f"config section {name!r} must be a JSON object")
     section = {k: v for k, v in cfg[name].items() if k not in cli_keys}
-    declared = {f.name for f in fields(cls)}
-    for key in section:
+    declared = typing.get_type_hints(cls)
+    for key, value in section.items():
         if key not in declared:
             raise ConfigError(f"config section {name!r}: unknown key {key!r}")
+        if not _fits(value, declared[key]):
+            raise ConfigError(
+                f"config section {name!r}: {key!r} must be "
+                f"{getattr(declared[key], '__name__', declared[key])}, got {value!r}"
+            )
     try:
         return cls(**section, **given)
     except TypeError as exc:  # a required key is missing, or a `given` one set
         raise ConfigError(f"config section {name!r}: {exc}") from exc
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value suits a field annotated `hint`: bool is not
+    an int, an int is a float, and None only fits `X | None`."""
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in allowed
+    return isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
 
 
 def _encoder_config(cfg: dict) -> MixedEncoderConfig:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
+from .linalg import read_rows, write_rows
 
 HIDDEN_ACTIVATIONS = ("relu",)
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
@@ -174,13 +175,11 @@ def init_params(config: MlpConfig, seed: int) -> MlpParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # min(z, -z) = -|z|, so exp cannot overflow: e is exp(-z) where
+    # z >= 0 and exp(z) elsewhere, the stable form for each sign. min
+    # returns a NaN z itself, keeping its sign bit (-abs would flip it).
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_input(config: MlpConfig, X) -> np.ndarray:
@@ -410,10 +409,9 @@ def save_mlp(path, params: MlpParams) -> None:
         fh.write(f"latent_index {cfg.latent_index}\n")
         for l, (W, b) in enumerate(zip(params.weights, params.biases)):
             fh.write(f"layer {l} weight {W.shape[0]} {W.shape[1]}\n")
-            for row in W:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+            write_rows(fh, W)
             fh.write(f"layer {l} bias {b.shape[0]}\n")
-            fh.write(" ".join(f"{v:.17g}" for v in b) + "\n")
+            write_rows(fh, b[None, :])
 
 
 def load_mlp(path) -> MlpParams:
@@ -421,46 +419,38 @@ def load_mlp(path) -> MlpParams:
     file is a DataError."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != MODEL_FORMAT:
-        raise DataError(f"{path}: not a {MODEL_FORMAT!r} file")
+        if fh.readline() != MODEL_FORMAT + "\n":
+            raise DataError(f"{path}: not a {MODEL_FORMAT!r} file")
 
-    def fields(i: int, key: str) -> list[str]:
-        parts = lines[i].split()
-        if not parts or parts[0] != key:
-            raise DataError(f"{path}: line {i + 1}: expected {key!r}")
-        return parts[1:]
+        def fields(key: str) -> list[str]:
+            parts = fh.readline().split()
+            if not parts or parts[0] != key:
+                raise DataError(f"{path}: expected a {key!r} line")
+            return parts[1:]
 
-    # A cut file runs out of lines (IndexError) or fields (ValueError);
-    # a cut header line can leave an invalid shape (ConfigError).
-    try:
-        widths = tuple(int(w) for w in fields(1, "widths"))
-        hidden = fields(2, "hidden_activation")[0]
-        output = fields(3, "output_activation")[0]
-        latent = int(fields(4, "latent_index")[0])
-        config = MlpConfig(
-            layer_widths=widths,
-            output_activation=output,
-            latent_index=latent,
-            hidden_activation=hidden,
-        )
+        def expect(line: str) -> None:
+            if fh.readline() != line + "\n":
+                raise DataError(f"{path}: expected {line!r}")
+
+        # A cut header line runs out of fields (IndexError) or leaves a
+        # bad number (ValueError) or an invalid shape (ConfigError).
+        try:
+            widths = tuple(int(w) for w in fields("widths"))
+            hidden = fields("hidden_activation")[0]
+            output = fields("output_activation")[0]
+            latent = int(fields("latent_index")[0])
+            config = MlpConfig(
+                layer_widths=widths,
+                output_activation=output,
+                latent_index=latent,
+                hidden_activation=hidden,
+            )
+        except (IndexError, ValueError, ConfigError) as exc:
+            raise DataError(f"{path}: truncated or malformed model file: {exc}") from exc
         weights, biases = [], []
-        i = 5
-        for l in range(config.n_layers):
-            r, c = (int(v) for v in fields(i, "layer")[2:])
-            i += 1
-            W = np.array([[float(v) for v in lines[i + r_].split()] for r_ in range(r)])
-            if W.shape != (r, c):
-                raise DataError(f"{path}: layer {l} weight block malformed")
-            i += r
-            nb = int(fields(i, "layer")[2])
-            i += 1
-            b = np.array([float(v) for v in lines[i].split()])
-            if b.shape != (nb,):
-                raise DataError(f"{path}: layer {l} bias block malformed")
-            i += 1
-            weights.append(W)
-            biases.append(b)
-    except (IndexError, ValueError, ConfigError) as exc:
-        raise DataError(f"{path}: truncated or malformed model file: {exc}") from exc
+        for l, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+            expect(f"layer {l} weight {fan_in} {fan_out}")
+            weights.append(read_rows(fh, fan_in, fan_out, f"{path}: layer {l} weight"))
+            expect(f"layer {l} bias {fan_out}")
+            biases.append(read_rows(fh, 1, fan_out, f"{path}: layer {l} bias")[0])
     return MlpParams(config=config, flat=_flatten(weights, biases))

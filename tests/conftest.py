@@ -4,6 +4,11 @@ group skew, available raw (CSV + schema) and encoded.
 The generator plants a strong dependence between the sensitive group
 and both the label and the features, so fairness metrics start out
 clearly outside the 80% band and debiasing has something to remove.
+
+Also the oracles for the text row format of matrix and model files: a
+per-value writer and a per-token reader, as the format was first
+written, and random float64 bit patterns with the values that format
+and parse at the edges.
 """
 
 from pathlib import Path
@@ -45,6 +50,31 @@ def write_csv(path: Path, rows: list[list[str]], header=COLUMNS) -> Path:
     lines = [",".join(header)] + [",".join(r) for r in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+# +-0, subnormals, the largest double, 2**53 + 1 (which rounds to 2**53),
+# and the powers of ten where %.17g switches notation or stops being exact.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 2.0**53 + 1, 1e16, 1e17, 1e21, 1e22, -1e22, 0.1]
+
+
+def random_finite_floats(rng, shape) -> np.ndarray:
+    """Finite float64 values from uniform random bit patterns, with
+    EDGE_FLOATS placed first."""
+    size = int(np.prod(shape))
+    bits = rng.integers(0, 2**64, size=2 * size + 64, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([EDGE_FLOATS, bits[np.isfinite(bits)]])[:size]
+    return values.reshape(shape)
+
+
+def per_value_text(M) -> str:
+    """Oracle writer: row lines formatted one value at a time."""
+    return "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in np.asarray(M))
+
+
+def per_token_values(lines) -> list[list[float]]:
+    """Oracle reader: float() on each token of each row line."""
+    return [[float(t) for t in line.split()] for line in lines]
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from tabfair.cli import config_hash, load_config, main, read_provenance
 from tabfair.dataset import load_level_map, save_level_map
 from tabfair.errors import DataError
 from tabfair.evaluation import AttributeFairness, FairnessReport, load_report, save_report
-from tabfair.linalg import load_matrix
+from tabfair.linalg import load_matrix, save_matrix
 from tabfair.neuralnet import MlpConfig, init_params, load_mlp, save_mlp
 
 BASE_CONFIG = {
@@ -230,6 +230,22 @@ class TestExitCodes:
             assert "config error" in err and repr(key) in err and section in err, err
             assert not (tmp_path / "out").exists()
 
+    def test_wrong_typed_value_is_config_error(self, tmp_path, capsys):
+        wrong = {"encoder": ("epochs", "2"), "projection": ("k", True),
+                 "probe": ("learning_rate", None)}
+        for section, (key, value) in wrong.items():
+            config = make_workspace(tmp_path, **{section: {key: value}})
+            # An uncaught exception (a traceback) would fail the test here.
+            assert main(["pipeline", "--config", str(config)]) == 1, section
+            err = capsys.readouterr().err
+            assert "config error" in err and repr(key) in err and section in err, err
+            assert not (tmp_path / "out").exists()
+        # An int fits a float field, and None a field typed `X | None`.
+        config = make_workspace(tmp_path, probe={"learning_rate": 1},
+                                projection={"k": None, "variance_target": 1})
+        cfg = load_config(config)
+        assert cfg["probe"]["learning_rate"] == 1 and cfg["projection"]["k"] is None
+
     def test_missing_csv_is_config_error(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
         (tmp_path / "synthetic.csv").unlink()
@@ -242,6 +258,20 @@ class TestExitCodes:
         write_csv(tmp_path / "synthetic.csv", rows)
         assert main(["prepare", "--config", str(config)]) == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_bad_matrix_token_is_data_error(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        for verb in ("prepare", "train-embed"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        path = tmp_path / "out" / "Z.txt"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = "x" + lines[4][lines[4].index(" "):]  # header, then rows 0-2
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        # An uncaught exception (a traceback) would fail the test here.
+        assert main(["debias", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Z.txt" in err and "row 3" in err, err
 
     def test_evaluate_without_debias_names_missing_stage(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
@@ -339,10 +369,12 @@ class TestExitCodes:
             read_provenance(path)
 
     def test_truncated_artifacts_are_data_errors(self, tmp_path, encoded):
+        model = init_params(MlpConfig((3, 4, 2, 3), "sigmoid", 2), seed=0)
+        model.biases[-1][-1] = 1234.5678
         formats = {
             "levelmap": (save_level_map, load_level_map, encoded.level_map),
-            "model": (save_mlp, load_mlp,
-                      init_params(MlpConfig((3, 4, 2, 3), "sigmoid", 2), seed=0)),
+            "matrix": (save_matrix, load_matrix, np.array([[1e-300, -0.5], [3.25, 1234.5678]])),
+            "model": (save_mlp, load_mlp, model),
             "report": (lambda p, r: save_report(p, r, "synthetic", "biased"), load_report,
                        FairnessReport(0.75, 0.8, [AttributeFairness("group", 90.0, 0.05, True)])),
         }
@@ -350,11 +382,15 @@ class TestExitCodes:
             path = tmp_path / fmt
             save(path, value)
             load(path)
-            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            full = path.read_text(encoding="utf-8")
+            lines = full.splitlines(keepends=True)
             cuts = ["".join(lines[:i]) for i in range(len(lines))]
             # each line cut after its first word (a key with no value)
             cuts += ["".join(lines[:i]) + line.split()[0] + "\n"
                      for i, line in enumerate(lines) if len(line.split()) > 1]
+            if fmt in ("matrix", "model"):
+                # the file cut inside its last value, 1234.5678
+                cuts += [full[:-k] for k in range(1, len("1234.5678") + 2)]
             for text in cuts:
                 path.write_text(text, encoding="utf-8")
                 with pytest.raises(DataError):

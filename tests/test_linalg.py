@@ -4,8 +4,10 @@ Jacobi SVD written out below and against hand-reduced small cases."""
 import numpy as np
 import pytest
 
+from conftest import per_token_values, per_value_text, random_finite_floats
 from tabfair.errors import ConfigError, DataError, NumericalError
 from tabfair.linalg import (
+    READ_CHUNK_ROWS,
     SvdResult,
     explained_variance,
     load_matrix,
@@ -268,11 +270,31 @@ class TestMatrixPersistence:
         with pytest.raises(DataError):
             save_matrix(tmp_path / "m.txt", np.array([[np.inf]]))
 
+    @pytest.mark.parametrize("rows, cols", [
+        (READ_CHUNK_ROWS - 1, 50), (READ_CHUNK_ROWS, 50), (READ_CHUNK_ROWS + 1, 50),
+        (2000, 50), (READ_CHUNK_ROWS + 1, 0), (0, 3),
+    ])
+    def test_matches_per_value_oracles(self, tmp_path, rows, cols):
+        M = random_finite_floats(np.random.default_rng(rows + cols), (rows, cols))
+        path = tmp_path / "m.txt"
+        save_matrix(path, M)
+        text = path.read_text(encoding="utf-8")
+        assert text == f"{rows} {cols}\n" + per_value_text(M)
+        back = load_matrix(path)
+        oracle = np.array(per_token_values(text.splitlines()[1:])).reshape(rows, cols)
+        assert back.shape == (rows, cols)
+        assert np.array_equal(back.view(np.uint64), oracle.view(np.uint64))
+        assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "m.txt"
-        path.write_text("3\n1 2 3\n", encoding="utf-8")
-        with pytest.raises(DataError):
-            load_matrix(path)
+        # too few fields, not a number, negative, more rows than the
+        # file could hold, and a header cut before its line end
+        for text in ("3\n1 2 3\n", "3 x\n", "-1 3\n", "2 -3\n", "9999999999999 1\n1\n",
+                     "0 3"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError):
+                load_matrix(path)
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "m.txt"

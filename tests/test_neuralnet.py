@@ -8,7 +8,9 @@ below (pure-Python arithmetic, no numpy in the derivation).
 import numpy as np
 import pytest
 
+from conftest import per_token_values, per_value_text, random_finite_floats
 from tabfair.errors import ConfigError, DataError, NumericalError
+from tabfair.linalg import READ_CHUNK_ROWS
 from tabfair.neuralnet import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -18,6 +20,7 @@ from tabfair.neuralnet import (
     Gradients,
     MlpConfig,
     MlpParams,
+    _sigmoid,
     adam_step,
     backward,
     bce_loss,
@@ -99,6 +102,27 @@ class TestInit:
         cfg = MlpConfig(layer_widths=(4, 8, 4), output_activation="linear", latent_index=1)
         values = [init_params(cfg, seed=s).weights[0].mean() for s in range(100)]
         assert abs(np.mean(values)) < 0.05
+
+
+class TestSigmoid:
+    @staticmethod
+    def masked_sigmoid(z):
+        # Reference: each sign's stable form on its own boolean mask.
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def test_bits_match_masked_reference(self):
+        edges = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 5e-324, -5e-324,
+                 2.2e-308, -2.2e-308, np.nan, -np.nan, np.inf, -np.inf]
+        rng = np.random.default_rng(5)
+        z = np.concatenate([edges, rng.normal(scale=30.0, size=5000)]).reshape(-1, 2)
+        with np.errstate(under="ignore"):
+            got, want = _sigmoid(z), self.masked_sigmoid(z)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestForward:
@@ -437,8 +461,35 @@ class TestPersistence:
         for b1, b2 in zip(params.biases, back.biases):
             assert np.array_equal(b1, b2)
 
+    def test_matches_per_value_oracles(self, tmp_path):
+        # Weight blocks one row short of, at and one row past a read chunk.
+        widths = (READ_CHUNK_ROWS + 1, READ_CHUNK_ROWS, READ_CHUNK_ROWS - 1, 3)
+        cfg = MlpConfig(layer_widths=widths, output_activation="linear", latent_index=2)
+        flat = random_finite_floats(np.random.default_rng(8), (cfg.n_params,))
+        params = MlpParams(config=cfg, flat=flat)
+        path = tmp_path / "model.txt"
+        save_mlp(path, params)
+        want = "tabfair-mlp 1\n" + f"widths {widths[0]} {widths[1]} {widths[2]} {widths[3]}\n"
+        want += "hidden_activation relu\noutput_activation linear\nlatent_index 2\n"
+        for l, (W, b) in enumerate(zip(params.weights, params.biases)):
+            want += f"layer {l} weight {W.shape[0]} {W.shape[1]}\n" + per_value_text(W)
+            want += f"layer {l} bias {b.shape[0]}\n" + per_value_text([b])
+        text = path.read_text(encoding="utf-8")
+        assert text == want
+        rows = [line for line in text.splitlines()[5:] if not line.startswith("layer ")]
+        oracle = np.array([v for row in per_token_values(rows) for v in row])
+        back = load_mlp(path)
+        assert back.config == cfg
+        assert np.array_equal(back.flat.view(np.uint64), oracle.view(np.uint64))
+        assert np.array_equal(back.flat.view(np.uint64), flat.view(np.uint64))
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "model.txt"
-        path.write_text("something else\n", encoding="utf-8")
-        with pytest.raises(DataError):
-            load_mlp(path)
+        # not a model file, and a width no file this size can hold (a
+        # 3 x 4e9 weight block must be refused, not allocated)
+        huge = ("tabfair-mlp 1\nwidths 3 4000000000 2\nhidden_activation relu\n"
+                "output_activation linear\nlatent_index 1\nlayer 0 weight 3 4000000000\n0\n")
+        for text in ("something else\n", huge):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError):
+                load_mlp(path)
