@@ -42,6 +42,14 @@ PRODUCERS = {
     "Z_hat.txt": "debias",
 }
 
+# The top-level config keys, all required, and the type each must fit.
+CONFIG_KEYS = {
+    **dict.fromkeys(("dataset", "csv", "schema", "out_dir"), str),
+    "seed": int,
+    "test_fraction": float,
+    **dict.fromkeys(("encoder", "projection", "probe"), dict),
+}
+
 
 def load_config(path, seed: int | None = None, out_dir: str | None = None) -> dict:
     """Read a pipeline config, resolve paths relative to the config
@@ -53,22 +61,27 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
         cfg = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    for key in ("dataset", "csv", "schema", "out_dir", "seed", "test_fraction",
-                "encoder", "projection", "probe"):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: a config must be a JSON object")
+    for key in CONFIG_KEYS:
         if key not in cfg:
             raise ConfigError(f"{path}: missing config key {key!r}")
     if seed is not None:
         cfg["seed"] = seed
     if out_dir is not None:
         cfg["out_dir"] = out_dir
+    for key, hint in CONFIG_KEYS.items():
+        if not _fits(cfg[key], hint):
+            raise ConfigError(
+                f"{path}: config key {key!r} must be {hint.__name__}, got {cfg[key]!r}"
+            )
+    attributes = cfg["projection"].get("attributes")
+    if not _fits(attributes, list | None) or not all(_fits(a, str) for a in attributes or ()):
+        raise ConfigError(f"{path}: projection 'attributes' must be a list of str, "
+                          f"got {attributes!r}")
     base = path.parent
     for key in ("csv", "schema", "out_dir"):
         cfg[key] = str((base / cfg[key]).resolve()) if not Path(cfg[key]).is_absolute() else cfg[key]
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("config seed must be an explicit integer")
-    # Built here as well, so a bad section fails before any stage runs.
-    for build in (_encoder_config, _projection_config, _probe_config):
-        build(cfg)
     return cfg
 
 
@@ -85,8 +98,6 @@ def _section(cfg: dict, name: str, cls, cli_keys=(), **given):
     key cls does not declare, or a value that does not fit its field's
     type, is a ConfigError. cli_keys are read by the CLI itself; `given`
     fills fields the section may not set."""
-    if not isinstance(cfg[name], dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object")
     section = {k: v for k, v in cfg[name].items() if k not in cli_keys}
     declared = typing.get_type_hints(cls)
     for key, value in section.items():
@@ -112,27 +123,20 @@ def _fits(value, hint) -> bool:
     return isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
 
 
-def _encoder_config(cfg: dict) -> MixedEncoderConfig:
-    return _section(cfg, "encoder", MixedEncoderConfig, seed=cfg["seed"])
-
-
-def _projection_config(cfg: dict) -> FairProjectionConfig:
-    return _section(cfg, "projection", FairProjectionConfig, cli_keys=("attributes",))
-
-
-def _probe_config(cfg: dict) -> ev.ProbeConfig:
-    return _section(cfg, "probe", ev.ProbeConfig)
-
-
 class Run:
-    """The output directory of one CLI invocation; every stage writes
-    and reads its artifacts through it. Writes are recorded in order. A
-    value written earlier in the same process is handed on from memory,
-    which is exact: the text formats round-trip float64 and save_matrix
-    has checked the values are finite. Other reads come from disk."""
+    """One CLI invocation: its config sections and output directory;
+    every stage reads and writes its artifacts through it. Writes are
+    recorded in order. A value written earlier in the same process is
+    handed on from memory, which is exact: the text formats round-trip
+    float64 and save_matrix has checked the values are finite."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
+        # Built before the output directory exists: a bad section leaves none.
+        self.encoder = _section(cfg, "encoder", MixedEncoderConfig, seed=cfg["seed"])
+        self.projection = _section(cfg, "projection", FairProjectionConfig,
+                                   cli_keys=("attributes",))
+        self.probe = _section(cfg, "probe", ev.ProbeConfig)
         self.out = Path(cfg["out_dir"])
         self.out.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
@@ -177,7 +181,7 @@ def _save_names(path: Path, names: list[str]) -> None:
 
 
 def _load_names(path: Path) -> list[str]:
-    return path.read_text(encoding="utf-8").split()
+    return ds.read_text_artifact(path).split()
 
 
 def cmd_prepare(run: Run) -> None:
@@ -211,7 +215,7 @@ def cmd_train_embed(run: Run) -> None:
     representation, the models, and the per-epoch loss histories."""
     X_num = run.read("X_num.txt", load_matrix)
     X_cat = run.read("X_cat.txt", load_matrix)
-    rep, result = encode_dataset(X_num, X_cat, _encoder_config(run.cfg))
+    rep, result = encode_dataset(X_num, X_cat, run.encoder)
     hist_nc, hist_cn = result.history_num_cat, result.history_cat_num
     run.write_matrix("Z.txt", rep.Z)
     run.write("model_num_cat.txt", save_mlp, result.params_num_cat)
@@ -241,15 +245,14 @@ def cmd_debias(run: Run) -> None:
     S_full = run.read("S.txt", load_matrix)
     names = run.read("sensitive_names.txt", _load_names)
     attributes = run.cfg["projection"].get("attributes") or names
-    proj_cfg = _projection_config(run.cfg)
     S = build_sensitive_matrix(S_full, names, attributes)
-    result = debias(Z, S, proj_cfg)
+    result = debias(Z, S, run.projection)
     run.write_matrix("Z_hat.txt", result.Z_hat)
     run.write_provenance(
         "debias.provenance.txt",
         {
             "k": result.k,
-            "include_intercept": str(proj_cfg.include_intercept).lower(),
+            "include_intercept": str(run.projection.include_intercept).lower(),
             "attributes": ",".join(attributes),
             "orthogonality_residual": f"{result.residual:.17g}",
             "relative_residual": f"{result.relative_residual:.17g}",
@@ -267,10 +270,9 @@ def cmd_evaluate(run: Run) -> None:
     # Read both before writing anything: a missing Z_hat.txt leaves no report.
     representations = {"biased": run.read("Z.txt", load_matrix),
                         "debiased": run.read("Z_hat.txt", load_matrix)}
-    probe_cfg = _probe_config(run.cfg)
     summary = {}
     for tag, Z in representations.items():
-        report = ev.evaluate_representation(Z, y, S, split, names, probe_cfg)
+        report = ev.evaluate_representation(Z, y, S, split, names, run.probe)
         run.write(f"report_{tag}.txt", ev.save_report, report, run.cfg["dataset"], tag)
         points = ev.roc_curve_points(report.test_scores, y[split.test].astype(np.int64))
         run.write(f"roc_{tag}.csv", ev.save_roc_csv, points)

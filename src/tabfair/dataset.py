@@ -482,15 +482,24 @@ def save_split(path, split: SplitIndices) -> None:
         fh.write("test " + " ".join(str(i) for i in split.test) + "\n")
 
 
+def read_text_artifact(path, header: str | None = None) -> str:
+    """The text of an artifact after its format line `header` (None: the
+    format has none). A file that does not start with that line, or does
+    not end in a line end, as one cut inside its last line does not, is
+    a DataError."""
+    text = Path(path).read_text(encoding="utf-8")
+    if header is not None and not text.startswith(header + "\n"):
+        raise DataError(f"{path}: not a {header!r} file")
+    if not text.endswith("\n"):
+        raise DataError(f"{path}: truncated: the last line has no line end")
+    return text if header is None else text[len(header) + 1 :]
+
+
 def read_key_values(path, header: str, required: tuple[str, ...] = ()) -> dict[str, str]:
     """Parse a file of a header line then 'key value' lines. A line with
     no value or a missing required key is a DataError."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != header:
-        raise DataError(f"{path}: not a {header!r} file")
     body = {}
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in enumerate(read_text_artifact(path, header).splitlines(), start=2):
         if not line:
             continue
         key, _, value = line.partition(" ")
@@ -549,13 +558,9 @@ def save_level_map(path, lm: LevelMap) -> None:
 def load_level_map(path) -> LevelMap:
     """Read a level map written by save_level_map(). A truncated or
     malformed file is a DataError; the label line is always last."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != LEVELMAP_FORMAT:
-        raise DataError(f"{path}: not a {LEVELMAP_FORMAT!r} file")
     numerical, categorical, sensitive = [], [], []
     label_name, label_positive = None, None
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in enumerate(read_text_artifact(path, LEVELMAP_FORMAT).splitlines(), start=2):
         if not line.strip():
             continue
         parts = line.split()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import SplitIndices
+from .dataset import SplitIndices, read_text_artifact
 from .errors import ConfigError, DataError, UndefinedMetricError
 from .neuralnet import AdamState, _adam_update, _sigmoid, bce_loss
 
@@ -301,13 +301,9 @@ def save_report(path, report: FairnessReport, dataset: str, representation: str)
 def load_report(path) -> FairnessReport:
     """Read a report written by save_report(). A truncated or malformed
     file, or one naming no sensitive attribute, is a DataError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != REPORT_FORMAT:
-        raise DataError(f"{path}: not a {REPORT_FORMAT!r} file")
     acc = auc = None
     attrs = []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in enumerate(read_text_artifact(path, REPORT_FORMAT).splitlines(), start=2):
         parts = line.split()
         if not parts:
             continue

@@ -3,8 +3,10 @@
 Configurable MLPs with ReLU hidden layers and a sigmoid or linear
 output, exact analytic backpropagation for BCE/MSE, Adam updates, and a
 deterministic mini-batch training loop with a held-out validation
-split. Everything is a pure function of its inputs and seed; training
-never mutates your data.
+split. Parameters, gradients and Adam moments share one flat layout
+(MlpParams.flat), so an Adam step is one vectorized pass. Everything is
+a pure function of its inputs and seed; training never mutates your
+data.
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ class MlpParams:
     """Per-layer weight matrices (in x out) and bias vectors.
 
     Every weight and bias is a view into `flat`, one contiguous float64
-    buffer laid out layer by layer (row-major weights, then bias), so
-    an Adam step updates all parameters in one vectorized pass. Writing
-    into a view writes into `flat`; rebinding a list entry does not.
+    buffer laid out layer by layer (row-major weights, then bias).
+    backward() returns gradients in this same layout, so an Adam step
+    updates all parameters in one vectorized pass. Writing into a view
+    writes into `flat`; rebinding a list entry does not.
     """
 
     config: MlpConfig
@@ -106,17 +109,6 @@ class MlpParams:
 
     def copy(self) -> "MlpParams":
         return MlpParams(config=self.config, flat=self.flat.copy())
-
-
-def _flatten(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
-    """Per-layer tensors in the MlpParams.flat layout."""
-    return np.concatenate([t.ravel() for pair in zip(weights, biases) for t in pair])
-
-
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
 
 
 @dataclass
@@ -252,8 +244,9 @@ def _mse(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean((pred - target) ** 2))
 
 
-def backward(params: MlpParams, cache: ForwardCache, target, loss_kind: str) -> Gradients:
-    """Exact gradients of the scalar loss w.r.t. every weight and bias.
+def backward(params: MlpParams, cache: ForwardCache, target, loss_kind: str) -> MlpParams:
+    """Exact gradients of the scalar loss w.r.t. every weight and bias,
+    in the parameters' layout: grads.weights[l] is dL/dW[l].
 
     loss_kind must match the output activation: 'bce' with sigmoid,
     'mse' with linear.
@@ -277,26 +270,22 @@ def backward(params: MlpParams, cache: ForwardCache, target, loss_kind: str) -> 
     else:
         delta = 2.0 * (out - target) * scale
 
-    grads_w = [np.empty(0)] * cfg.n_layers
-    grads_b = [np.empty(0)] * cfg.n_layers
+    grads = MlpParams(config=cfg, flat=np.empty(cfg.n_params))
     for l in range(cfg.n_layers - 1, -1, -1):
-        grads_w[l] = cache.activations[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+        np.matmul(cache.activations[l].T, delta, out=grads.weights[l])
+        delta.sum(axis=0, out=grads.biases[l])
         if l > 0:
             delta = (delta @ params.weights[l].T) * (cache.pre[l - 1] > 0)
-    return Gradients(weights=grads_w, biases=grads_b)
+    return grads
 
 
-def adam_step(params: MlpParams, grads: Gradients, state: AdamState):
+def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
     """One Adam update with bias correction, fused over the flat
-    parameter buffer. Parameters and state are updated in place and
-    returned."""
-    if len(grads.weights) != len(params.weights) or len(grads.biases) != len(params.biases):
-        raise ConfigError("gradient layer count does not match parameter layer count")
-    for p, g in zip(params.weights + params.biases, grads.weights + grads.biases):
-        if p.shape != g.shape:
-            raise ConfigError("gradient shape does not match parameter shape")
-    _adam_update(params.flat, _flatten(grads.weights, grads.biases), state)
+    parameter buffer, with grads as backward() returns them. Parameters
+    and state are updated in place and returned."""
+    if grads.config.layer_widths != params.config.layer_widths:
+        raise ConfigError("gradient layout does not match the parameter layout")
+    _adam_update(params.flat, grads.flat, state)
     return params, state
 
 
@@ -453,4 +442,7 @@ def load_mlp(path) -> MlpParams:
             weights.append(read_rows(fh, fan_in, fan_out, f"{path}: layer {l} weight"))
             expect(f"layer {l} bias {fan_out}")
             biases.append(read_rows(fh, 1, fan_out, f"{path}: layer {l} bias")[0])
-    return MlpParams(config=config, flat=_flatten(weights, biases))
+    # Every block is read and size-checked before the buffer exists, so
+    # a corrupt size line is refused rather than allocated.
+    flat = np.concatenate([t.ravel() for pair in zip(weights, biases) for t in pair])
+    return MlpParams(config=config, flat=flat)

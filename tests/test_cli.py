@@ -210,8 +210,10 @@ class TestExitCodes:
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        assert main(["prepare", "--config", str(path)]) == 1
+        for text in ("{not json", "null", "5"):  # the last two: valid JSON, not an object
+            path.write_text(text, encoding="utf-8")
+            # An uncaught exception (a traceback) would fail the test here.
+            assert main(["prepare", "--config", str(path)]) == 1, text
 
     def test_missing_config_key(self, tmp_path):
         path = tmp_path / "c.json"
@@ -245,6 +247,31 @@ class TestExitCodes:
                                 projection={"k": None, "variance_target": 1})
         cfg = load_config(config)
         assert cfg["probe"]["learning_rate"] == 1 and cfg["projection"]["k"] is None
+
+    @pytest.mark.parametrize("key, value", [
+        ("dataset", 7), ("csv", 5), ("schema", None), ("out_dir", ["out"]),
+        ("seed", True), ("seed", 1.0), ("seed", "0"), ("test_fraction", "0.5"),
+        ("test_fraction", False), ("encoder", 5), ("probe", None),
+        ("attributes", 5), ("attributes", "group"), ("attributes", ["group", 1]),
+    ])
+    def test_wrong_typed_top_level_value_is_config_error(self, tmp_path, capsys, key, value):
+        override = {"projection": {key: value}} if key == "attributes" else {key: value}
+        config = make_workspace(tmp_path, **override)
+        # An uncaught exception (a traceback) would fail the test here.
+        assert main(["prepare", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key) in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_top_level_value_types_accepted(self, tmp_path):
+        # An int fits test_fraction; attributes may be null or absent.
+        assert load_config(make_workspace(tmp_path, test_fraction=1))["test_fraction"] == 1
+        config = make_workspace(tmp_path, projection={"attributes": None})
+        assert load_config(config)["projection"]["attributes"] is None
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        del cfg["projection"]["attributes"]
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        assert "attributes" not in load_config(config)["projection"]
 
     def test_missing_csv_is_config_error(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
@@ -352,6 +379,8 @@ class TestExitCodes:
         lines = split.read_text(encoding="utf-8").splitlines(keepends=True)
         cuts = ["".join(lines[:i]) for i in range(1, len(lines))]
         cuts.append("".join(lines[:-1]) + "test\n")  # a key with no value
+        full = "".join(lines)
+        cuts += [full[:-k] for k in range(1, 5)]  # cut inside the last test index
         capsys.readouterr()
         for text in cuts:
             split.write_text(text, encoding="utf-8")
@@ -377,6 +406,8 @@ class TestExitCodes:
             "model": (save_mlp, load_mlp, model),
             "report": (lambda p, r: save_report(p, r, "synthetic", "biased"), load_report,
                        FairnessReport(0.75, 0.8, [AttributeFairness("group", 90.0, 0.05, True)])),
+            "provenance": (tabfair.cli._save_provenance, read_provenance,
+                           {"config_hash": "ab12", "seed": "1234"}),
         }
         for fmt, (save, load, value) in formats.items():
             path = tmp_path / fmt
@@ -388,13 +419,18 @@ class TestExitCodes:
             # each line cut after its first word (a key with no value)
             cuts += ["".join(lines[:i]) + line.split()[0] + "\n"
                      for i, line in enumerate(lines) if len(line.split()) > 1]
-            if fmt in ("matrix", "model"):
-                # the file cut inside its last value, 1234.5678
-                cuts += [full[:-k] for k in range(1, len("1234.5678") + 2)]
+            # the file cut inside its last value (1234.5678 in a matrix or model)
+            cuts += [full[:-k] for k in range(1, len("1234.5678") + 2)]
             for text in cuts:
                 path.write_text(text, encoding="utf-8")
                 with pytest.raises(DataError):
                     load(path)
+        # Any count of names is valid, so only a cut inside the last is seen.
+        path, names = tmp_path / "names", "group\nrace\n"
+        for k in range(1, len("race\n")):
+            path.write_text(names[:-k], encoding="utf-8")
+            with pytest.raises(DataError):
+                tabfair.cli._load_names(path)
 
     def test_k_out_of_range_fails_before_compute(self, tmp_path, capsys):
         config = make_workspace(tmp_path, projection={"k": 999})

@@ -17,7 +17,6 @@ from tabfair.neuralnet import (
     ADAM_EPS,
     ADAM_LR,
     AdamState,
-    Gradients,
     MlpConfig,
     MlpParams,
     _sigmoid,
@@ -271,6 +270,37 @@ class TestBackward:
         assert checked >= 45
         assert worst < 1e-5
 
+    def test_bits_match_per_tensor_products(self):
+        # backward() writes each gradient into its slice of one buffer;
+        # the values must be those of a fresh a.T @ delta and
+        # delta.sum(axis=0) per tensor, bit for bit.
+        rng = np.random.default_rng(7)
+        for trial in range(60):
+            depth = int(rng.integers(3, 6))
+            widths = [int(rng.integers(1, 40)) for _ in range(depth)]
+            if trial % 4 == 0:  # width-1 input and hidden layers
+                widths[0] = widths[int(rng.integers(1, depth - 1))] = 1
+            output = "sigmoid" if trial % 2 == 0 else "linear"
+            cfg = MlpConfig(layer_widths=widths, output_activation=output, latent_index=1)
+            params = init_params(cfg, seed=trial)
+            for b in params.biases:
+                b[:] = rng.normal(scale=0.3, size=b.shape)
+            # 37 rows: the ragged last batch of 101 rows taken 64 at a time.
+            batch = (1, 64, 37)[trial % 3]
+            X = rng.normal(size=(batch, widths[0]))
+            Y = rng.integers(0, 2, size=(batch, widths[-1])).astype(float)
+            cache = forward(params, X)
+            grads = backward(params, cache, Y, cfg.loss_kind())
+            diff, scale = cache.output - Y, 1.0 / (batch * widths[-1])
+            delta = diff * scale if output == "sigmoid" else 2.0 * diff * scale
+            for l in range(cfg.n_layers - 1, -1, -1):
+                ref_w = cache.activations[l].T @ delta
+                ref_b = delta.sum(axis=0)
+                assert np.array_equal(grads.weights[l].view(np.uint64), ref_w.view(np.uint64))
+                assert np.array_equal(grads.biases[l].view(np.uint64), ref_b.view(np.uint64))
+                if l > 0:
+                    delta = (delta @ params.weights[l].T) * (cache.pre[l - 1] > 0)
+
 
 def scalar_net():
     cfg = MlpConfig(layer_widths=(1, 1, 1), output_activation="linear", latent_index=1)
@@ -281,10 +311,7 @@ def scalar_net():
 
 
 def _grads_with_first_weight(params, g):
-    grads = Gradients(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
+    grads = MlpParams(config=params.config, flat=np.zeros(params.config.n_params))
     grads.weights[0][0, 0] = g
     return grads
 
@@ -315,6 +342,21 @@ class TestAdam:
             adam_step(params, _grads_with_first_weight(params, g), state)
         assert params.weights[0][0, 0] == pytest.approx(0.9980755513967708, abs=1e-14)
         assert state.t == 3
+
+    def test_other_layout_is_refused_untouched(self):
+        # (1, 4, 1) and (3, 2, 1, 1) have the 13 parameters of (2, 3, 1)
+        # in other layers, (2, 4, 1) has 17: none may be applied.
+        params = init_params(MlpConfig((2, 3, 1), "linear", 1), seed=0)
+        state = AdamState.for_params(params)
+        adam_step(params, _grads_with_first_weight(params, 0.5), state)
+        before = (params.flat.copy(), state.m.copy(), state.v.copy(), state.t)
+        for widths in ((1, 4, 1), (3, 2, 1, 1), (2, 4, 1)):
+            other = init_params(MlpConfig(widths, "linear", 1), seed=1)
+            with pytest.raises(ConfigError, match="layout"):
+                adam_step(params, _grads_with_first_weight(other, 0.5), state)
+            assert np.array_equal(params.flat, before[0])
+            assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
+            assert state.t == before[3]
 
 
 def reference_train(config, X, Y, *, epochs, batch_size, val_fraction, seed, lr=ADAM_LR):
