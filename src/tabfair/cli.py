@@ -53,7 +53,9 @@ CONFIG_KEYS = {
 
 def load_config(path, seed: int | None = None, out_dir: str | None = None) -> dict:
     """Read a pipeline config, resolve paths relative to the config
-    file, and apply command-line overrides."""
+    file, and apply command-line overrides. Only the top-level keys are
+    checked here; the encoder, projection and probe sections are checked
+    when a Run is built from the result."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")

@@ -11,7 +11,7 @@ import pytest
 
 import tabfair.cli
 from conftest import SCHEMA_TEXT, synthetic_rows, write_csv
-from tabfair.cli import config_hash, load_config, main, read_provenance
+from tabfair.cli import Run, config_hash, load_config, main, read_provenance
 from tabfair.dataset import load_level_map, save_level_map
 from tabfair.errors import DataError
 from tabfair.evaluation import AttributeFairness, FairnessReport, load_report, save_report
@@ -245,8 +245,9 @@ class TestExitCodes:
         # An int fits a float field, and None a field typed `X | None`.
         config = make_workspace(tmp_path, probe={"learning_rate": 1},
                                 projection={"k": None, "variance_target": 1})
-        cfg = load_config(config)
-        assert cfg["probe"]["learning_rate"] == 1 and cfg["projection"]["k"] is None
+        run = Run(load_config(config, out_dir=str(tmp_path / "o")))
+        assert run.probe.learning_rate == 1 and run.projection.k is None
+        assert run.projection.variance_target == 1
 
     @pytest.mark.parametrize("key, value", [
         ("dataset", 7), ("csv", 5), ("schema", None), ("out_dir", ["out"]),
@@ -484,11 +485,13 @@ class TestShippedConfigs:
         "name, latent, k, attributes",
         [("german", 50, 20, ["age"]), ("adult", 100, 18, ["sex", "race"])],
     )
-    def test_config_loads_with_documented_grid(self, name, latent, k, attributes):
-        cfg = load_config(self.ROOT / "configs" / f"{name}.json")
-        assert cfg["encoder"]["latent_num"] == latent
-        assert cfg["encoder"]["latent_cat"] == latent
-        assert cfg["projection"]["k"] == k
+    def test_config_loads_with_documented_grid(self, tmp_path, name, latent, k, attributes):
+        cfg = load_config(self.ROOT / "configs" / f"{name}.json", out_dir=str(tmp_path / "o"))
+        # Building the run builds every section: a misspelled key fails here.
+        run = Run(cfg)
+        assert run.encoder.latent_num == latent
+        assert run.encoder.latent_cat == latent
+        assert run.projection.k == k
         assert cfg["projection"]["attributes"] == attributes
         assert cfg["test_fraction"] == 0.5
 
