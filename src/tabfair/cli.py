@@ -186,6 +186,15 @@ def _load_names(path: Path) -> list[str]:
     return ds.read_text_artifact(path).split()
 
 
+def _read_names(run: Run, S: np.ndarray) -> list[str]:
+    """sensitive_names.txt, which must name each column of S.txt."""
+    names = run.read("sensitive_names.txt", _load_names)
+    if len(names) != S.shape[1]:
+        raise DataError(f"{run.out / 'sensitive_names.txt'}: {len(names)} names for "
+                        f"the {S.shape[1]} columns of S.txt")
+    return names
+
+
 def cmd_prepare(run: Run) -> None:
     """Load, encode, and split the dataset; persist every encoded block
     plus the level map and split indices."""
@@ -245,7 +254,7 @@ def cmd_debias(run: Run) -> None:
     sensitive attributes and persist it with the residual report."""
     Z = run.read("Z.txt", load_matrix)
     S_full = run.read("S.txt", load_matrix)
-    names = run.read("sensitive_names.txt", _load_names)
+    names = _read_names(run, S_full)
     attributes = run.cfg["projection"].get("attributes") or names
     S = build_sensitive_matrix(S_full, names, attributes)
     result = debias(Z, S, run.projection)
@@ -267,7 +276,7 @@ def cmd_evaluate(run: Run) -> None:
     representations on the persisted split."""
     S = run.read("S.txt", load_matrix)
     y = run.read("y.txt", load_matrix).ravel()
-    names = run.read("sensitive_names.txt", _load_names)
+    names = _read_names(run, S)
     split = run.read("split.txt", ds.load_split)
     # Read both before writing anything: a missing Z_hat.txt leaves no report.
     representations = {"biased": run.read("Z.txt", load_matrix),

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, undecodable_is_data_error
 
 KINDS = ("numerical", "categorical", "sensitive", "label", "ignored")
 
@@ -486,8 +486,9 @@ def read_text_artifact(path, header: str | None = None) -> str:
     """The text of an artifact after its format line `header` (None: the
     format has none). A file that does not start with that line, or does
     not end in a line end, as one cut inside its last line does not, is
-    a DataError."""
-    text = Path(path).read_text(encoding="utf-8")
+    a DataError, as is text that is not UTF-8."""
+    with undecodable_is_data_error(path):
+        text = Path(path).read_text(encoding="utf-8")
     if header is not None and not text.startswith(header + "\n"):
         raise DataError(f"{path}: not a {header!r} file")
     if not text.endswith("\n"):

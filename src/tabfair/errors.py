@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericalError -> 3.
 """
 
+import contextlib
+
 
 class TabfairError(Exception):
     """Base class for all errors raised by this package."""
@@ -27,3 +29,13 @@ class UndefinedMetricError(DataError):
 class NumericalError(TabfairError):
     """Numerical failure: non-convergence, divergence during training,
     or an ill-conditioned sensitive-attribute matrix."""
+
+
+@contextlib.contextmanager
+def undecodable_is_data_error(where):
+    """Re-raise a UnicodeDecodeError from the block as a DataError
+    naming `where`: an artifact that is not UTF-8 text is bad data."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{where}: not UTF-8 text: {exc}") from exc

@@ -8,6 +8,13 @@ float64 round-trips exactly. write_rows() formats each row with one
 np.loadtxt, whose values are bit-identical to float(), so the text held
 in memory stays bounded however tall the matrix is.
 
+Matrix files are written and parsed by two processes at once, split at
+a row boundary: save_matrix() and load_matrix() fork a child that
+formats or parses the second half of the rows while the caller does the
+first. The bytes are the same as one process writes, and the child
+never calls BLAS. Model files (neuralnet.save_mlp/load_mlp) are small
+and use write_rows()/read_rows() in one process.
+
 All operations are pure and work on float64 ``numpy`` arrays. Matrices
 are required to be finite; violations raise early rather than letting
 NaNs propagate.
@@ -15,14 +22,18 @@ NaNs propagate.
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
+import pickle
+import shutil
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, undecodable_is_data_error
 
 # S^T S with a reciprocal condition number below this is treated as
 # rank-deficient; callers are told to drop collinear sensitive columns.
@@ -165,24 +176,37 @@ def write_rows(fh, M: np.ndarray) -> None:
 def read_rows(fh, rows: int, cols: int, where: str) -> np.ndarray:
     """The next `rows` lines of fh, as written by write_rows(), as a
     rows x cols float64 matrix. A size the file cannot hold, a missing,
-    blank, short, long or unparseable row, or a last row cut before its
-    line end is a DataError naming `where` and the row."""
+    blank, short, long or unparseable row, a last row cut before its
+    line end, or text that is not UTF-8 is a DataError naming `where`
+    and the row."""
+    _check_fits(fh, rows, cols, where)
+    out = np.empty((rows, cols), dtype=np.float64)
+    _read_into(fh, out, 0, rows, where)
+    return out
+
+
+def _check_fits(fh, rows: int, cols: int, where: str) -> None:
     # A row takes at least one byte and a value two, so a corrupt header
     # is refused here rather than sized into an allocation.
     if min(rows, cols) < 0 or rows * (2 * cols or 1) > os.fstat(fh.fileno()).st_size:
         raise DataError(f"{where}: {rows} x {cols} values do not fit the file")
-    out = np.empty((rows, cols), dtype=np.float64)
-    for lo in range(0, rows, READ_CHUNK_ROWS):
-        n = min(READ_CHUNK_ROWS, rows - lo)
-        lines = list(itertools.islice(fh, n))
-        end = lo + len(lines)
+
+
+def _read_into(fh, out: np.ndarray, lo: int, hi: int, where: str) -> None:
+    """Parse the next hi - lo lines of fh into out[lo:hi]. Messages name
+    rows of out, which the file holds len(out) of."""
+    rows, cols = out.shape
+    for first in range(lo, hi, READ_CHUNK_ROWS):
+        n = min(READ_CHUNK_ROWS, hi - first)
+        with undecodable_is_data_error(where):
+            lines = list(itertools.islice(fh, n))
+        end = first + len(lines)
         if len(lines) < n:
             raise DataError(f"{where}: expected {rows} rows, file ends after {end}")
         # Every row line ends in a newline; only a cut file's last does not.
         if not lines[-1].endswith("\n"):
             raise DataError(f"{where}: row {end - 1} is cut short (no line end)")
-        out[lo:end] = _parse_rows(lines, cols, where, lo)
-    return out
+        out[first:end] = _parse_rows(lines, cols, where, first)
 
 
 def _parse_rows(lines: list[str], cols: int, where: str, first: int) -> np.ndarray:
@@ -212,20 +236,50 @@ def _parse_rows(lines: list[str], cols: int, where: str, first: int) -> np.ndarr
 
 def save_matrix(path, M) -> None:
     """Write a matrix as text: a 'rows cols' header line, then one line
-    per row (see write_rows)."""
+    per row (see write_rows). A forked process writes the second half of
+    the rows to a part file beside `path` while this one writes the
+    header and the first half; the part is then appended and removed."""
     M = _as_matrix(M, "matrix")
     rows, cols = M.shape
+    h = rows // 2
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    pid = os.fork()
+    if pid == 0:
+        _run_child(lambda: _write_text(part, M[h:]))
+    try:
+        try:
+            _write_text(path, M[:h], f"{rows} {cols}\n")
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if status:
+            raise OSError(f"{part}: the process writing rows {h} to {rows - 1} failed "
+                          f"(exit code {os.waitstatus_to_exitcode(status)})")
+        with open(part, "rb") as src, open(path, "ab") as dst:
+            shutil.copyfileobj(src, dst)
+    finally:
+        part.unlink(missing_ok=True)
+
+
+def _write_text(path: Path, M: np.ndarray, header: str = "") -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{rows} {cols}\n")
+        fh.write(header)
         write_rows(fh, M)
 
 
 def load_matrix(path) -> np.ndarray:
     """Read a matrix written by save_matrix(). A truncated or malformed
-    file, or a non-finite value, is a DataError."""
+    file, text that is not UTF-8, or a non-finite value is a DataError.
+
+    The rows are split at the first line end after their byte midpoint.
+    A forked process parses the rows after it and sends the values, or
+    its fault, down a pipe while this one parses the rows before it.
+    Messages name rows of the whole matrix; of two faults, the one in
+    the earlier row is raised."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        line = fh.readline()
+    with open(path, "rb") as fh:
+        # Undecodable bytes become U+FFFD, which no header number holds.
+        line = fh.readline().decode("utf-8", "replace")
         header = line.split()
         if len(header) != 2 or not line.endswith("\n"):
             raise DataError(f"{path}: expected 'rows cols' header line")
@@ -233,7 +287,96 @@ def load_matrix(path) -> np.ndarray:
             rows, cols = int(header[0]), int(header[1])
         except ValueError as exc:
             raise DataError(f"{path}: malformed header {header!r}") from exc
-        out = read_rows(fh, rows, cols, str(path))
+        _check_fits(fh, rows, cols, str(path))
+        start = fh.tell()
+        h, offset = _split_rows(fh, start, rows)
+    out = np.empty((rows, cols), dtype=np.float64)
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(r)
+        _run_child(lambda: _parse_and_send(path, offset, out, h, w))
+    os.close(w)
+    try:
+        with _open_text(path, start) as fh:
+            _read_into(fh, out, 0, h, str(path))
+        fault = _receive(r, out[h:])
+    finally:
+        # Closed first, so a child blocked on a full pipe gets EPIPE and ends.
+        os.close(r)
+        status = os.waitpid(pid, 0)[1]
+    if fault is not None:
+        raise fault
+    if status:
+        raise OSError(f"{path}: the process parsing rows {h} to {rows - 1} failed "
+                      f"(exit code {os.waitstatus_to_exitcode(status)})")
     if not np.isfinite(out).all():
         raise DataError(f"{path}: matrix contains non-finite entries")
     return out
+
+
+# Bytes per read when load_matrix() counts the rows before its split, so
+# the first half of a large file is never held in memory at once.
+COUNT_CHUNK_BYTES = 1 << 20
+
+
+def _split_rows(fh, start: int, rows: int) -> tuple[int, int]:
+    """Where load_matrix() splits the rows that begin at byte `start`:
+    h, the lines (at most `rows`) before the offset just past the first
+    line end after their byte midpoint, and that offset (`start` when no
+    line end follows the midpoint)."""
+    fh.seek((start + os.fstat(fh.fileno()).st_size) // 2)
+    cut = fh.tell() if fh.readline().endswith(b"\n") else start
+    fh.seek(start)
+    h = sum(fh.read(min(cut - pos, COUNT_CHUNK_BYTES)).count(b"\n")
+            for pos in range(start, cut, COUNT_CHUNK_BYTES))
+    return min(h, rows), cut
+
+
+def _open_text(path: Path, offset: int):
+    """path as UTF-8 text from byte `offset`. Lines end at '\\n' only, as
+    _split_rows() counts them."""
+    fh = open(path, "rb")
+    fh.seek(offset)
+    return io.TextIOWrapper(fh, encoding="utf-8", newline="\n")
+
+
+def _run_child(work) -> typing.NoReturn:
+    """End a forked child after work(), with exit code 0 if it returned.
+    os._exit skips the parent's cleanup: returning instead would run the
+    rest of the parent's program again and flush its inherited buffers."""
+    code = 1
+    try:
+        work()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _parse_and_send(path: Path, offset: int, out: np.ndarray, h: int, fd: int) -> None:
+    """The child's half of load_matrix(): parse rows h: of out from
+    `offset`, then write a tag byte and the values straight from out's
+    buffer, or the tag and the pickled fault."""
+    try:
+        with _open_text(path, offset) as fh:
+            _read_into(fh, out, h, len(out), str(path))
+        reply = (b"\0", out[h:].reshape(-1).view(np.uint8))
+    except Exception as exc:
+        reply = (b"\1", pickle.dumps(exc))
+    for data in reply:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _receive(fd: int, block: np.ndarray) -> Exception | None:
+    """Fill block with the values _parse_and_send() wrote to fd, or
+    return the fault it sent. None if the child sent neither in full;
+    its exit status then tells."""
+    tag = os.read(fd, 1)
+    if tag == b"\1":
+        return pickle.loads(b"".join(iter(lambda: os.read(fd, 1 << 16), b"")))
+    view = memoryview(block.reshape(-1).view(np.uint8))
+    while tag and view and (n := os.readv(fd, [view])):
+        view = view[n:]
+    return None

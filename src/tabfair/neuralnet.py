@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, undecodable_is_data_error
 from .linalg import read_rows, write_rows
 
 HIDDEN_ACTIVATIONS = ("relu",)
@@ -405,9 +405,9 @@ def save_mlp(path, params: MlpParams) -> None:
 
 def load_mlp(path) -> MlpParams:
     """Load a network written by save_mlp(). A truncated or malformed
-    file is a DataError."""
+    file, or one that is not UTF-8 text, is a DataError."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, undecodable_is_data_error(path):
         if fh.readline() != MODEL_FORMAT + "\n":
             raise DataError(f"{path}: not a {MODEL_FORMAT!r} file")
 

@@ -9,8 +9,12 @@ Also the oracles for the text row format of matrix and model files: a
 per-value writer and a per-token reader, as the format was first
 written, and random float64 bit patterns with the values that format
 and parse at the edges.
+
+Every test is checked for what the forked halves of matrix I/O could
+leave behind: a child not reaped, or a part file in its tmp_path.
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +79,15 @@ def per_value_text(M) -> str:
 def per_token_values(lines) -> list[list[float]]:
     """Oracle reader: float() on each token of each row line."""
     return [[float(t) for t in line.split()] for line in lines]
+
+
+@pytest.fixture(autouse=True)
+def no_stray_children_or_part_files(request):
+    tmp = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # raises only when no child is left
+    assert tmp is None or not list(tmp.rglob("*.part"))
 
 
 @pytest.fixture(scope="session")

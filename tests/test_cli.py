@@ -422,16 +422,36 @@ class TestExitCodes:
                      for i, line in enumerate(lines) if len(line.split()) > 1]
             # the file cut inside its last value (1234.5678 in a matrix or model)
             cuts += [full[:-k] for k in range(1, len("1234.5678") + 2)]
-            for text in cuts:
-                path.write_text(text, encoding="utf-8")
+            # a byte that is not UTF-8 after the last line
+            for data in [text.encode("utf-8") for text in cuts] + [full.encode("utf-8") + b"\xff"]:
+                path.write_bytes(data)
                 with pytest.raises(DataError):
                     load(path)
-        # Any count of names is valid, so only a cut inside the last is seen.
-        path, names = tmp_path / "names", "group\nrace\n"
-        for k in range(1, len("race\n")):
-            path.write_text(names[:-k], encoding="utf-8")
+        # Any count of names is valid, so only a cut inside the last, or
+        # a byte that is not UTF-8, is seen.
+        path, names = tmp_path / "names", b"group\nrace\n"
+        for data in [names[:-k] for k in range(1, len("race\n"))] + [names + b"\xff"]:
+            path.write_bytes(data)
             with pytest.raises(DataError):
                 tabfair.cli._load_names(path)
+
+    def test_name_count_must_match_s_columns(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        # Two sensitive columns, so one name can go and one remain.
+        (tmp_path / "synthetic.schema").write_text(SCHEMA_TEXT.replace(
+            "column shape categorical", "column shape sensitive privileged=circle"),
+            encoding="utf-8")
+        for verb in ("prepare", "train-embed", "debias"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        path = tmp_path / "out" / "sensitive_names.txt"
+        names = path.read_text(encoding="utf-8").split()
+        path.write_text("".join(f"{name}\n" for name in names[:-1]), encoding="utf-8")
+        capsys.readouterr()
+        for verb in ("debias", "evaluate"):
+            # An uncaught exception (a traceback) would fail the test here.
+            assert main([verb, "--config", str(config)]) == 2, verb
+            err = capsys.readouterr().err
+            assert f"{len(names) - 1} names for the {len(names)} columns of S.txt" in err, err
 
     def test_k_out_of_range_fails_before_compute(self, tmp_path, capsys):
         config = make_workspace(tmp_path, projection={"k": 999})

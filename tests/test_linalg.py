@@ -1,10 +1,14 @@
 """Linear-algebra layer, checked against an independent one-sided
 Jacobi SVD written out below and against hand-reduced small cases."""
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
 from conftest import per_token_values, per_value_text, random_finite_floats
+from tabfair import linalg
 from tabfair.errors import ConfigError, DataError, NumericalError
 from tabfair.linalg import (
     READ_CHUNK_ROWS,
@@ -271,6 +275,7 @@ class TestMatrixPersistence:
             save_matrix(tmp_path / "m.txt", np.array([[np.inf]]))
 
     @pytest.mark.parametrize("rows, cols", [
+        (1, 50), (2, 50), (3, 50),
         (READ_CHUNK_ROWS - 1, 50), (READ_CHUNK_ROWS, 50), (READ_CHUNK_ROWS + 1, 50),
         (2000, 50), (READ_CHUNK_ROWS + 1, 0), (0, 3),
     ])
@@ -285,6 +290,17 @@ class TestMatrixPersistence:
         assert back.shape == (rows, cols)
         assert np.array_equal(back.view(np.uint64), oracle.view(np.uint64))
         assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
+
+    def test_split_far_from_row_midpoint(self, tmp_path):
+        # Rows of "0" and rows of 17-digit values: the byte midpoint of
+        # the rows lies far from their row midpoint, on either side.
+        rng = np.random.default_rng(5)
+        full = random_finite_floats(rng, (150, 20))
+        path = tmp_path / "m.txt"
+        for M in (np.vstack([np.zeros((150, 20)), full]), np.vstack([full, np.zeros((150, 20))])):
+            save_matrix(path, M)
+            assert path.read_text(encoding="utf-8") == "300 20\n" + per_value_text(M)
+            assert np.array_equal(load_matrix(path).view(np.uint64), M.view(np.uint64))
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -301,3 +317,69 @@ class TestMatrixPersistence:
         path.write_text("2 3\n1 2 3\n4 5\n", encoding="utf-8")
         with pytest.raises(DataError, match="row 1"):
             load_matrix(path)
+        # In either half of a taller file the message names the row of
+        # the whole matrix; with a fault in each half, the earlier one.
+        rows = ["1 2 3\n"] * 200
+        for short, match in (((20,), "row 20 has 2"), ((150,), "row 150 has 2"),
+                             ((20, 150), "row 20 has 2")):
+            text = "".join("4 5\n" if i in short else row for i, row in enumerate(rows))
+            path.write_text("200 3\n" + text, encoding="utf-8")
+            with pytest.raises(DataError, match=match):
+                load_matrix(path)
+        # A file cut inside its last row (also one that holds the byte
+        # midpoint), or after it.
+        for text, match in (("200 3\n" + "".join(rows)[:-3], "row 199 is cut short"),
+                            ("2 3\n1 2 3\n" + "4 " * 20, "row 1 is cut short"),
+                            ("201 3\n" + "".join(rows), "expected 201 rows, file ends after 200")):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError, match=match):
+                load_matrix(path)
+
+    def test_not_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "m.txt"
+        # 24 kB, so the first half's 8 kB read-ahead stops short of the
+        # second half's faults. 0xff in the header, in rows 10 and 3900
+        # (one in each half), and after the last row.
+        data = b"4000 3\n" + b"1 2 3\n" * 4000
+        for bad in [data[:i] + b"\xff" + data[i + 1:] for i in (1, 7 + 6 * 10, 7 + 6 * 3900)] + [
+                data + b"\xff"]:
+            path.write_bytes(bad)
+            with pytest.raises(DataError):
+                load_matrix(path)
+
+    def test_fault_in_first_half_with_child_blocked_on_pipe(self, tmp_path):
+        # The child's 400 kB of values overfill the pipe while this
+        # process fails on row 5: the child must still end and be reaped.
+        M = np.arange(2000 * 50, dtype=np.float64).reshape(2000, 50)
+        path = tmp_path / "m.txt"
+        save_matrix(path, M)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[6] = "x" + lines[6]
+        path.write_text("".join(lines), encoding="utf-8")
+
+        def hung(signum, frame):
+            raise TimeoutError("load_matrix waits on a child that waits on it")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(DataError, match="row 5"):
+                load_matrix(path)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_child_write_failure_leaves_no_part_file(self, tmp_path, monkeypatch):
+        parent, write_rows = os.getpid(), linalg.write_rows
+
+        def fail_in_child(fh, M):
+            if os.getpid() != parent:
+                raise OSError("no space left on device")
+            write_rows(fh, M)
+
+        monkeypatch.setattr(linalg, "write_rows", fail_in_child)
+        with pytest.raises(OSError, match="rows 2 to 3"):
+            save_matrix(tmp_path / "m.txt", np.ones((4, 2)))
+        assert not list(tmp_path.glob("*.part"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
