@@ -8,8 +8,8 @@ network shapes, projection rank, probe settings, and the seed; given
 the same config, every stage is idempotent and byte-identical either
 way (the pipeline manifest's timestamp and timings aside).
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-failure.
+Exit codes: 0 success, 1 usage/config error or a file the system cannot
+read or make, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
         raise ConfigError(f"config file not found: {path}")
     try:
         cfg = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: a config must be a JSON object")
@@ -394,6 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     # pipeline prints only its manifest, the last file it wrote.
     for path in run.written[-1:] if args.func is cmd_pipeline else run.written:
         print(path)

@@ -94,7 +94,10 @@ def load_schema(path) -> list[ColumnSchema]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"schema file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or lines[0].strip() != SCHEMA_FORMAT:
         raise ConfigError(f"{path}: first line must be {SCHEMA_FORMAT!r}")
     columns: list[ColumnSchema] = []
@@ -157,7 +160,7 @@ def load_csv(path, schema: list[ColumnSchema]) -> RawTable:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"data file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with undecodable_is_data_error(path), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

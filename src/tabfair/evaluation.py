@@ -273,7 +273,7 @@ def evaluate_representation(
     )
 
 
-REPORT_FORMAT = "tabfair-report 1"
+REPORT_FORMAT = "tabfair-report 2"
 
 
 def format_di_x100(di_x100: float | None) -> str:
@@ -284,13 +284,14 @@ def format_di_x100(di_x100: float | None) -> str:
 
 def save_report(path, report: FairnessReport, dataset: str, representation: str) -> None:
     """Plain-text report: dataset, representation tag, probe metrics,
-    then one line per sensitive attribute."""
+    the attribute count, then one line per sensitive attribute."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(REPORT_FORMAT + "\n")
         fh.write(f"dataset {dataset}\n")
         fh.write(f"representation {representation}\n")
         fh.write(f"accuracy {report.accuracy:.17g}\n")
         fh.write(f"roc_auc {report.roc_auc:.17g}\n")
+        fh.write(f"attributes {len(report.attributes)}\n")
         for a in report.attributes:
             fh.write(
                 f"sensitive {a.name} di_x100 {format_di_x100(a.di_x100)} spd {a.spd:.17g} "
@@ -300,8 +301,9 @@ def save_report(path, report: FairnessReport, dataset: str, representation: str)
 
 def load_report(path) -> FairnessReport:
     """Read a report written by save_report(). A truncated or malformed
-    file, or one naming no sensitive attribute, is a DataError."""
-    acc = auc = None
+    file, one naming no sensitive attribute, or one whose sensitive lines
+    differ from its attribute count is a DataError."""
+    acc = auc = count = None
     attrs = []
     for ln, line in enumerate(read_text_artifact(path, REPORT_FORMAT).splitlines(), start=2):
         parts = line.split()
@@ -312,6 +314,8 @@ def load_report(path) -> FairnessReport:
                 acc = float(parts[1])
             elif parts[0] == "roc_auc":
                 auc = float(parts[1])
+            elif parts[0] == "attributes":
+                count = int(parts[1])
             elif parts[0] == "sensitive":
                 attrs.append(
                     AttributeFairness(
@@ -323,8 +327,10 @@ def load_report(path) -> FairnessReport:
                 )
         except (IndexError, ValueError) as exc:
             raise DataError(f"{path}:{ln}: malformed {parts[0]} line") from exc
-    if acc is None or auc is None or not attrs:
-        raise DataError(f"{path}: missing accuracy, roc_auc or sensitive lines")
+    if acc is None or auc is None or count is None or not attrs:
+        raise DataError(f"{path}: missing accuracy, roc_auc, attributes or sensitive lines")
+    if count != len(attrs):
+        raise DataError(f"{path}: {len(attrs)} sensitive lines, expected {count}")
     return FairnessReport(accuracy=acc, roc_auc=auc, attributes=attrs)
 
 

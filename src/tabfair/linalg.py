@@ -10,8 +10,9 @@ in memory stays bounded however tall the matrix is.
 
 Matrix files are written and parsed by two processes at once, split at
 a row boundary: save_matrix() and load_matrix() fork a child that
-formats or parses the second half of the rows while the caller does the
-first. The bytes are the same as one process writes, and the child
+formats the second half of the rows into a part file, or parses it
+straight into the result, which load_matrix() allocates in shared
+memory. The bytes are the same as one process writes, and the child
 never calls BLAS. Model files (neuralnet.save_mlp/load_mlp) are small
 and use write_rows()/read_rows() in one process.
 
@@ -24,10 +25,9 @@ from __future__ import annotations
 
 import io
 import itertools
+import mmap
 import os
-import pickle
 import shutil
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -244,17 +244,12 @@ def save_matrix(path, M) -> None:
     h = rows // 2
     path = Path(path)
     part = path.with_name(path.name + ".part")
-    pid = os.fork()
-    if pid == 0:
-        _run_child(lambda: _write_text(part, M[h:]))
     try:
-        try:
-            _write_text(path, M[:h], f"{rows} {cols}\n")
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if status:
+        code = _in_two(lambda: _write_text(path, M[:h], f"{rows} {cols}\n"),
+                       lambda: _write_text(part, M[h:]))
+        if code:
             raise OSError(f"{part}: the process writing rows {h} to {rows - 1} failed "
-                          f"(exit code {os.waitstatus_to_exitcode(status)})")
+                          f"(exit code {code})")
         with open(part, "rb") as src, open(path, "ab") as dst:
             shutil.copyfileobj(src, dst)
     finally:
@@ -268,14 +263,18 @@ def _write_text(path: Path, M: np.ndarray, header: str = "") -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by save_matrix(). A truncated or malformed
-    file, text that is not UTF-8, or a non-finite value is a DataError.
+    """Read a matrix written by save_matrix(), as a writable C-contiguous
+    float64 array. A truncated or malformed file, text that is not
+    UTF-8, or a non-finite value is a DataError.
 
     The rows are split at the first line end after their byte midpoint.
-    A forked process parses the rows after it and sends the values, or
-    its fault, down a pipe while this one parses the rows before it.
-    Messages name rows of the whole matrix; of two faults, the one in
-    the earlier row is raised."""
+    The result lives in an anonymous shared mapping, and a forked
+    process parses the rows after the split straight into it while this
+    one parses the rows before it. If the child fails, this process
+    parses the child's rows again itself: a fault there is the DataError
+    the child met, and without one the failure is an OSError naming the
+    rows. Messages name rows of the whole matrix; of two faults, the one
+    in the earlier row is raised."""
     path = Path(path)
     with open(path, "rb") as fh:
         # Undecodable bytes become U+FFFD, which no header number holds.
@@ -290,26 +289,15 @@ def load_matrix(path) -> np.ndarray:
         _check_fits(fh, rows, cols, str(path))
         start = fh.tell()
         h, offset = _split_rows(fh, start, rows)
-    out = np.empty((rows, cols), dtype=np.float64)
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(r)
-        _run_child(lambda: _parse_and_send(path, offset, out, h, w))
-    os.close(w)
-    try:
-        with _open_text(path, start) as fh:
-            _read_into(fh, out, 0, h, str(path))
-        fault = _receive(r, out[h:])
-    finally:
-        # Closed first, so a child blocked on a full pipe gets EPIPE and ends.
-        os.close(r)
-        status = os.waitpid(pid, 0)[1]
-    if fault is not None:
-        raise fault
-    if status:
+    # mmap refuses a length of 0; np.frombuffer keeps the mapping alive.
+    shared = mmap.mmap(-1, max(rows * cols * 8, 1))
+    out = np.frombuffer(shared, dtype=np.float64, count=rows * cols).reshape(rows, cols)
+    code = _in_two(lambda: _parse_text(path, start, out, 0, h),
+                   lambda: _parse_text(path, offset, out, h, rows))
+    if code:
+        _parse_text(path, offset, out, h, rows)
         raise OSError(f"{path}: the process parsing rows {h} to {rows - 1} failed "
-                      f"(exit code {os.waitstatus_to_exitcode(status)})")
+                      f"(exit code {code})")
     if not np.isfinite(out).all():
         raise DataError(f"{path}: matrix contains non-finite entries")
     return out
@@ -333,50 +321,31 @@ def _split_rows(fh, start: int, rows: int) -> tuple[int, int]:
     return min(h, rows), cut
 
 
-def _open_text(path: Path, offset: int):
-    """path as UTF-8 text from byte `offset`. Lines end at '\\n' only, as
-    _split_rows() counts them."""
-    fh = open(path, "rb")
-    fh.seek(offset)
-    return io.TextIOWrapper(fh, encoding="utf-8", newline="\n")
+def _parse_text(path: Path, offset: int, out: np.ndarray, lo: int, hi: int) -> None:
+    """Parse rows lo:hi of out from path's UTF-8 text at byte `offset`.
+    Lines end at '\\n' only, as _split_rows() counts them."""
+    with open(path, "rb") as raw:
+        raw.seek(offset)
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="\n") as fh:
+            _read_into(fh, out, lo, hi, str(path))
 
 
-def _run_child(work) -> typing.NoReturn:
-    """End a forked child after work(), with exit code 0 if it returned.
-    os._exit skips the parent's cleanup: returning instead would run the
-    rest of the parent's program again and flush its inherited buffers."""
-    code = 1
+def _in_two(first, second) -> int:
+    """Run second() in a forked child while this process runs first(),
+    and return the child's exit code (0 if second() returned) once it is
+    reaped, also when first() raises. The child ends in os._exit: it
+    never returns into the rest of the caller's program or flushes the
+    buffers it inherited."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            second()
+            code = 0
+        finally:
+            os._exit(code)
     try:
-        work()
-        code = 0
+        first()
     finally:
-        os._exit(code)
-
-
-def _parse_and_send(path: Path, offset: int, out: np.ndarray, h: int, fd: int) -> None:
-    """The child's half of load_matrix(): parse rows h: of out from
-    `offset`, then write a tag byte and the values straight from out's
-    buffer, or the tag and the pickled fault."""
-    try:
-        with _open_text(path, offset) as fh:
-            _read_into(fh, out, h, len(out), str(path))
-        reply = (b"\0", out[h:].reshape(-1).view(np.uint8))
-    except Exception as exc:
-        reply = (b"\1", pickle.dumps(exc))
-    for data in reply:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-
-
-def _receive(fd: int, block: np.ndarray) -> Exception | None:
-    """Fill block with the values _parse_and_send() wrote to fd, or
-    return the fault it sent. None if the child sent neither in full;
-    its exit status then tells."""
-    tag = os.read(fd, 1)
-    if tag == b"\1":
-        return pickle.loads(b"".join(iter(lambda: os.read(fd, 1 << 16), b"")))
-    view = memoryview(block.reshape(-1).view(np.uint8))
-    while tag and view and (n := os.readv(fd, [view])):
-        view = view[n:]
-    return None
+        status = os.waitpid(pid, 0)[1]
+    return os.waitstatus_to_exitcode(status)

@@ -287,6 +287,37 @@ class TestExitCodes:
         assert main(["prepare", "--config", str(config)]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, word, code, kind", [
+        ("synthetic.csv", b"red", 2, "data error"),  # in a row, not the header
+        ("synthetic.schema", b"numerical", 1, "config error"),
+        ("config.json", b"synthetic", 1, "config error"),
+    ])
+    def test_not_utf8_input_is_an_error_line(self, tmp_path, capsys, name, word, code, kind):
+        config = make_workspace(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes().replace(word, word[:1] + b"\xff" + word[2:]))
+        # An uncaught exception (a traceback) would fail the test here.
+        assert main(["prepare", "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        assert kind in err and name in err, err
+
+    def test_unreadable_csv_path_is_an_error_line(self, tmp_path, capsys):
+        config = make_workspace(tmp_path, csv="a_directory")
+        (tmp_path / "a_directory").mkdir()
+        # An uncaught exception (a traceback) would fail the test here.
+        assert main(["prepare", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "a_directory" in err, err
+
+    def test_out_dir_that_cannot_be_made_is_an_error_line(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        (tmp_path / "a_file").write_text("", encoding="utf-8")
+        out = tmp_path / "a_file" / "out"
+        # An uncaught exception (a traceback) would fail the test here.
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "a_file" in err, err
+
     def test_bad_matrix_token_is_data_error(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
         for verb in ("prepare", "train-embed"):
@@ -406,7 +437,8 @@ class TestExitCodes:
             "matrix": (save_matrix, load_matrix, np.array([[1e-300, -0.5], [3.25, 1234.5678]])),
             "model": (save_mlp, load_mlp, model),
             "report": (lambda p, r: save_report(p, r, "synthetic", "biased"), load_report,
-                       FairnessReport(0.75, 0.8, [AttributeFairness("group", 90.0, 0.05, True)])),
+                       FairnessReport(0.75, 0.8, [AttributeFairness("group", 90.0, 0.05, True),
+                                                  AttributeFairness("race", 70.0, 0.1, False)])),
             "provenance": (tabfair.cli._save_provenance, read_provenance,
                            {"config_hash": "ab12", "seed": "1234"}),
         }

@@ -433,6 +433,7 @@ class TestEvaluateRepresentation:
         assert back.attributes[0].spd == report.attributes[0].spd
         assert back.attributes[0].passes_80_rule == report.attributes[0].passes_80_rule
         text = path.read_text()
-        assert text.startswith("tabfair-report 1\n")
+        assert text.startswith("tabfair-report 2\n")
+        assert "attributes 1\nsensitive group " in text
         assert "dataset synthetic" in text
         assert "representation biased" in text

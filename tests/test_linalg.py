@@ -287,7 +287,8 @@ class TestMatrixPersistence:
         assert text == f"{rows} {cols}\n" + per_value_text(M)
         back = load_matrix(path)
         oracle = np.array(per_token_values(text.splitlines()[1:])).reshape(rows, cols)
-        assert back.shape == (rows, cols)
+        assert back.shape == (rows, cols) and back.dtype == np.float64
+        assert back.flags.writeable and back.flags.c_contiguous
         assert np.array_equal(back.view(np.uint64), oracle.view(np.uint64))
         assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
 
@@ -347,9 +348,9 @@ class TestMatrixPersistence:
             with pytest.raises(DataError):
                 load_matrix(path)
 
-    def test_fault_in_first_half_with_child_blocked_on_pipe(self, tmp_path):
-        # The child's 400 kB of values overfill the pipe while this
-        # process fails on row 5: the child must still end and be reaped.
+    def test_fault_in_first_half_reaps_the_child(self, tmp_path):
+        # This process fails on row 5 while the child parses 400 kB of
+        # values: the child must still end and be reaped.
         M = np.arange(2000 * 50, dtype=np.float64).reshape(2000, 50)
         path = tmp_path / "m.txt"
         save_matrix(path, M)
@@ -368,6 +369,23 @@ class TestMatrixPersistence:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_child_failure_outside_parsing_names_its_rows(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.txt"
+        save_matrix(path, np.ones((100, 3)))
+        parent, read_into = os.getpid(), linalg._read_into
+
+        def fail_in_child(fh, out, lo, hi, where):
+            if os.getpid() != parent:
+                raise OSError("input/output error")
+            read_into(fh, out, lo, hi, where)
+
+        monkeypatch.setattr(linalg, "_read_into", fail_in_child)
+        # The child's rows parse cleanly here, so the fault is the child's.
+        with pytest.raises(OSError, match=r"parsing rows \d+ to 99 failed \(exit code 1\)"):
+            load_matrix(path)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_child_write_failure_leaves_no_part_file(self, tmp_path, monkeypatch):
         parent, write_rows = os.getpid(), linalg.write_rows
