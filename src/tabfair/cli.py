@@ -77,6 +77,8 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
             raise ConfigError(
                 f"{path}: config key {key!r} must be {hint.__name__}, got {cfg[key]!r}"
             )
+    if cfg["seed"] < 0:
+        raise ConfigError(f"{path}: config key 'seed' must be >= 0, got {cfg['seed']}")
     attributes = cfg["projection"].get("attributes")
     if not _fits(attributes, list | None) or not all(_fits(a, str) for a in attributes or ()):
         raise ConfigError(f"{path}: projection 'attributes' must be a list of str, "
@@ -226,9 +228,9 @@ def cmd_train_embed(run: Run) -> None:
     representation, the models, and the per-epoch loss histories."""
     X_num = run.read("X_num.txt", load_matrix)
     X_cat = run.read("X_cat.txt", load_matrix)
-    rep, result = encode_dataset(X_num, X_cat, run.encoder)
+    Z, result = encode_dataset(X_num, X_cat, run.encoder)
     hist_nc, hist_cn = result.history_num_cat, result.history_cat_num
-    run.write_matrix("Z.txt", rep.Z)
+    run.write_matrix("Z.txt", Z)
     run.write("model_num_cat.txt", save_mlp, result.params_num_cat)
     run.write("model_cat_num.txt", save_mlp, result.params_cat_num)
     run.write("loss_num_cat.csv", lambda path, h: h.to_csv(path), hist_nc)
@@ -236,7 +238,7 @@ def cmd_train_embed(run: Run) -> None:
     run.write_provenance(
         "train_embed.provenance.txt",
         {
-            "p": rep.p,
+            "p": Z.shape[1],
             "final_train_bce": _fmt_last(hist_nc.train_loss),
             "final_val_bce": _fmt_last(hist_nc.val_loss),
             "final_train_mse": _fmt_last(hist_cn.train_loss),

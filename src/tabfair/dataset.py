@@ -6,7 +6,7 @@ columns with full-dataset population statistics, expands categorical
 columns into one indicator per observed level, builds a binary
 sensitive matrix S that never overlaps the feature columns, and maps
 the label to {0, 1}. The full encoding recipe (the "level map") is
-persisted so any raw column can be re-encoded bit-identically later.
+persisted beside the matrices and read back unchanged.
 """
 
 from __future__ import annotations
@@ -380,29 +380,25 @@ def _encode_sensitive(col: ColumnSchema, values: list[str]):
         enc = SensitiveEncoding(col.name, "age_band", ())
         block = np.array([[discretize_german_age(a)] for a in ages], dtype=np.float64)
         return enc, block
-    if col.privileged is not None:
-        levels = _observed_levels(values, col.levels, col.name)
-        if col.privileged not in levels:
-            raise DataError(
-                f"sensitive column {col.name!r}: privileged level "
-                f"{col.privileged!r} never observed"
-            )
-        enc = SensitiveEncoding(col.name, "privileged", (col.privileged,))
-        block = np.array([[1.0 if v == col.privileged else 0.0] for v in values])
-        return enc, block
     levels = _observed_levels(values, col.levels, col.name)
-    if len(levels) < 2:
-        raise DataError(f"sensitive column {col.name!r} has a single level")
-    if len(levels) == 2:
-        # Binary without a declared privileged level: the
-        # lexicographically larger level maps to 1.
-        enc = SensitiveEncoding(col.name, "privileged", (levels[1],))
-        block = np.array([[1.0 if v == levels[1] else 0.0] for v in values])
-        return enc, block
-    # Multi-level: indicators for all levels but the first (reference),
-    # keeping S^T S invertible.
-    enc = SensitiveEncoding(col.name, "reference", levels)
-    block = _indicator_block(values, levels)[:, 1:]
+    if col.privileged is None:
+        if len(levels) < 2:
+            raise DataError(f"sensitive column {col.name!r} has a single level")
+        if len(levels) > 2:
+            # Multi-level: indicators for all levels but the first
+            # (reference), keeping S^T S invertible.
+            enc = SensitiveEncoding(col.name, "reference", levels)
+            return enc, _indicator_block(values, levels)[:, 1:]
+    # One 0/1 column. Binary without a declared privileged level: the
+    # lexicographically larger level maps to 1.
+    privileged = levels[1] if col.privileged is None else col.privileged
+    if privileged not in levels:
+        raise DataError(
+            f"sensitive column {col.name!r}: privileged level "
+            f"{privileged!r} never observed"
+        )
+    enc = SensitiveEncoding(col.name, "privileged", (privileged,))
+    block = np.array([[1.0 if v == privileged else 0.0] for v in values])
     return enc, block
 
 
@@ -425,15 +421,6 @@ def _encode_label(values: list[str], col: ColumnSchema) -> np.ndarray:
             f"label column {col.name!r} must be 0/1 or declare positive=<value>"
         )
     return np.array([float(v) for v in values])
-
-
-def reencode_categorical(values: list[str], enc: CategoricalEncoding) -> np.ndarray:
-    """Apply a persisted categorical mapping to a raw column; reproduces
-    the original indicator block exactly."""
-    unseen = set(values) - set(enc.levels)
-    if unseen:
-        raise DataError(f"column {enc.name!r}: values {sorted(unseen)} not in level map")
-    return _indicator_block(values, enc.levels)
 
 
 @dataclass(frozen=True)

@@ -75,11 +75,6 @@ def predict_proba(model: LogisticModel, Z) -> np.ndarray:
     return _sigmoid(Z @ model.weights + model.bias)
 
 
-def predict_label(model: LogisticModel, Z, threshold: float = 0.5) -> np.ndarray:
-    """Hard 0/1 predictions; probabilities >= threshold map to 1."""
-    return (predict_proba(model, Z) >= threshold).astype(np.int64)
-
-
 def probe_loss(model: LogisticModel, Z, y) -> float:
     y = np.asarray(y, dtype=np.float64).ravel()
     return bce_loss(predict_proba(model, Z)[:, None], y[:, None])
@@ -101,23 +96,11 @@ def accuracy(y_pred, y_true) -> float:
     return int((y_pred == y_true).sum()) / y_pred.size
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of x, each tie run sharing the mean of its ranks.
-
-    Every rank is a half-integer, computed exactly."""
-    order = np.argsort(x, kind="stable")
-    x_sorted = x[order]
-    starts = np.r_[True, x_sorted[1:] != x_sorted[:-1]]
-    dense = np.empty(x.size, dtype=np.intp)
-    dense[order] = np.cumsum(starts)
-    # count[j] is the number of values below the (j+1)-th distinct value.
-    count = np.r_[np.flatnonzero(starts), x.size]
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
-
-
-def roc_auc(scores, y_true) -> float:
-    """Mann-Whitney AUC: (concordant + 0.5 * tied) / (pos * neg) pairs,
-    computed via average ranks."""
+def _roc_counts(scores, y_true):
+    """(thresholds, tp, fp, n_pos, n_neg): the distinct scores in
+    descending order, and the true and false positives scored at or
+    above each. One stable descending sort; the last index of each run
+    of tied scores carries the counts at that threshold."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     y_true = _binary(y_true, "y_true")
     if scores.size != y_true.size:
@@ -127,10 +110,24 @@ def roc_auc(scores, y_true) -> float:
     n_pos = int(y_true.sum())
     n_neg = y_true.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("ROC-AUC needs both classes present")
-    ranks = _average_ranks(scores)
-    u = float(ranks[y_true == 1].sum()) - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+        raise UndefinedMetricError("ROC needs both classes present")
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    last = np.append(ranked[1:] != ranked[:-1], True)
+    tp = np.cumsum(y_true[order])[last]
+    fp = np.flatnonzero(last) + 1 - tp
+    return ranked[last], tp, fp, n_pos, n_neg
+
+
+def roc_auc(scores, y_true) -> float:
+    """Mann-Whitney AUC: (concordant + 0.5 * tied) / (pos * neg) pairs.
+    A run of tied scores adding dtp positives and dfp negatives beats the
+    n_neg - fp negatives below it and ties its own dfp; the doubled pair
+    count is an exact integer, so the final division is the only rounding."""
+    _, tp, fp, n_pos, n_neg = _roc_counts(scores, y_true)
+    dtp = np.diff(tp, prepend=0)
+    dfp = np.diff(fp, prepend=0)
+    return int(dtp @ (2 * (n_neg - fp) + dfp)) / (2 * n_pos * n_neg)
 
 
 def _group_counts(y_pred, s) -> tuple[int, int, int, int]:
@@ -179,24 +176,11 @@ def eighty_percent_rule(di: float) -> bool:
 def roc_curve_points(scores, y_true) -> list[tuple[float, float, float]]:
     """(threshold, TPR, FPR) triples over descending unique score
     thresholds, starting from a sentinel above the maximum score (so the
-    curve includes (0, 0)) and ending at the minimum score (1, 1)."""
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    y_true = _binary(y_true, "y_true")
-    if scores.size != y_true.size:
-        raise ConfigError("scores and labels must have equal length")
-    n_pos = int(y_true.sum())
-    n_neg = y_true.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("ROC curve needs both classes present")
-    # One stable descending sort; the last index of each run of tied
-    # scores carries the counts at that threshold.
-    order = np.argsort(-scores, kind="stable")
-    ranked = scores[order]
-    last = np.append(ranked[1:] != ranked[:-1], True)
-    tp = np.cumsum(y_true[order])[last]
-    fp = np.flatnonzero(last) + 1 - tp
+    curve includes (0, 0)) and ending at the minimum score (1, 1). The
+    counts come from the same sort as roc_auc()'s."""
+    thresholds, tp, fp, n_pos, n_neg = _roc_counts(scores, y_true)
     return [(np.inf, 0.0, 0.0)] + list(
-        zip(ranked[last].tolist(), (tp / n_pos).tolist(), (fp / n_neg).tolist())
+        zip(thresholds.tolist(), (tp / n_pos).tolist(), (fp / n_neg).tolist())
     )
 
 

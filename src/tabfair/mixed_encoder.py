@@ -4,8 +4,9 @@ Two independent networks are trained without labels or sensitive
 attributes: one maps the numerical block to a latent code and decodes
 the categorical indicators (sigmoid output, BCE loss), the other maps
 the categorical block to a latent code and decodes the standardized
-numerical block (linear output, MSE loss). The two latent codes are
-concatenated row-wise into the mixed-space representation Z.
+numerical block (linear output, MSE loss). encode_dataset() places
+the two latent codes side by side, numerical side first, as the n x p
+mixed-space representation Z.
 """
 
 from __future__ import annotations
@@ -41,6 +42,14 @@ class MixedEncoderConfig:
             raise ConfigError("both networks need at least one hidden layer")
         if self.latent_num < 1 or self.latent_cat < 1:
             raise ConfigError("latent dimensions must be >= 1")
+        if self.epochs < 0:
+            raise ConfigError(f"encoder 'epochs' must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"encoder 'batch_size' must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError(
+                f"encoder 'val_fraction' must be in [0, 1), got {self.val_fraction}"
+            )
 
     @property
     def p(self) -> int:
@@ -97,62 +106,26 @@ def train_mixed(X_num, X_cat, config: MixedEncoderConfig) -> MixedTrainResult:
     their seeds derive from config.seed (seed and seed + 1).
     """
     d1, d2 = X_num.shape[1], X_cat.shape[1]
-    cfg_nc = build_num_cat(d1, d2, config)
-    cfg_cn = build_cat_num(d2, d1, config)
-    params_nc, hist_nc = train(
-        cfg_nc,
-        X_num,
-        X_cat,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        val_fraction=config.val_fraction,
-        seed=config.seed,
-    )
-    params_cn, hist_cn = train(
-        cfg_cn,
-        X_cat,
-        X_num,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        val_fraction=config.val_fraction,
-        seed=config.seed + 1,
+    nets = ((build_num_cat(d1, d2, config), X_num, X_cat),
+            (build_cat_num(d2, d1, config), X_cat, X_num))
+    (params_nc, hist_nc), (params_cn, hist_cn) = (
+        train(net, X, Y, epochs=config.epochs, batch_size=config.batch_size,
+              val_fraction=config.val_fraction, seed=config.seed + i)
+        for i, (net, X, Y) in enumerate(nets)
     )
     return MixedTrainResult(params_nc, params_cn, hist_nc, hist_cn)
 
 
 def extract_latent(params: MlpParams, X) -> np.ndarray:
     """Post-activation values at the network's latent layer."""
-    cache = forward(params, X)
-    return cache.activations[params.config.latent_index]
-
-
-@dataclass
-class MixedRepresentation:
-    """The n x p concatenated latent matrix."""
-
-    Z: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.Z.shape[1]
-
-
-def concatenate_latents(z_num, z_cat) -> MixedRepresentation:
-    """Column-wise concatenation, numerical-side code first."""
-    z_num = np.asarray(z_num, dtype=np.float64)
-    z_cat = np.asarray(z_cat, dtype=np.float64)
-    if z_num.shape[0] != z_cat.shape[0]:
-        raise ConfigError(
-            f"row mismatch: {z_num.shape[0]} numerical-side rows vs "
-            f"{z_cat.shape[0]} categorical-side rows"
-        )
-    return MixedRepresentation(Z=np.hstack([z_num, z_cat]))
+    return forward(params, X).activations[params.config.latent_index]
 
 
 def encode_dataset(X_num, X_cat, config: MixedEncoderConfig):
     """Train both networks on the two feature blocks and return
-    (representation, train result)."""
+    (Z, train result). Z is the n x p mixed-space representation: the
+    two latent codes side by side, the numerical side's first."""
     result = train_mixed(X_num, X_cat, config)
-    z_num = extract_latent(result.params_num_cat, X_num)
-    z_cat = extract_latent(result.params_cat_num, X_cat)
-    return concatenate_latents(z_num, z_cat), result
+    Z = np.hstack([extract_latent(result.params_num_cat, X_num),
+                   extract_latent(result.params_cat_num, X_cat)])
+    return Z, result

@@ -107,9 +107,6 @@ class MlpParams:
             self.biases.append(self.flat[at : at + fan_out])
             at += fan_out
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(config=self.config, flat=self.flat.copy())
-
 
 @dataclass
 class AdamState:

@@ -253,13 +253,31 @@ class TestExitCodes:
         ("dataset", 7), ("csv", 5), ("schema", None), ("out_dir", ["out"]),
         ("seed", True), ("seed", 1.0), ("seed", "0"), ("test_fraction", "0.5"),
         ("test_fraction", False), ("encoder", 5), ("probe", None),
-        ("attributes", 5), ("attributes", "group"), ("attributes", ["group", 1]),
+        ("attributes", 5), ("attributes", "group"), ("attributes", ["group", 1]), ("seed", -1),
     ])
     def test_wrong_typed_top_level_value_is_config_error(self, tmp_path, capsys, key, value):
         override = {"projection": {key: value}} if key == "attributes" else {key: value}
         config = make_workspace(tmp_path, **override)
         # An uncaught exception (a traceback) would fail the test here.
         assert main(["prepare", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key) in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        assert main(["prepare", "--config", str(config), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "'seed'" in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", -1), ("batch_size", 0), ("val_fraction", 1.5),
+    ])
+    def test_encoder_value_out_of_range_stops_before_prepare(self, tmp_path, capsys,
+                                                              key, value):
+        config = make_workspace(tmp_path, encoder={key: value})
+        assert main(["pipeline", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and repr(key) in err, err
         assert not (tmp_path / "out").exists()
@@ -511,6 +529,27 @@ class TestTooling:
             module = importlib.import_module(module_name)
             for fn_name in functions:
                 assert callable(getattr(module, fn_name, None)), (module_name, fn_name)
+
+    def test_readme_library_example_runs(self, tmp_path, capsys):
+        # The README's "Library use" block, run on a German-shaped CSV
+        # with only its two file paths changed.
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location("synth", self.ROOT / "perfbench" / "synth.py")
+        synth = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(synth)
+        synth.write_german_csv(tmp_path / "german.csv", seed=1, rows=1000)
+        readme = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        paths = {"configs/german.schema": self.ROOT / "configs" / "german.schema",
+                 "data/german.csv": tmp_path / "german.csv"}
+        for old, new in paths.items():
+            assert f'"{old}"' in code, old
+            code = code.replace(f'"{old}"', repr(str(new)))
+        exec(compile(code, "README.md", "exec"), {})
+        accuracy, di_x100 = capsys.readouterr().out.split()
+        assert 0.0 <= float(accuracy) <= 1.0
+        assert di_x100 == "None" or float(di_x100) >= 0.0
 
     def test_cli_import_loads_no_scipy(self):
         # Every stage is a fresh process, so what `import tabfair.cli`

@@ -8,6 +8,14 @@ from tabfair import dataset as ds
 from tabfair.errors import ConfigError, DataError
 
 
+def sensitive_schema(tmp_path, line: str) -> list[ds.ColumnSchema]:
+    """The synthetic schema with its sensitive column declared as `line`."""
+    path = tmp_path / "s.schema"
+    path.write_text(SCHEMA_TEXT.replace("column group sensitive privileged=B", line),
+                    encoding="utf-8")
+    return ds.load_schema(path)
+
+
 class TestSchema:
     def test_shipped_style_schema_parses(self, schema):
         kinds = {c.name: c.kind for c in schema}
@@ -204,12 +212,7 @@ class TestEncode:
         assert enc.sensitive_names == ["group"]
 
     def test_binary_sensitive_without_privileged(self, tmp_path):
-        schema_text = SCHEMA_TEXT.replace(
-            "column group sensitive privileged=B", "column group sensitive"
-        )
-        sfile = tmp_path / "s.schema"
-        sfile.write_text(schema_text, encoding="utf-8")
-        schema2 = ds.load_schema(sfile)
+        schema2 = sensitive_schema(tmp_path, "column group sensitive")
         rows = [
             ["1", "4", "red", "circle", "B", "yes"],
             ["2", "5", "red", "square", "A", "no"],
@@ -219,13 +222,33 @@ class TestEncode:
         # Lexicographically larger level (B) maps to 1.
         assert enc.S[:, 0].tolist() == [1.0, 0.0]
 
+    def test_declared_and_inferred_privileged_agree(self, tmp_path, csv_file, encoded):
+        # privileged=B and an undeclared column with levels A and B take
+        # the same path and give the same encoding.
+        inferred = sensitive_schema(tmp_path, "column group sensitive")
+        raw = ds.load_csv(csv_file, inferred)
+        enc = ds.encode(raw, inferred)
+        assert enc.level_map.sensitive == encoded.level_map.sensitive
+        assert enc.level_map.sensitive[0] == ds.SensitiveEncoding("group", "privileged", ("B",))
+        assert np.array_equal(enc.S, encoded.S)
+
+    def test_privileged_level_never_observed(self, tmp_path, csv_file):
+        schema2 = sensitive_schema(tmp_path, "column group sensitive privileged=C")
+        with pytest.raises(DataError, match="never observed"):
+            ds.encode(ds.load_csv(csv_file, schema2), schema2)
+
+    def test_single_level_sensitive_rejected(self, tmp_path):
+        schema2 = sensitive_schema(tmp_path, "column group sensitive")
+        rows = [
+            ["1", "4", "red", "circle", "A", "yes"],
+            ["2", "5", "red", "square", "A", "no"],
+        ]
+        raw = ds.load_csv(write_csv(tmp_path / "d.csv", rows), schema2)
+        with pytest.raises(DataError, match="single level"):
+            ds.encode(raw, schema2)
+
     def test_multi_level_sensitive_drops_reference(self, tmp_path):
-        schema_text = SCHEMA_TEXT.replace(
-            "column group sensitive privileged=B", "column group sensitive"
-        )
-        sfile = tmp_path / "s.schema"
-        sfile.write_text(schema_text, encoding="utf-8")
-        schema2 = ds.load_schema(sfile)
+        schema2 = sensitive_schema(tmp_path, "column group sensitive")
         rows = [
             ["1", "4", "red", "circle", "p", "yes"],
             ["2", "5", "red", "square", "q", "no"],
@@ -238,13 +261,7 @@ class TestEncode:
         assert np.array_equal(enc.S, [[0, 0], [1, 0], [0, 1]])
 
     def test_age_band_sensitive(self, tmp_path):
-        schema_text = SCHEMA_TEXT.replace(
-            "column group sensitive privileged=B",
-            "column group sensitive transform=age_band",
-        )
-        sfile = tmp_path / "s.schema"
-        sfile.write_text(schema_text, encoding="utf-8")
-        schema2 = ds.load_schema(sfile)
+        schema2 = sensitive_schema(tmp_path, "column group sensitive transform=age_band")
         rows = [
             ["1", "4", "red", "circle", "24", "yes"],
             ["2", "5", "red", "square", "25", "no"],
@@ -294,23 +311,15 @@ class TestEncode:
 
 
 class TestLevelMapRoundTrip:
-    def test_reencode_is_lossless(self, csv_file, schema, encoded, tmp_path):
+    def test_reencode_is_lossless(self, encoded, tmp_path):
         path = tmp_path / "levels.txt"
         ds.save_level_map(path, encoded.level_map)
         lm = ds.load_level_map(path)
         assert lm == encoded.level_map
-        raw = ds.load_csv(csv_file, schema)
-        lo = 0
-        for e in lm.categorical:
-            hi = lo + len(e.levels)
-            block = ds.reencode_categorical(raw.column(e.name), e)
-            assert np.array_equal(block, encoded.X_cat[:, lo:hi])
-            lo = hi
-
-    def test_unseen_value_rejected_on_reencode(self, encoded):
-        enc = encoded.level_map.categorical[0]
-        with pytest.raises(DataError):
-            ds.reencode_categorical(["definitely-new-level"], enc)
+        # Saving what was loaded writes the same bytes.
+        again = tmp_path / "again.txt"
+        ds.save_level_map(again, lm)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_level_with_space_cannot_persist(self, tmp_path):
         lm = ds.LevelMap(

@@ -18,7 +18,6 @@ from tabfair.evaluation import (
     eighty_percent_rule,
     evaluate_representation,
     load_report,
-    predict_label,
     predict_proba,
     probe_loss,
     roc_auc,
@@ -221,7 +220,8 @@ class TestProbe:
     def test_learns_separable_data(self):
         Z, y = self.separable()
         model = train_probe(Z, y, ProbeConfig(epochs=300))
-        assert accuracy(predict_label(model, Z), y.astype(int)) == 1.0
+        y_pred = (predict_proba(model, Z) >= 0.5).astype(int)
+        assert accuracy(y_pred, y.astype(int)) == 1.0
 
     def test_zero_epochs_gives_half_probabilities(self):
         Z, y = self.separable()
@@ -331,6 +331,24 @@ class TestRocCurve:
             pts = roc_curve_points(scores, y)
             assert pts == roc_oracle(scores, y)
             assert all(type(v) is float for pt in pts for v in pt)
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(DataError):
+            roc_curve_points([0.1, float("nan"), 0.8], [0, 1, 1])
+
+    def test_counts_match_auc(self):
+        # The curve and roc_auc share one sort: the trapezoid area under
+        # the curve's points is the AUC, ties included.
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            n = int(rng.integers(2, 60))
+            scores = rng.integers(0, 5, size=n) / 4.0
+            y = rng.integers(0, 2, size=n)
+            y[0], y[1] = 0, 1
+            pts = roc_curve_points(scores, y)
+            area = sum((f1 - f0) * (t0 + t1) / 2
+                       for (_, t0, f0), (_, t1, f1) in zip(pts, pts[1:]))
+            assert area == pytest.approx(roc_auc(scores, y), abs=1e-12)
 
     def test_csv_export(self, tmp_path):
         pts = roc_curve_points([0.2, 0.8], [0, 1])

@@ -1,4 +1,4 @@
-"""Cross-reconstruction encoder: network shapes, the concatenated
+"""Cross-reconstruction encoder: network shapes, the mixed-space
 representation, determinism, and the sensitive-data firewall."""
 
 import inspect
@@ -11,7 +11,6 @@ from tabfair.mixed_encoder import (
     MixedEncoderConfig,
     build_cat_num,
     build_num_cat,
-    concatenate_latents,
     encode_dataset,
     extract_latent,
     interpolated_widths,
@@ -80,28 +79,32 @@ class TestWidths:
             small_config(hidden_num_cat=0)
         with pytest.raises(ConfigError):
             small_config(latent_num=0)
+        for bad in ({"epochs": -1}, {"batch_size": 0}, {"val_fraction": 1.0},
+                    {"val_fraction": -0.1}):
+            with pytest.raises(ConfigError, match=repr(next(iter(bad)))):
+                small_config(**bad)
 
 
 class TestTrainMixed:
     def test_shapes_and_concatenation(self, encoded):
         cfg = small_config()
-        rep, result = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
-        assert rep.Z.shape == (encoded.n, cfg.p)
+        Z, result = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
+        assert Z.shape == (encoded.n, cfg.p)
         assert cfg.p == 16
         # First block comes from the numerical-side network.
         z_num = extract_latent(result.params_num_cat, encoded.X_num)
-        assert np.array_equal(rep.Z[:, :8], z_num)
+        assert np.array_equal(Z[:, :8], z_num)
 
     def test_deterministic(self, encoded):
         cfg = small_config(epochs=4)
-        rep1, _ = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
-        rep2, _ = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
-        assert np.array_equal(rep1.Z, rep2.Z)
+        Z1, _ = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
+        Z2, _ = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
+        assert np.array_equal(Z1, Z2)
 
     def test_seed_changes_result(self, encoded):
-        rep1, _ = encode_dataset(encoded.X_num, encoded.X_cat, small_config(epochs=4, seed=0))
-        rep2, _ = encode_dataset(encoded.X_num, encoded.X_cat, small_config(epochs=4, seed=1))
-        assert not np.array_equal(rep1.Z, rep2.Z)
+        Z1, _ = encode_dataset(encoded.X_num, encoded.X_cat, small_config(epochs=4, seed=0))
+        Z2, _ = encode_dataset(encoded.X_num, encoded.X_cat, small_config(epochs=4, seed=1))
+        assert not np.array_equal(Z1, Z2)
 
     def test_sensitive_and_label_never_used(self, encoded):
         # Firewall: scrambling S and y must not change the learned
@@ -110,9 +113,9 @@ class TestTrainMixed:
         # The encoder's only data inputs are the two feature blocks.
         for fn in (train_mixed, encode_dataset):
             assert list(inspect.signature(fn).parameters) == ["X_num", "X_cat", "config"]
-        rep1, _ = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
-        rep2, _ = encode_dataset(encoded.X_num.copy(), encoded.X_cat.copy(), cfg)
-        assert np.array_equal(rep1.Z, rep2.Z)
+        Z1, _ = encode_dataset(encoded.X_num, encoded.X_cat, cfg)
+        Z2, _ = encode_dataset(encoded.X_num.copy(), encoded.X_cat.copy(), cfg)
+        assert np.array_equal(Z1, Z2)
 
     def test_zero_epochs_keeps_initialization(self, encoded):
         cfg = small_config(epochs=0)
@@ -164,14 +167,3 @@ class TestLatent:
         result = train_mixed(encoded.X_num, encoded.X_cat, cfg)
         z = extract_latent(result.params_num_cat, encoded.X_num)
         assert np.max(z.var(axis=0)) > 0.0
-
-    def test_concatenate_checks_rows(self):
-        with pytest.raises(ConfigError):
-            concatenate_latents(np.zeros((3, 2)), np.zeros((4, 2)))
-
-    def test_concatenate_order(self):
-        rep = concatenate_latents(np.ones((2, 2)), np.zeros((2, 3)))
-        assert rep.Z.shape == (2, 5)
-        assert np.all(rep.Z[:, :2] == 1.0)
-        assert np.all(rep.Z[:, 2:] == 0.0)
-        assert rep.p == 5
