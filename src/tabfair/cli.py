@@ -204,6 +204,12 @@ def cmd_prepare(run: Run) -> None:
     raw = ds.load_csv(run.cfg["csv"], schema)
     encoded = ds.encode(raw, schema)
     split = ds.stratified_split(encoded.y, run.cfg["test_fraction"], run.cfg["seed"])
+    # evaluate scores every S column on the test rows and needs both of
+    # its groups there; refuse now rather than after training.
+    for name, s in zip(encoded.sensitive_names, encoded.S[split.test].T):
+        if np.unique(s).size < 2:
+            raise DataError(f"sensitive column {name!r}: one of its two groups has "
+                            f"none of the {s.size} test rows")
     run.write_matrix("X_num.txt", encoded.X_num)
     run.write_matrix("X_cat.txt", encoded.X_cat)
     run.write_matrix("S.txt", encoded.S)

@@ -387,19 +387,29 @@ def _encode_sensitive(col: ColumnSchema, values: list[str]):
         if len(levels) > 2:
             # Multi-level: indicators for all levels but the first
             # (reference), keeping S^T S invertible.
+            _require_observed(col.name, levels[1:], values)
             enc = SensitiveEncoding(col.name, "reference", levels)
             return enc, _indicator_block(values, levels)[:, 1:]
     # One 0/1 column. Binary without a declared privileged level: the
     # lexicographically larger level maps to 1.
     privileged = levels[1] if col.privileged is None else col.privileged
-    if privileged not in levels:
-        raise DataError(
-            f"sensitive column {col.name!r}: privileged level "
-            f"{privileged!r} never observed"
-        )
+    _require_observed(col.name, (privileged,), values)
     enc = SensitiveEncoding(col.name, "privileged", (privileged,))
     block = np.array([[1.0 if v == privileged else 0.0] for v in values])
     return enc, block
+
+
+def _require_observed(name: str, levels: tuple[str, ...], values: list[str]) -> None:
+    """Each of `levels` gets its own S column; one that no row has,
+    though declared, would be an all-zero column and leave S^T S
+    singular, so it is refused here rather than in debias."""
+    seen = set(values)
+    for level in levels:
+        if level not in seen:
+            raise DataError(
+                f"sensitive column {name!r}: level {level!r} never observed, "
+                f"so its S column would be all zero"
+            )
 
 
 def _encode_label(values: list[str], col: ColumnSchema) -> np.ndarray:

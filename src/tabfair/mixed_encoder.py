@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .neuralnet import MlpConfig, MlpParams, TrainHistory, forward, train
+from .neuralnet import MlpConfig, MlpParams, TrainHistory, _check_input, train
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,20 @@ def train_mixed(X_num, X_cat, config: MixedEncoderConfig) -> MixedTrainResult:
 
 
 def extract_latent(params: MlpParams, X) -> np.ndarray:
-    """Post-activation values at the network's latent layer."""
-    return forward(params, X).activations[params.config.latent_index]
+    """Post-activation values at the network's latent layer, the same
+    bits as forward(params, X).activations[latent_index].
+
+    It stops at the latent layer: the layers after it, which only the
+    reconstruction needs, are never evaluated. The layers before it are
+    hidden layers, so each is a ReLU, applied in place.
+    """
+    a = _check_input(params.config, X)
+    k = params.config.latent_index
+    for W, b in zip(params.weights[:k], params.biases[:k]):
+        a = a @ W
+        a += b
+        np.maximum(a, 0.0, out=a)
+    return a
 
 
 def encode_dataset(X_num, X_cat, config: MixedEncoderConfig):

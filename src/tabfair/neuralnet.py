@@ -4,9 +4,11 @@ Configurable MLPs with ReLU hidden layers and a sigmoid or linear
 output, exact analytic backpropagation for BCE/MSE, Adam updates, and a
 deterministic mini-batch training loop with a held-out validation
 split. Parameters, gradients and Adam moments share one flat layout
-(MlpParams.flat), so an Adam step is one vectorized pass. Everything is
-a pure function of its inputs and seed; training never mutates your
-data.
+(MlpParams.flat), so an Adam step is one vectorized pass. A training
+run allocates its gradient buffer and Adam scratch once and reuses them
+on every step, with the same operations in the same order as a fresh
+computation, so results are bit-identical to it. Everything is a pure
+function of its inputs and seed; training never mutates your data.
 """
 
 from __future__ import annotations
@@ -111,12 +113,20 @@ class MlpParams:
 @dataclass
 class AdamState:
     """First/second moment accumulators over a flat parameter vector,
-    the step count, and the learning rate."""
+    the step count, and the learning rate.
+
+    Two scratch arrays shaped like m, made here, hold an update's
+    temporaries, so a step allocates nothing; they carry no state
+    between steps."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
     lr: float = ADAM_LR
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_params(cls, params: MlpParams, lr: float = ADAM_LR) -> "AdamState":
@@ -198,7 +208,8 @@ def _forward(params: MlpParams, X: np.ndarray) -> ForwardCache:
     a = X
     last = cfg.n_layers - 1
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ W + b
+        z = a @ W
+        z += b
         pre.append(z)
         if l < last:
             a = np.maximum(z, 0.0)
@@ -225,8 +236,11 @@ def bce_loss(pred, target) -> float:
 
 
 def _bce(pred: np.ndarray, target: np.ndarray) -> float:
-    p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log1p(-p)))
+    # np.clip and np.mean spelled as the ufuncs they call, without
+    # their per-call Python wrappers: the batch loop calls this per step.
+    p = np.minimum(np.maximum(pred, BCE_CLAMP), 1.0 - BCE_CLAMP)
+    t = target * np.log(p) + (1.0 - target) * np.log1p(-p)
+    return float(-(np.add.reduce(t, axis=None) / t.size))
 
 
 def mse_loss(pred, target) -> float:
@@ -238,15 +252,20 @@ def mse_loss(pred, target) -> float:
 
 
 def _mse(pred: np.ndarray, target: np.ndarray) -> float:
-    return float(np.mean((pred - target) ** 2))
+    t = (pred - target) ** 2
+    return float(np.add.reduce(t, axis=None) / t.size)
 
 
-def backward(params: MlpParams, cache: ForwardCache, target, loss_kind: str) -> MlpParams:
+def backward(
+    params: MlpParams, cache: ForwardCache, target, loss_kind: str, out: MlpParams | None = None
+) -> MlpParams:
     """Exact gradients of the scalar loss w.r.t. every weight and bias,
     in the parameters' layout: grads.weights[l] is dL/dW[l].
 
     loss_kind must match the output activation: 'bce' with sigmoid,
-    'mse' with linear.
+    'mse' with linear. Given `out`, an MlpParams of the same network,
+    the gradients overwrite it and it is returned; the values are the
+    same bits as without it. Otherwise a new MlpParams is returned.
     """
     cfg = params.config
     if loss_kind != cfg.loss_kind():
@@ -255,25 +274,29 @@ def backward(params: MlpParams, cache: ForwardCache, target, loss_kind: str) -> 
             f"{cfg.output_activation!r}"
         )
     target = np.asarray(target, dtype=np.float64)
-    out = cache.output
-    _check_shapes(out, target)
-    batch, out_dim = out.shape
+    pred = cache.output
+    _check_shapes(pred, target)
+    batch, out_dim = pred.shape
     scale = 1.0 / (batch * out_dim)
     # For both sigmoid+BCE and linear+MSE the output-layer delta
     # collapses to (prediction - target) times the mean-loss scale
     # (MSE carries its factor 2).
     if loss_kind == "bce":
-        delta = (out - target) * scale
+        delta = (pred - target) * scale
     else:
-        delta = 2.0 * (out - target) * scale
+        delta = 2.0 * (pred - target) * scale
 
-    grads = MlpParams(config=cfg, flat=np.empty(cfg.n_params))
+    if out is None:
+        out = MlpParams(config=cfg, flat=np.empty(cfg.n_params))
+    elif out.config.layer_widths != cfg.layer_widths:
+        raise ConfigError("gradient buffer layout does not match the parameter layout")
     for l in range(cfg.n_layers - 1, -1, -1):
-        np.matmul(cache.activations[l].T, delta, out=grads.weights[l])
-        delta.sum(axis=0, out=grads.biases[l])
+        np.matmul(cache.activations[l].T, delta, out=out.weights[l])
+        np.add.reduce(delta, axis=0, out=out.biases[l])
         if l > 0:
-            delta = (delta @ params.weights[l].T) * (cache.pre[l - 1] > 0)
-    return grads
+            delta = delta @ params.weights[l].T
+            delta *= cache.pre[l - 1] > 0
+    return out
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
@@ -293,13 +316,26 @@ def _adam_update(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
+    a, b = state.scratch
     # Operation order is part of the result: (1 - b2) * g * g and
     # (1 - b2) * g**2 round differently, and models are byte-compared.
+    # This is m += (1 - b1) * g, v += (1 - b2) * g * g and
+    # theta -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in that
+    # order into the scratch arrays.
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    np.multiply(1.0 - ADAM_BETA1, g, out=a)
+    m += a
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    np.multiply(1.0 - ADAM_BETA2, g, out=a)
+    a *= g
+    v += a
+    np.divide(v, c2, out=a)
+    np.sqrt(a, out=a)
+    a += ADAM_EPS
+    np.divide(m, c1, out=b)
+    b *= state.lr
+    b /= a
+    theta -= b
 
 
 def train(
@@ -338,7 +374,8 @@ def train(
     # loop runs the unchecked forward pass and loss.
     X = _check_input(config, X)
     n = X.shape[0]
-    loss_fn = _bce if config.loss_kind() == "bce" else _mse
+    loss_kind = config.loss_kind()
+    loss_fn = _bce if loss_kind == "bce" else _mse
 
     params = init_params(config, seed)
     rng = np.random.default_rng(seed)
@@ -353,6 +390,7 @@ def train(
 
     history = TrainHistory()
     state = AdamState.for_params(params, lr=lr)
+    grads = MlpParams(config=config, flat=np.empty(config.n_params))
     for epoch in range(epochs):
         order = train_idx[rng.permutation(train_idx.size)]
         total, seen = 0.0, 0
@@ -368,7 +406,7 @@ def train(
                 )
             total += loss * batch.size
             seen += batch.size
-            grads = backward(params, cache, Y_batch, config.loss_kind())
+            backward(params, cache, Y_batch, loss_kind, out=grads)
             adam_step(params, grads, state)
         history.train_loss.append(total / seen)
         if n_val > 0:

@@ -12,7 +12,7 @@ import pytest
 import tabfair.cli
 from conftest import SCHEMA_TEXT, synthetic_rows, write_csv
 from tabfair.cli import Run, config_hash, load_config, main, read_provenance
-from tabfair.dataset import load_level_map, save_level_map
+from tabfair.dataset import load_level_map, save_level_map, stratified_split
 from tabfair.errors import DataError
 from tabfair.evaluation import AttributeFairness, FairnessReport, load_report, save_report
 from tabfair.linalg import load_matrix, save_matrix
@@ -414,6 +414,37 @@ class TestExitCodes:
         main(["train-embed", "--config", str(config)])
         assert main(["debias", "--config", str(config)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["column group sensitive levels=A|B|C",
+                                      "column group sensitive levels=A|B|C privileged=C"])
+    def test_unobserved_sensitive_level_stops_at_prepare(self, tmp_path, capsys, line):
+        # Level C gets its own S column (reference coding, or as the
+        # privileged level) but no row has it: an all-zero column that
+        # only debias would find, after training.
+        config = make_workspace(tmp_path)
+        (tmp_path / "synthetic.schema").write_text(
+            SCHEMA_TEXT.replace("column group sensitive privileged=B", line), encoding="utf-8")
+        assert main(["pipeline", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'prepare' failed" in err and "'group'" in err and "'C'" in err
+        assert not (tmp_path / "out" / "Z.txt").exists()
+
+    def test_sensitive_group_absent_from_test_split_stops_at_prepare(self, tmp_path, capsys):
+        # One training row has group C: the S column group=C is 0 on
+        # every test row, which evaluate cannot score.
+        rows = synthetic_rows()
+        y = np.array([r[-1] == "yes" for r in rows], dtype=np.float64)
+        split = stratified_split(y, BASE_CONFIG["test_fraction"], BASE_CONFIG["seed"])
+        rows[split.train[0]][4] = "C"
+        config = make_workspace(tmp_path)
+        write_csv(tmp_path / "synthetic.csv", rows)
+        (tmp_path / "synthetic.schema").write_text(SCHEMA_TEXT.replace(
+            "column group sensitive privileged=B", "column group sensitive levels=A|B|C"),
+            encoding="utf-8")
+        assert main(["pipeline", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'prepare' failed" in err and "'group=C'" in err
+        assert not (tmp_path / "out" / "Z.txt").exists()
 
     def test_unknown_projection_attribute(self, tmp_path, capsys):
         config = make_workspace(tmp_path, projection={"attributes": ["nope"]})

@@ -6,7 +6,7 @@ import inspect
 import numpy as np
 import pytest
 
-from tabfair.errors import ConfigError
+from tabfair.errors import ConfigError, DataError
 from tabfair.mixed_encoder import (
     MixedEncoderConfig,
     build_cat_num,
@@ -141,6 +141,15 @@ class TestTrainMixed:
             assert hist.val_loss[-1] < hist.val_loss[0]
 
 
+class Unusable:
+    """Stands in for a weight matrix that must never be multiplied."""
+
+    __array_ufunc__ = None  # numpy defers a @ self to __rmatmul__
+
+    def __rmatmul__(self, other):
+        raise AssertionError("a layer past the latent was evaluated")
+
+
 class TestLatent:
     def test_zero_net_gives_zero_latent(self, encoded):
         cfg = small_config()
@@ -161,6 +170,28 @@ class TestLatent:
             extract_latent(params, encoded.X_num),
             cache.activations[net.latent_index],
         )
+
+    def test_evaluates_no_layer_past_the_latent(self, encoded):
+        net = build_num_cat(encoded.d1, encoded.d2, small_config())
+        params = init_params(net, seed=3)
+        k = net.latent_index
+        want = forward(params, encoded.X_num).activations[k]
+        for t in params.weights[k:] + params.biases[k:]:
+            t[...] = np.nan
+        assert np.array_equal(extract_latent(params, encoded.X_num), want)
+        # Multiplying by a later layer's weights at all, even discarded,
+        # is the wasted pass this function must not make.
+        params.weights[k:] = [Unusable()] * (net.n_layers - k)
+        assert np.array_equal(extract_latent(params, encoded.X_num), want)
+
+    def test_input_is_checked(self, encoded):
+        params = init_params(build_num_cat(encoded.d1, encoded.d2, small_config()), seed=0)
+        X = encoded.X_num.copy()
+        X[3, 1] = np.inf
+        with pytest.raises(DataError, match="non-finite"):
+            extract_latent(params, X)
+        with pytest.raises(ConfigError, match="input width"):
+            extract_latent(params, encoded.X_num[:, 1:])
 
     def test_trained_latent_not_constant(self, encoded):
         cfg = small_config(epochs=10)

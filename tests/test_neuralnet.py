@@ -5,10 +5,13 @@ passes, losses, and Adam updates against hand-iterated values frozen
 below (pure-Python arithmetic, no numpy in the derivation).
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import per_token_values, per_value_text, random_finite_floats
+from tabfair import neuralnet
 from tabfair.errors import ConfigError, DataError, NumericalError
 from tabfair.linalg import READ_CHUNK_ROWS
 from tabfair.neuralnet import (
@@ -301,6 +304,28 @@ class TestBackward:
                 if l > 0:
                     delta = (delta @ params.weights[l].T) * (cache.pre[l - 1] > 0)
 
+    def test_out_buffer_is_filled_and_returned(self):
+        # train() reuses one gradient buffer; filling it must give the
+        # bits of a fresh call, whatever the buffer held before.
+        rng = np.random.default_rng(5)
+        for output in ("sigmoid", "linear"):
+            cfg = MlpConfig(layer_widths=(4, 6, 3, 5), output_activation=output, latent_index=1)
+            params = init_params(cfg, seed=2)
+            X = rng.normal(size=(9, 4))
+            Y = rng.integers(0, 2, size=(9, 5)).astype(float)
+            cache = forward(params, X)
+            g = MlpParams(config=cfg, flat=rng.normal(size=cfg.n_params))
+            assert backward(params, cache, Y, cfg.loss_kind(), out=g) is g
+            fresh = backward(params, cache, Y, cfg.loss_kind())
+            assert g.flat.tobytes() == fresh.flat.tobytes()
+
+    def test_out_buffer_of_other_layout_is_refused(self):
+        params = init_params(MlpConfig((2, 3, 1), "linear", 1), seed=0)
+        other = init_params(MlpConfig((1, 4, 1), "linear", 1), seed=0)
+        cache = forward(params, np.ones((2, 2)))
+        with pytest.raises(ConfigError, match="layout"):
+            backward(params, cache, np.ones((2, 1)), "mse", out=other)
+
 
 def scalar_net():
     cfg = MlpConfig(layer_widths=(1, 1, 1), output_activation="linear", latent_index=1)
@@ -453,6 +478,30 @@ class TestTrain:
         assert history.train_loss == train_loss
         assert history.val_loss == val_loss
         assert len(val_loss) == 6
+
+    def test_one_backward_and_adam_step_per_batch(self, monkeypatch):
+        # The benchmark's neuralnet.steps counts adam_step calls: train()
+        # must make one backward and one adam_step call per mini-batch.
+        calls = {"backward": 0, "adam_step": 0}
+
+        def counted(name):
+            fn = getattr(neuralnet, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(neuralnet, name, counted(name))
+        cfg = MlpConfig(layer_widths=(3, 5, 3), output_activation="linear", latent_index=1)
+        X, Y = self.make_linear_data(103)
+        # 103 rows, round(0.15 * 103) = 15 held out: 88 training rows in
+        # batches of 16 are 6 steps an epoch, the last one ragged.
+        train(cfg, X, Y, epochs=4, batch_size=16, val_fraction=0.15, seed=0)
+        steps = math.ceil((103 - 15) / 16) * 4
+        assert calls == {"backward": steps, "adam_step": steps}
 
     def test_target_width_checked_before_training(self):
         # The batch loop's loss skips its shape check; a wrong Y width
