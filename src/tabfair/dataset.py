@@ -402,7 +402,10 @@ def _encode_sensitive(col: ColumnSchema, values: list[str]):
 def _require_observed(name: str, levels: tuple[str, ...], values: list[str]) -> None:
     """Each of `levels` gets its own S column; one that no row has,
     though declared, would be an all-zero column and leave S^T S
-    singular, so it is refused here rather than in debias."""
+    singular. `prepare`'s test-split check would also stop it, but it
+    would blame the split, and library callers of `encode` (README
+    "Library use") never run `prepare`: they would meet it only as a
+    rank-deficient S in debias, with no column named."""
     seen = set(values)
     for level in levels:
         if level not in seen:

@@ -236,11 +236,8 @@ def bce_loss(pred, target) -> float:
 
 
 def _bce(pred: np.ndarray, target: np.ndarray) -> float:
-    # np.clip and np.mean spelled as the ufuncs they call, without
-    # their per-call Python wrappers: the batch loop calls this per step.
-    p = np.minimum(np.maximum(pred, BCE_CLAMP), 1.0 - BCE_CLAMP)
-    t = target * np.log(p) + (1.0 - target) * np.log1p(-p)
-    return float(-(np.add.reduce(t, axis=None) / t.size))
+    p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log1p(-p)))
 
 
 def mse_loss(pred, target) -> float:
@@ -252,8 +249,7 @@ def mse_loss(pred, target) -> float:
 
 
 def _mse(pred: np.ndarray, target: np.ndarray) -> float:
-    t = (pred - target) ** 2
-    return float(np.add.reduce(t, axis=None) / t.size)
+    return float(np.mean((pred - target) ** 2))
 
 
 def backward(
@@ -288,8 +284,6 @@ def backward(
 
     if out is None:
         out = MlpParams(config=cfg, flat=np.empty(cfg.n_params))
-    elif out.config.layer_widths != cfg.layer_widths:
-        raise ConfigError("gradient buffer layout does not match the parameter layout")
     for l in range(cfg.n_layers - 1, -1, -1):
         np.matmul(cache.activations[l].T, delta, out=out.weights[l])
         np.add.reduce(delta, axis=0, out=out.biases[l])

@@ -319,13 +319,6 @@ class TestBackward:
             fresh = backward(params, cache, Y, cfg.loss_kind())
             assert g.flat.tobytes() == fresh.flat.tobytes()
 
-    def test_out_buffer_of_other_layout_is_refused(self):
-        params = init_params(MlpConfig((2, 3, 1), "linear", 1), seed=0)
-        other = init_params(MlpConfig((1, 4, 1), "linear", 1), seed=0)
-        cache = forward(params, np.ones((2, 2)))
-        with pytest.raises(ConfigError, match="layout"):
-            backward(params, cache, np.ones((2, 1)), "mse", out=other)
-
 
 def scalar_net():
     cfg = MlpConfig(layer_widths=(1, 1, 1), output_activation="linear", latent_index=1)
