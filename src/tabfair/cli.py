@@ -27,7 +27,8 @@ import numpy as np
 from . import dataset as ds
 from . import evaluation as ev
 from .errors import ConfigError, DataError, NumericalError, TabfairError
-from .fair_projection import FairProjectionConfig, build_sensitive_matrix, debias
+from .fair_projection import (FairProjectionConfig, build_sensitive_matrix,
+                              check_sensitive_rank, debias)
 from .linalg import load_matrix, save_matrix
 from .mixed_encoder import MixedEncoderConfig, encode_dataset
 from .neuralnet import save_mlp
@@ -210,6 +211,9 @@ def cmd_prepare(run: Run) -> None:
         if np.unique(s).size < 2:
             raise DataError(f"sensitive column {name!r}: one of its two groups has "
                             f"none of the {s.size} test rows")
+    # debias repeats this rank test; here it names the column, before training.
+    attributes = run.cfg["projection"].get("attributes") or encoded.sensitive_names
+    check_sensitive_rank(encoded.S, encoded.sensitive_names, attributes, run.projection)
     run.write_matrix("X_num.txt", encoded.X_num)
     run.write_matrix("X_cat.txt", encoded.X_cat)
     run.write_matrix("S.txt", encoded.S)
@@ -237,8 +241,8 @@ def cmd_train_embed(run: Run) -> None:
     Z, result = encode_dataset(X_num, X_cat, run.encoder)
     hist_nc, hist_cn = result.history_num_cat, result.history_cat_num
     run.write_matrix("Z.txt", Z)
-    run.write("model_num_cat.txt", save_mlp, result.params_num_cat)
-    run.write("model_cat_num.txt", save_mlp, result.params_cat_num)
+    run.write("model_num_cat.npz", save_mlp, result.params_num_cat)
+    run.write("model_cat_num.npz", save_mlp, result.params_cat_num)
     run.write("loss_num_cat.csv", lambda path, h: h.to_csv(path), hist_nc)
     run.write("loss_cat_num.csv", lambda path, h: h.to_csv(path), hist_cn)
     run.write_provenance(

@@ -70,8 +70,8 @@ class ColumnSchema:
 
 
 def validate_schema(columns: list[ColumnSchema]) -> None:
-    """Whole-schema invariants: unique names, exactly one label, at
-    least one numerical and one categorical feature column."""
+    """Whole-schema invariants: unique names, exactly one label, and at
+    least one numerical, one categorical and one sensitive column."""
     names = [c.name for c in columns]
     if len(set(names)) != len(names):
         raise ConfigError("schema column names must be unique")
@@ -82,6 +82,8 @@ def validate_schema(columns: list[ColumnSchema]) -> None:
         raise ConfigError(
             "schema needs at least one numerical and one categorical column"
         )
+    if "sensitive" not in kinds:
+        raise ConfigError("schema needs at least one sensitive column to debias against")
 
 
 def load_schema(path) -> list[ColumnSchema]:
@@ -358,7 +360,7 @@ def encode(raw: RawTable, schema: list[ColumnSchema]) -> EncodedDataset:
     dataset = EncodedDataset(
         X_num=np.column_stack(num_cols),
         X_cat=np.hstack(cat_cols),
-        S=np.hstack(sens_cols) if sens_cols else np.zeros((raw.n, 0)),
+        S=np.hstack(sens_cols),
         y=y,
         num_names=num_names,
         cat_names=cat_names,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
-from .linalg import explained_variance, rank_k_svd, residualize
+from .errors import ConfigError, DataError, NumericalError
+from .linalg import explained_variance, first_collinear_column, rank_k_svd, residualize
 
 # Acceptable relative orthogonality residual of Z_hat^T S.
 ORTHOGONALITY_TOL = 1e-8
@@ -71,13 +71,35 @@ def build_sensitive_matrix(S, names: list[str], attributes: list[str]) -> np.nda
     An attribute matches the column of that name and every
     reference-dropped indicator column "<attribute>=<level>".
     """
+    return np.asarray(S, dtype=np.float64)[:, _attribute_columns(names, attributes)]
+
+
+def _attribute_columns(names: list[str], attributes: list[str]) -> list[int]:
     columns = []
     for attr in attributes:
         hits = [j for j, n in enumerate(names) if n == attr or n.startswith(f"{attr}=")]
         if not hits:
             raise ConfigError(f"unknown sensitive attribute {attr!r}; dataset has {names}")
         columns.extend(hits)
-    return np.asarray(S, dtype=np.float64)[:, columns]
+    return columns
+
+
+def _with_intercept(S: np.ndarray, config: FairProjectionConfig) -> np.ndarray:
+    return np.hstack([S, np.ones((S.shape[0], 1))]) if config.include_intercept else S
+
+
+def check_sensitive_rank(S, names: list[str], attributes: list[str],
+                         config: FairProjectionConfig) -> None:
+    """Refuse, as a DataError naming it, the first column of the S that
+    debias() would be given (the attributes' columns, then the intercept
+    when configured) that is collinear with the columns before it."""
+    columns = _attribute_columns(names, attributes)
+    S = _with_intercept(np.asarray(S, dtype=np.float64)[:, columns], config)
+    j = first_collinear_column(np.linalg.qr(S, mode="r"))
+    if j is not None:
+        named = [names[c] for c in columns] + ["intercept"]
+        raise DataError(f"column {named[j]!r} of S is collinear with the columns before "
+                        f"it {named[:j]}; drop collinear sensitive columns")
 
 
 def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
@@ -98,8 +120,9 @@ def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
         raise ConfigError("Z and S must be 2-D matrices")
     if Z.shape[0] != S.shape[0]:
         raise ConfigError(f"row mismatch: Z has {Z.shape[0]} rows, S has {S.shape[0]}")
-    if config.include_intercept:
-        S = np.hstack([S, np.ones((S.shape[0], 1))])
+    if S.shape[1] == 0:
+        raise ConfigError("S has no columns: there is no sensitive attribute to remove")
+    S = _with_intercept(S, config)
     n, p = Z.shape
     if config.variance_target is None and not 1 <= config.k <= min(n, p):
         raise ConfigError(f"k={config.k} out of range [1, {min(n, p)}] for a {n}x{p} matrix")

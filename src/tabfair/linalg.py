@@ -1,10 +1,10 @@
 """Dense real-matrix utilities: truncated SVD, explained variance,
-projectors onto sensitive-attribute column spaces, and the text row
-format that matrix and model files share.
+projectors onto sensitive-attribute column spaces, and the text matrix
+file format.
 
 A row is one line of space-separated 17-significant-digit values, so
 float64 round-trips exactly. write_rows() formats each row with one
-`%` call; read_rows() parses READ_CHUNK_ROWS lines at a time with
+`%` call; _read_into() parses READ_CHUNK_ROWS lines at a time with
 np.loadtxt, whose values are bit-identical to float(), so the text held
 in memory stays bounded however tall the matrix is.
 
@@ -13,8 +13,7 @@ a row boundary: save_matrix() and load_matrix() fork a child that
 formats the second half of the rows into a part file, or parses it
 straight into the result, which load_matrix() allocates in shared
 memory. The bytes are the same as one process writes, and the child
-never calls BLAS. Model files (neuralnet.save_mlp/load_mlp) are small
-and use write_rows()/read_rows() in one process.
+never calls BLAS.
 
 All operations are pure and work on float64 ``numpy`` arrays. Matrices
 are required to be finite; violations raise early rather than letting
@@ -117,21 +116,31 @@ def explained_variance(D) -> np.ndarray:
 
 
 def _orthonormal_basis(S: np.ndarray) -> np.ndarray:
-    """Thin-QR basis Q of col(S), refusing rank-deficient S.
-
-    R shares the singular values of S, so testing R's reciprocal
-    condition number squared against RCOND_LIMIT is the same condition
-    as testing that of S^T S.
-    """
+    """Thin-QR basis Q of col(S), refusing rank-deficient S."""
     Q, R = np.linalg.qr(S)
-    sv = np.linalg.svd(R, compute_uv=False)
-    smax = sv[0]
-    if smax == 0.0 or (sv[-1] / smax) ** 2 < RCOND_LIMIT:
+    if first_collinear_column(R) is not None:
         raise NumericalError(
             "S^T S is rank-deficient (reciprocal condition number below "
             f"{RCOND_LIMIT:g}); drop collinear sensitive columns"
         )
     return Q
+
+
+def first_collinear_column(R: np.ndarray) -> int | None:
+    """Given the QR factor R of S, the index of the first column of S
+    collinear with the columns before it, or None when there is none.
+
+    R[:j, :j] is the R factor of S's first j columns and shares their
+    singular values, so testing its reciprocal condition number squared
+    against RCOND_LIMIT is the same condition as testing that of their
+    Gram matrix. Past the row count of S there are fewer singular values
+    than columns: the first such column is collinear.
+    """
+    for j in range(1, R.shape[1] + 1):
+        sv = np.linalg.svd(R[:j, :j], compute_uv=False)
+        if sv.size < j or sv[0] == 0.0 or (sv[-1] / sv[0]) ** 2 < RCOND_LIMIT:
+            return j - 1
+    return None
 
 
 def projector(S) -> np.ndarray:
@@ -158,7 +167,7 @@ def residualize(S, M) -> np.ndarray:
     return M - Q @ (Q.T @ M)
 
 
-# Rows per np.loadtxt call in read_rows(). Larger chunks parse no faster
+# Rows per np.loadtxt call in _read_into(). Larger chunks parse no faster
 # but hold more text at once: on Adult-shaped artifacts (200 columns),
 # 128-row chunks raised the peak RSS of `evaluate` by 0.5 MB, 64-row
 # chunks by 0.1 MB.
@@ -171,25 +180,6 @@ def write_rows(fh, M: np.ndarray) -> None:
     line = " ".join(["%.17g"] * M.shape[1]) + "\n"
     for row in M:
         fh.write(line % tuple(row.tolist()))
-
-
-def read_rows(fh, rows: int, cols: int, where: str) -> np.ndarray:
-    """The next `rows` lines of fh, as written by write_rows(), as a
-    rows x cols float64 matrix. A size the file cannot hold, a missing,
-    blank, short, long or unparseable row, a last row cut before its
-    line end, or text that is not UTF-8 is a DataError naming `where`
-    and the row."""
-    _check_fits(fh, rows, cols, where)
-    out = np.empty((rows, cols), dtype=np.float64)
-    _read_into(fh, out, 0, rows, where)
-    return out
-
-
-def _check_fits(fh, rows: int, cols: int, where: str) -> None:
-    # A row takes at least one byte and a value two, so a corrupt header
-    # is refused here rather than sized into an allocation.
-    if min(rows, cols) < 0 or rows * (2 * cols or 1) > os.fstat(fh.fileno()).st_size:
-        raise DataError(f"{where}: {rows} x {cols} values do not fit the file")
 
 
 def _read_into(fh, out: np.ndarray, lo: int, hi: int, where: str) -> None:
@@ -286,7 +276,10 @@ def load_matrix(path) -> np.ndarray:
             rows, cols = int(header[0]), int(header[1])
         except ValueError as exc:
             raise DataError(f"{path}: malformed header {header!r}") from exc
-        _check_fits(fh, rows, cols, str(path))
+        # A row takes at least one byte and a value two, so a corrupt
+        # header is refused here rather than sized into an allocation.
+        if min(rows, cols) < 0 or rows * (2 * cols or 1) > os.fstat(fh.fileno()).st_size:
+            raise DataError(f"{path}: {rows} x {cols} values do not fit the file")
         start = fh.tell()
         h, offset = _split_rows(fh, start, rows)
     # mmap refuses a length of 0; np.frombuffer keeps the mapping alive.

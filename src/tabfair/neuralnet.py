@@ -13,15 +13,15 @@ function of its inputs and seed; training never mutates your data.
 
 from __future__ import annotations
 
+import math
+import os
+import zipfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, undecodable_is_data_error
-from .linalg import read_rows, write_rows
+from .errors import ConfigError, DataError, NumericalError
 
-HIDDEN_ACTIVATIONS = ("relu",)
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
 
 # Clamp for BCE so log(0) can never occur.
@@ -37,13 +37,12 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class MlpConfig:
-    """Network shape: layer widths from input to output, activations,
-    and which layer is the encoder output (latent)."""
+    """Network shape: layer widths from input to output, the output
+    activation (hidden layers are ReLU), and the latent layer."""
 
     layer_widths: tuple[int, ...]
     output_activation: str
     latent_index: int
-    hidden_activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
@@ -56,8 +55,6 @@ class MlpConfig:
                 f"latent_index {self.latent_index} must name a hidden layer "
                 f"(1..{len(self.layer_widths) - 2})"
             )
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ConfigError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ConfigError(f"unknown output activation {self.output_activation!r}")
 
@@ -413,65 +410,44 @@ def train(
     return params, history
 
 
-MODEL_FORMAT = "tabfair-mlp 1"
+MODEL_FORMAT = "tabfair-mlp 2"
 
 
 def save_mlp(path, params: MlpParams) -> None:
-    """Persist a network as text (17 significant digits, exact round-trip)."""
+    """Persist a network as one uncompressed .npz: the format tag, the
+    shape, and MlpParams.flat bit for bit. numpy dates every member
+    1980-01-01, so equal networks give equal bytes."""
     cfg = params.config
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(MODEL_FORMAT + "\n")
-        fh.write("widths " + " ".join(str(w) for w in cfg.layer_widths) + "\n")
-        fh.write(f"hidden_activation {cfg.hidden_activation}\n")
-        fh.write(f"output_activation {cfg.output_activation}\n")
-        fh.write(f"latent_index {cfg.latent_index}\n")
-        for l, (W, b) in enumerate(zip(params.weights, params.biases)):
-            fh.write(f"layer {l} weight {W.shape[0]} {W.shape[1]}\n")
-            write_rows(fh, W)
-            fh.write(f"layer {l} bias {b.shape[0]}\n")
-            write_rows(fh, b[None, :])
+    with open(path, "wb") as fh:  # a path np.savez gets would gain ".npz"
+        np.savez(fh, format=MODEL_FORMAT, widths=np.array(cfg.layer_widths),
+                 output_activation=cfg.output_activation,
+                 latent_index=cfg.latent_index, flat=params.flat)
 
 
 def load_mlp(path) -> MlpParams:
-    """Load a network written by save_mlp(). A truncated or malformed
-    file, or one that is not UTF-8 text, is a DataError."""
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh, undecodable_is_data_error(path):
-        if fh.readline() != MODEL_FORMAT + "\n":
-            raise DataError(f"{path}: not a {MODEL_FORMAT!r} file")
-
-        def fields(key: str) -> list[str]:
-            parts = fh.readline().split()
-            if not parts or parts[0] != key:
-                raise DataError(f"{path}: expected a {key!r} line")
-            return parts[1:]
-
-        def expect(line: str) -> None:
-            if fh.readline() != line + "\n":
-                raise DataError(f"{path}: expected {line!r}")
-
-        # A cut header line runs out of fields (IndexError) or leaves a
-        # bad number (ValueError) or an invalid shape (ConfigError).
+    """Load a network written by save_mlp(). A file that is not such an
+    archive, a truncated or malformed one, or parameters that do not
+    fit the network are a DataError, raised before any array larger
+    than the file is allocated."""
+    # Opened here, not by np.load, which leaves a file it opened unclosed
+    # when the archive is unreadable.
+    with open(path, "rb") as fh:
         try:
-            widths = tuple(int(w) for w in fields("widths"))
-            hidden = fields("hidden_activation")[0]
-            output = fields("output_activation")[0]
-            latent = int(fields("latent_index")[0])
-            config = MlpConfig(
-                layer_widths=widths,
-                output_activation=output,
-                latent_index=latent,
-                hidden_activation=hidden,
-            )
-        except (IndexError, ValueError, ConfigError) as exc:
-            raise DataError(f"{path}: truncated or malformed model file: {exc}") from exc
-        weights, biases = [], []
-        for l, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            expect(f"layer {l} weight {fan_in} {fan_out}")
-            weights.append(read_rows(fh, fan_in, fan_out, f"{path}: layer {l} weight"))
-            expect(f"layer {l} bias {fan_out}")
-            biases.append(read_rows(fh, 1, fan_out, f"{path}: layer {l} bias")[0])
-    # Every block is read and size-checked before the buffer exists, so
-    # a corrupt size line is refused rather than allocated.
-    flat = np.concatenate([t.ravel() for pair in zip(weights, biases) for t in pair])
-    return MlpParams(config=config, flat=flat)
+            with np.load(fh, allow_pickle=False) as z:
+                # np.load allocates what an npy header declares before it
+                # reads the data, so a forged size is refused from the header.
+                for name in ("format", "widths", "output_activation", "latent_index", "flat"):
+                    with z.zip.open(f"{name}.npy") as member:
+                        np.lib.format.read_magic(member)
+                        shape, _, dtype = np.lib.format.read_array_header_1_0(member)
+                    if math.prod(shape) * dtype.itemsize > os.fstat(fh.fileno()).st_size:
+                        raise DataError(f"{path}: member {name!r} declares more data "
+                                        "than the file holds")
+                if str(z["format"]) != MODEL_FORMAT:
+                    raise DataError(f"{path}: not a {MODEL_FORMAT!r} file")
+                config = MlpConfig(tuple(z["widths"].tolist()), str(z["output_activation"]),
+                                   int(z["latent_index"]))
+                return MlpParams(config=config, flat=z["flat"])
+        except (ValueError, SyntaxError, TypeError, KeyError, EOFError, NotImplementedError,
+                zipfile.BadZipFile, ConfigError) as exc:
+            raise DataError(f"{path}: not a readable {MODEL_FORMAT!r} file: {exc}") from exc

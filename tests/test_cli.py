@@ -41,7 +41,7 @@ BASE_CONFIG = {
 PIPELINE_ARTIFACTS = [
     "X_num.txt", "X_cat.txt", "S.txt", "y.txt", "levelmap.txt", "split.txt",
     "sensitive_names.txt", "prepare.provenance.txt",
-    "Z.txt", "model_num_cat.txt", "model_cat_num.txt",
+    "Z.txt", "model_num_cat.npz", "model_cat_num.npz",
     "loss_num_cat.csv", "loss_cat_num.csv", "train_embed.provenance.txt",
     "Z_hat.txt", "debias.provenance.txt",
     "report_biased.txt", "roc_biased.csv", "report_debiased.txt",
@@ -396,7 +396,9 @@ class TestExitCodes:
             (tmp_path / "out" / name).unlink()
         assert main(["evaluate", "--config", str(config)]) == 0
 
-    def test_collinear_sensitive_is_numerical_error(self, tmp_path, capsys):
+    @staticmethod
+    def collinear_workspace(tmp_path, attributes) -> Path:
+        """A workspace whose sensitive column group2 repeats group."""
         schema = SCHEMA_TEXT.replace(
             "column group sensitive privileged=B",
             "column group sensitive privileged=B\n"
@@ -407,13 +409,50 @@ class TestExitCodes:
         write_csv(tmp_path / "synthetic.csv", rows, header=header)
         (tmp_path / "synthetic.schema").write_text(schema, encoding="utf-8")
         cfg = json.loads(json.dumps(BASE_CONFIG))
-        cfg["projection"]["attributes"] = ["group", "group2"]
+        cfg["projection"]["attributes"] = attributes
         config = tmp_path / "config.json"
         config.write_text(json.dumps(cfg), encoding="utf-8")
-        main(["prepare", "--config", str(config)])
-        main(["train-embed", "--config", str(config)])
+        return config
+
+    def test_collinear_sensitive_is_numerical_error(self, tmp_path, capsys):
+        # prepare checks only the attributes configured when it ran;
+        # debias, run alone with more, keeps its own rank check.
+        config = self.collinear_workspace(tmp_path, ["group"])
+        assert main(["prepare", "--config", str(config)]) == 0
+        assert main(["train-embed", "--config", str(config)]) == 0
+        self.collinear_workspace(tmp_path, ["group", "group2"])
+        capsys.readouterr()
         assert main(["debias", "--config", str(config)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_collinear_sensitive_stops_at_prepare(self, tmp_path, capsys):
+        config = self.collinear_workspace(tmp_path, ["group", "group2"])
+        assert main(["pipeline", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'prepare' failed" in err
+        assert "column 'group2' of S is collinear with the columns before it ['group']" in err
+        assert not (tmp_path / "out" / "Z.txt").exists()
+
+    def test_unobserved_reference_level_collides_with_intercept(self, tmp_path, capsys):
+        # Reference level C never occurs, so group=A + group=B is 1 on
+        # every row: the intercept is the collinear column.
+        config = make_workspace(tmp_path, projection={"include_intercept": True})
+        (tmp_path / "synthetic.schema").write_text(SCHEMA_TEXT.replace(
+            "column group sensitive privileged=B", "column group sensitive levels=C|A|B"),
+            encoding="utf-8")
+        assert main(["pipeline", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "column 'intercept' of S is collinear with the columns before it " \
+               "['group=A', 'group=B']" in err, err
+        assert not (tmp_path / "out" / "Z.txt").exists()
+
+    def test_schema_without_sensitive_column_writes_nothing(self, tmp_path, capsys):
+        config = make_workspace(tmp_path, projection={"attributes": None})
+        (tmp_path / "synthetic.schema").write_text(SCHEMA_TEXT.replace(
+            "column group sensitive privileged=B", "column group ignored"), encoding="utf-8")
+        assert main(["pipeline", "--config", str(config)]) == 1
+        assert "at least one sensitive column" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("line", ["column group sensitive levels=A|B|C",
                                       "column group sensitive levels=A|B|C privileged=C"])
@@ -479,12 +518,9 @@ class TestExitCodes:
             read_provenance(path)
 
     def test_truncated_artifacts_are_data_errors(self, tmp_path, encoded):
-        model = init_params(MlpConfig((3, 4, 2, 3), "sigmoid", 2), seed=0)
-        model.biases[-1][-1] = 1234.5678
         formats = {
             "levelmap": (save_level_map, load_level_map, encoded.level_map),
             "matrix": (save_matrix, load_matrix, np.array([[1e-300, -0.5], [3.25, 1234.5678]])),
-            "model": (save_mlp, load_mlp, model),
             "report": (lambda p, r: save_report(p, r, "synthetic", "biased"), load_report,
                        FairnessReport(0.75, 0.8, [AttributeFairness("group", 90.0, 0.05, True),
                                                   AttributeFairness("race", 70.0, 0.1, False)])),
@@ -501,13 +537,22 @@ class TestExitCodes:
             # each line cut after its first word (a key with no value)
             cuts += ["".join(lines[:i]) + line.split()[0] + "\n"
                      for i, line in enumerate(lines) if len(line.split()) > 1]
-            # the file cut inside its last value (1234.5678 in a matrix or model)
+            # the file cut inside its last value (1234.5678 in a matrix)
             cuts += [full[:-k] for k in range(1, len("1234.5678") + 2)]
             # a byte that is not UTF-8 after the last line
             for data in [text.encode("utf-8") for text in cuts] + [full.encode("utf-8") + b"\xff"]:
                 path.write_bytes(data)
                 with pytest.raises(DataError):
                     load(path)
+        # A model is a binary archive: every byte prefix is cut.
+        path = tmp_path / "model"
+        save_mlp(path, init_params(MlpConfig((3, 4, 2, 3), "sigmoid", 2), seed=0))
+        load_mlp(path)
+        data = path.read_bytes()
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            with pytest.raises(DataError):
+                load_mlp(path)
         # Any count of names is valid, so only a cut inside the last, or
         # a byte that is not UTF-8, is seen.
         path, names = tmp_path / "names", b"group\nrace\n"

@@ -35,6 +35,7 @@ class TestSchema:
             "# a comment\n"
             "column a numerical  # trailing comment\n"
             "column b categorical levels=x|y|z\n"
+            "column s sensitive\n"
             "column y label\n",
             encoding="utf-8",
         )
@@ -76,6 +77,16 @@ class TestSchema:
         ]
         with pytest.raises(ConfigError):
             ds.validate_schema(cols)
+
+    def test_needs_a_sensitive_column(self):
+        cols = [
+            ds.ColumnSchema("a", "numerical"),
+            ds.ColumnSchema("b", "categorical"),
+            ds.ColumnSchema("y", "label"),
+        ]
+        with pytest.raises(ConfigError, match="at least one sensitive column"):
+            ds.validate_schema(cols)
+        ds.validate_schema(cols + [ds.ColumnSchema("s", "sensitive")])
 
     def test_option_kind_pairing_enforced(self):
         with pytest.raises(ConfigError):

@@ -4,10 +4,11 @@ idempotence, optimality against random challengers, and k selection."""
 import numpy as np
 import pytest
 
-from tabfair.errors import ConfigError, NumericalError
+from tabfair.errors import ConfigError, DataError, NumericalError
 from tabfair.fair_projection import (
     FairProjectionConfig,
     build_sensitive_matrix,
+    check_sensitive_rank,
     debias,
     select_k,
 )
@@ -121,6 +122,12 @@ class TestDebias:
         with pytest.raises(ConfigError):
             debias(np.zeros((4, 2)), np.ones((5, 1)), FairProjectionConfig(k=1))
 
+    @pytest.mark.parametrize("include_intercept", [False, True])
+    def test_s_without_columns(self, include_intercept):
+        config = FairProjectionConfig(k=1, include_intercept=include_intercept)
+        with pytest.raises(ConfigError, match="no columns"):
+            debias(np.eye(4, 2), np.zeros((4, 0)), config)
+
     def test_intercept_augmentation(self):
         rng = np.random.default_rng(20)
         Z, S = random_instance(rng, n=14, p=5)
@@ -186,6 +193,30 @@ class TestBuildSensitiveMatrix:
         Z = np.hstack([encoded.X_num, encoded.X_cat])
         with pytest.raises(NumericalError, match="collinear"):
             debias(Z, S, FairProjectionConfig(k=3))
+
+    def test_rank_check_names_the_collinear_column(self):
+        rng = np.random.default_rng(5)
+        S = rng.integers(0, 2, size=(12, 3)).astype(float)
+        S[:2] = [[0, 0, 0], [1, 1, 1]]
+        names = ["a", "b=x", "b=y"]
+        plain = FairProjectionConfig(k=1)
+        centered = FairProjectionConfig(k=1, include_intercept=True)
+        check_sensitive_rank(S, names, ["a", "b"], centered)
+        # b=y repeats a, in attribute order a, b=x, b=y ...
+        S[:, 2] = S[:, 0]
+        with pytest.raises(DataError, match=r"'b=y' of S is collinear .* \['a', 'b=x'\]"):
+            check_sensitive_rank(S, names, ["a", "b"], plain)
+        # ... and a repeats b=y in order b=x, b=y, a.
+        with pytest.raises(DataError, match=r"'a' of S is collinear .* \['b=x', 'b=y'\]"):
+            check_sensitive_rank(S, names, ["b", "a"], plain)
+        # b=x + b=y = 1 on every row: the intercept is named.
+        S[:, 2] = 1.0 - S[:, 1]
+        check_sensitive_rank(S, names, ["b"], plain)
+        with pytest.raises(DataError, match=r"'intercept' of S is collinear"):
+            check_sensitive_rank(S, names, ["b"], centered)
+        # debias refuses what the check refuses, as a NumericalError.
+        with pytest.raises(NumericalError):
+            debias(rng.normal(size=(12, 3)), build_sensitive_matrix(S, names, ["b"]), centered)
 
     def test_prefix_matching_for_multi_level(self, tmp_path):
         # A 3-level sensitive column contributes both indicator columns.

@@ -14,6 +14,7 @@ from tabfair.linalg import (
     READ_CHUNK_ROWS,
     SvdResult,
     explained_variance,
+    first_collinear_column,
     load_matrix,
     projector,
     rank_k_svd,
@@ -225,6 +226,35 @@ class TestProjector:
         projector(U @ np.diag([1.0, 1e-6 * (1 + 1e-3)]) @ V)
         with pytest.raises(NumericalError):
             projector(U @ np.diag([1.0, 1e-6 * (1 - 1e-3)]) @ V)
+
+
+class TestFirstCollinearColumn:
+    @staticmethod
+    def first(S):
+        return first_collinear_column(np.linalg.qr(S, mode="r"))
+
+    def test_full_rank_is_none(self):
+        assert self.first(np.random.default_rng(3).normal(size=(9, 4))) is None
+
+    def test_names_first_dependent_column(self):
+        rng = np.random.default_rng(4)
+        a, b, c = rng.normal(size=(3, 9, 1))
+        # Column 2 is a + b; column 4 repeats a but comes later.
+        assert self.first(np.hstack([a, b, a + b, c, a])) == 2
+        assert self.first(np.hstack([np.zeros((9, 1)), a])) == 0
+        # More columns than rows: the third of two-row columns.
+        assert self.first(rng.normal(size=(2, 3))) == 2
+        with pytest.raises(NumericalError, match="collinear"):
+            projector(rng.normal(size=(2, 3)))
+
+    def test_same_threshold_as_projector(self):
+        # The matrices of test_rank_threshold_is_gram_rcond, either side
+        # of the limit.
+        rng = np.random.default_rng(17)
+        U, _ = np.linalg.qr(rng.normal(size=(8, 2)))
+        V, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        assert self.first(U @ np.diag([1.0, 1e-6 * (1 + 1e-3)]) @ V) is None
+        assert self.first(U @ np.diag([1.0, 1e-6 * (1 - 1e-3)]) @ V) == 1
 
 
 class TestResidualize:

@@ -5,15 +5,16 @@ passes, losses, and Adam updates against hand-iterated values frozen
 below (pure-Python arithmetic, no numpy in the derivation).
 """
 
+import io
 import math
+import zipfile
 
 import numpy as np
 import pytest
 
-from conftest import per_token_values, per_value_text, random_finite_floats
+from conftest import random_finite_floats
 from tabfair import neuralnet
 from tabfair.errors import ConfigError, DataError, NumericalError
-from tabfair.linalg import READ_CHUNK_ROWS
 from tabfair.neuralnet import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -536,7 +537,7 @@ class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
         cfg = MlpConfig(layer_widths=(4, 6, 3, 5), output_activation="sigmoid", latent_index=2)
         params = init_params(cfg, seed=21)
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.npz"
         save_mlp(path, params)
         back = load_mlp(path)
         assert back.config == cfg
@@ -546,34 +547,68 @@ class TestPersistence:
             assert np.array_equal(b1, b2)
 
     def test_matches_per_value_oracles(self, tmp_path):
-        # Weight blocks one row short of, at and one row past a read chunk.
-        widths = (READ_CHUNK_ROWS + 1, READ_CHUNK_ROWS, READ_CHUNK_ROWS - 1, 3)
-        cfg = MlpConfig(layer_widths=widths, output_activation="linear", latent_index=2)
+        # Every member by name and dtype, and the flat buffer bit for bit
+        # (random_finite_floats holds +-0, subnormals and extremes).
+        cfg = MlpConfig(layer_widths=(9, 7, 5, 3), output_activation="linear", latent_index=2)
         flat = random_finite_floats(np.random.default_rng(8), (cfg.n_params,))
-        params = MlpParams(config=cfg, flat=flat)
-        path = tmp_path / "model.txt"
-        save_mlp(path, params)
-        want = "tabfair-mlp 1\n" + f"widths {widths[0]} {widths[1]} {widths[2]} {widths[3]}\n"
-        want += "hidden_activation relu\noutput_activation linear\nlatent_index 2\n"
-        for l, (W, b) in enumerate(zip(params.weights, params.biases)):
-            want += f"layer {l} weight {W.shape[0]} {W.shape[1]}\n" + per_value_text(W)
-            want += f"layer {l} bias {b.shape[0]}\n" + per_value_text([b])
-        text = path.read_text(encoding="utf-8")
-        assert text == want
-        rows = [line for line in text.splitlines()[5:] if not line.startswith("layer ")]
-        oracle = np.array([v for row in per_token_values(rows) for v in row])
+        path = tmp_path / "model.npz"
+        save_mlp(path, MlpParams(config=cfg, flat=flat))
+        with zipfile.ZipFile(path) as zf:
+            assert zf.namelist() == ["format.npy", "widths.npy", "output_activation.npy",
+                                     "latent_index.npy", "flat.npy"]
+            assert all(info.compress_type == zipfile.ZIP_STORED for info in zf.infolist())
+        with np.load(path, allow_pickle=False) as z:
+            members = {name: z[name] for name in z.files}
+        assert members["format"].dtype.kind == "U" and members["format"] == "tabfair-mlp 2"
+        assert members["widths"].dtype == np.int64
+        assert members["widths"].tolist() == [9, 7, 5, 3]
+        assert members["output_activation"].dtype.kind == "U"
+        assert members["output_activation"] == "linear"
+        assert members["latent_index"].dtype == np.int64 and members["latent_index"] == 2
+        assert members["flat"].dtype == np.float64 and members["flat"].shape == (cfg.n_params,)
+        assert np.array_equal(members["flat"].view(np.uint64), flat.view(np.uint64))
         back = load_mlp(path)
         assert back.config == cfg
-        assert np.array_equal(back.flat.view(np.uint64), oracle.view(np.uint64))
         assert np.array_equal(back.flat.view(np.uint64), flat.view(np.uint64))
 
+    def test_saves_are_byte_identical(self, tmp_path):
+        params = init_params(MlpConfig((4, 6, 3, 5), "sigmoid", 2), seed=21)
+        save_mlp(tmp_path / "a.npz", params)
+        save_mlp(tmp_path / "b.npz", params)
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+        # No member carries the clock.
+        with zipfile.ZipFile(tmp_path / "a.npz") as zf:
+            assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+    @staticmethod
+    def forged_model(path, widths, flat_shape) -> None:
+        """A model archive whose flat.npy header declares flat_shape,
+        followed by only 8 bytes of data."""
+        members = {"format": np.array("tabfair-mlp 2"), "widths": np.array(widths),
+                   "output_activation": np.array("linear"), "latent_index": np.array(1)}
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, value in members.items():
+                buf = io.BytesIO()
+                np.save(buf, value)
+                zf.writestr(f"{name}.npy", buf.getvalue())
+            buf = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                buf, {"descr": "<f8", "fortran_order": False, "shape": flat_shape})
+            zf.writestr("flat.npy", buf.getvalue() + bytes(8))
+
     def test_wrong_header(self, tmp_path):
-        path = tmp_path / "model.txt"
-        # not a model file, and a width no file this size can hold (a
-        # 3 x 4e9 weight block must be refused, not allocated)
-        huge = ("tabfair-mlp 1\nwidths 3 4000000000 2\nhidden_activation relu\n"
-                "output_activation linear\nlatent_index 1\nlayer 0 weight 3 4000000000\n0\n")
-        for text in ("something else\n", huge):
-            path.write_text(text, encoding="utf-8")
+        path = tmp_path / "model.npz"
+        # a model in the old text format
+        path.write_text("tabfair-mlp 1\nwidths 3 4 2\nhidden_activation relu\n"
+                        "output_activation linear\nlatent_index 1\n", encoding="utf-8")
+        with pytest.raises(DataError):
+            load_mlp(path)
+        # A parameter buffer of billions of values must be refused from
+        # its header, not allocated: with widths it does not fit, and
+        # with widths it fits but the file cannot hold.
+        wide = (3, 1_000_000_000, 2)
+        for widths, n in (((3, 4, 2), 4_000_000_000),
+                          (wide, MlpConfig(wide, "linear", 1).n_params)):
+            self.forged_model(path, widths, (n,))
             with pytest.raises(DataError):
                 load_mlp(path)
