@@ -6,13 +6,13 @@ columns with full-dataset population statistics, expands categorical
 columns into one indicator per observed level, builds a binary
 sensitive matrix S that never overlaps the feature columns, and maps
 the label to {0, 1}. The full encoding recipe (the "level map") is
-persisted beside the matrices and read back unchanged.
+persisted beside the matrices.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -264,10 +264,12 @@ class EncodedDataset:
     X_cat: np.ndarray
     S: np.ndarray
     y: np.ndarray
-    num_names: list[str]
-    cat_names: list[str]  # "column=level" per indicator column
-    sensitive_names: list[str]  # one per S column
     level_map: LevelMap
+
+    @property
+    def sensitive_names(self) -> list[str]:
+        """One name per S column, in order."""
+        return [n for e in self.level_map.sensitive for n in e.column_names()]
 
     @property
     def n(self) -> int:
@@ -325,9 +327,9 @@ def encode(raw: RawTable, schema: list[ColumnSchema]) -> EncodedDataset:
     if raw.n < 2:
         raise DataError(f"need at least 2 rows to encode, got {raw.n}")
 
-    num_encs, num_cols, num_names = [], [], []
-    cat_encs, cat_cols, cat_names = [], [], []
-    sens_encs, sens_cols, sens_names = [], [], []
+    num_encs, num_cols = [], []
+    cat_encs, cat_cols = [], []
+    sens_encs, sens_cols = [], []
     label_name, label_positive, y = None, None, None
 
     for col in schema:
@@ -342,29 +344,23 @@ def encode(raw: RawTable, schema: list[ColumnSchema]) -> EncodedDataset:
                 raise DataError(f"numerical column {col.name!r} is constant")
             num_encs.append(NumericalEncoding(col.name, mean, std))
             num_cols.append((x - mean) / std)
-            num_names.append(col.name)
         elif col.kind == "categorical":
             levels = _observed_levels(values, col.levels, col.name)
             cat_encs.append(CategoricalEncoding(col.name, levels))
             cat_cols.append(_indicator_block(values, levels))
-            cat_names.extend(f"{col.name}={lv}" for lv in levels)
         elif col.kind == "sensitive":
             enc, block = _encode_sensitive(col, values)
             sens_encs.append(enc)
             sens_cols.append(block)
-            sens_names.extend(enc.column_names())
         elif col.kind == "label":
             label_name, label_positive = col.name, col.positive
             y = _encode_label(values, col)
 
-    dataset = EncodedDataset(
+    return EncodedDataset(
         X_num=np.column_stack(num_cols),
         X_cat=np.hstack(cat_cols),
         S=np.hstack(sens_cols),
         y=y,
-        num_names=num_names,
-        cat_names=cat_names,
-        sensitive_names=sens_names,
         level_map=LevelMap(
             numerical=tuple(num_encs),
             categorical=tuple(cat_encs),
@@ -373,7 +369,6 @@ def encode(raw: RawTable, schema: list[ColumnSchema]) -> EncodedDataset:
             label_positive=label_positive,
         ),
     )
-    return dataset
 
 
 def _encode_sensitive(col: ColumnSchema, values: list[str]):
@@ -453,6 +448,8 @@ def stratified_split(y, test_fraction: float, seed: int) -> SplitIndices:
 
     Each class contributes round(test_fraction * class_size) rows to the
     test set, so per-class fractions match the request within one row.
+    A class that this leaves with no row in train or in test is a
+    DataError: the probe trains and scores on both classes.
     """
     y = np.asarray(y)
     if not 0.0 < test_fraction < 1.0:
@@ -464,10 +461,12 @@ def stratified_split(y, test_fraction: float, seed: int) -> SplitIndices:
     test_parts, train_parts = [], []
     for c in classes:
         idx = np.flatnonzero(y == c)
-        if idx.size < 2:
-            raise DataError(f"class {c} has fewer than 2 rows")
-        idx = idx[rng.permutation(idx.size)]
         n_test = int(round(test_fraction * idx.size))
+        if not 0 < n_test < idx.size:
+            raise DataError(f"class {c} has {idx.size} rows, of which test_fraction "
+                            f"{test_fraction} puts {n_test} in the test split: "
+                            "train and test each need one")
+        idx = idx[rng.permutation(idx.size)]
         test_parts.append(idx[:n_test])
         train_parts.append(idx[n_test:])
     return SplitIndices(
@@ -533,7 +532,8 @@ def load_split(path) -> SplitIndices:
 
 def _check_level_token(name: str, level: str) -> None:
     # The level-map format separates fields with spaces and levels with
-    # '|'; levels containing either cannot round-trip.
+    # '|'; a level containing either, or none, would make its line
+    # ambiguous.
     if "|" in level or any(ch.isspace() for ch in level) or not level:
         raise DataError(
             f"column {name!r}: level {level!r} cannot be persisted "
@@ -542,7 +542,9 @@ def _check_level_token(name: str, level: str) -> None:
 
 
 def save_level_map(path, lm: LevelMap) -> None:
-    """Persist the encoding recipe; means/stds at 17 significant digits."""
+    """Persist the encoding recipe: one line per column, means and stds
+    at 17 significant digits (enough for float() to give the same bits),
+    and the label line last."""
     for e in lm.categorical:
         for lv in e.levels:
             _check_level_token(e.name, lv)
@@ -559,42 +561,3 @@ def save_level_map(path, lm: LevelMap) -> None:
             fh.write(f"sensitive {e.name} {e.mode} {'|'.join(e.detail)}\n")
         pos = "" if lm.label_positive is None else f" positive={lm.label_positive}"
         fh.write(f"label {lm.label_name}{pos}\n")
-
-
-def load_level_map(path) -> LevelMap:
-    """Read a level map written by save_level_map(). A truncated or
-    malformed file is a DataError; the label line is always last."""
-    numerical, categorical, sensitive = [], [], []
-    label_name, label_positive = None, None
-    for ln, line in enumerate(read_text_artifact(path, LEVELMAP_FORMAT).splitlines(), start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "numerical":
-                numerical.append(
-                    NumericalEncoding(parts[1], float(parts[2]), float(parts[3]))
-                )
-            elif kind == "categorical":
-                categorical.append(CategoricalEncoding(parts[1], tuple(parts[2].split("|"))))
-            elif kind == "sensitive":
-                detail = tuple(parts[3].split("|")) if len(parts) > 3 else ()
-                sensitive.append(SensitiveEncoding(parts[1], parts[2], detail))
-            elif kind == "label":
-                label_name = parts[1]
-                if len(parts) > 2 and parts[2].startswith("positive="):
-                    label_positive = parts[2].split("=", 1)[1]
-            else:
-                raise DataError(f"{path}: unknown level-map entry {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise DataError(f"{path}:{ln}: malformed {kind} entry") from exc
-    if label_name is None:
-        raise DataError(f"{path}: no label line (truncated file?)")
-    return LevelMap(
-        numerical=tuple(numerical),
-        categorical=tuple(categorical),
-        sensitive=tuple(sensitive),
-        label_name=label_name,
-        label_positive=label_positive,
-    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import SplitIndices, read_text_artifact
+from .dataset import SplitIndices
 from .errors import ConfigError, DataError, UndefinedMetricError
 from .neuralnet import AdamState, _adam_update, _sigmoid, bce_loss
 
@@ -200,8 +200,8 @@ class FairnessReport:
     """One probe evaluation: accuracy/ROC-AUC plus DI x 100 and SPD per
     sensitive attribute, mirroring one table row per attribute.
 
-    test_scores holds the probe's test-row probabilities when the report
-    comes from evaluate_representation; report files do not store them.
+    test_scores holds the probe's test-row probabilities; report files
+    do not store them.
     """
 
     accuracy: float
@@ -281,41 +281,6 @@ def save_report(path, report: FairnessReport, dataset: str, representation: str)
                 f"sensitive {a.name} di_x100 {format_di_x100(a.di_x100)} spd {a.spd:.17g} "
                 f"passes_80 {'true' if a.passes_80_rule else 'false'}\n"
             )
-
-
-def load_report(path) -> FairnessReport:
-    """Read a report written by save_report(). A truncated or malformed
-    file, one naming no sensitive attribute, or one whose sensitive lines
-    differ from its attribute count is a DataError."""
-    acc = auc = count = None
-    attrs = []
-    for ln, line in enumerate(read_text_artifact(path, REPORT_FORMAT).splitlines(), start=2):
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            if parts[0] == "accuracy":
-                acc = float(parts[1])
-            elif parts[0] == "roc_auc":
-                auc = float(parts[1])
-            elif parts[0] == "attributes":
-                count = int(parts[1])
-            elif parts[0] == "sensitive":
-                attrs.append(
-                    AttributeFairness(
-                        name=parts[1],
-                        di_x100=None if parts[3] == "undefined" else float(parts[3]),
-                        spd=float(parts[5]),
-                        passes_80_rule=parts[7] == "true",
-                    )
-                )
-        except (IndexError, ValueError) as exc:
-            raise DataError(f"{path}:{ln}: malformed {parts[0]} line") from exc
-    if acc is None or auc is None or count is None or not attrs:
-        raise DataError(f"{path}: missing accuracy, roc_auc, attributes or sensitive lines")
-    if count != len(attrs):
-        raise DataError(f"{path}: {len(attrs)} sensitive lines, expected {count}")
-    return FairnessReport(accuracy=acc, roc_auc=auc, attributes=attrs)
 
 
 def save_roc_csv(path, points: list[tuple[float, float, float]]) -> None:

@@ -13,6 +13,7 @@ function of its inputs and seed; training never mutates your data.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import zipfile
@@ -68,11 +69,6 @@ class MlpConfig:
         """Number of weights and biases over all layers."""
         w = self.layer_widths
         return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(w[:-1], w[1:]))
-
-    def loss_kind(self) -> str:
-        """The loss paired with the output activation: sigmoid <-> bce,
-        linear <-> mse."""
-        return "bce" if self.output_activation == "sigmoid" else "mse"
 
 
 @dataclass
@@ -250,22 +246,17 @@ def _mse(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def backward(
-    params: MlpParams, cache: ForwardCache, target, loss_kind: str, out: MlpParams | None = None
+    params: MlpParams, cache: ForwardCache, target, out: MlpParams | None = None
 ) -> MlpParams:
     """Exact gradients of the scalar loss w.r.t. every weight and bias,
     in the parameters' layout: grads.weights[l] is dL/dW[l].
 
-    loss_kind must match the output activation: 'bce' with sigmoid,
-    'mse' with linear. Given `out`, an MlpParams of the same network,
-    the gradients overwrite it and it is returned; the values are the
-    same bits as without it. Otherwise a new MlpParams is returned.
+    The loss follows the output activation: BCE for sigmoid, MSE for
+    linear. Given `out`, an MlpParams of the same network, the gradients
+    overwrite it and it is returned; the values are the same bits as
+    without it. Otherwise a new MlpParams is returned.
     """
     cfg = params.config
-    if loss_kind != cfg.loss_kind():
-        raise ConfigError(
-            f"loss {loss_kind!r} does not match output activation "
-            f"{cfg.output_activation!r}"
-        )
     target = np.asarray(target, dtype=np.float64)
     pred = cache.output
     _check_shapes(pred, target)
@@ -274,7 +265,7 @@ def backward(
     # For both sigmoid+BCE and linear+MSE the output-layer delta
     # collapses to (prediction - target) times the mean-loss scale
     # (MSE carries its factor 2).
-    if loss_kind == "bce":
+    if cfg.output_activation == "sigmoid":
         delta = (pred - target) * scale
     else:
         delta = 2.0 * (pred - target) * scale
@@ -365,8 +356,7 @@ def train(
     # loop runs the unchecked forward pass and loss.
     X = _check_input(config, X)
     n = X.shape[0]
-    loss_kind = config.loss_kind()
-    loss_fn = _bce if loss_kind == "bce" else _mse
+    loss_fn = _bce if config.output_activation == "sigmoid" else _mse
 
     params = init_params(config, seed)
     rng = np.random.default_rng(seed)
@@ -397,7 +387,7 @@ def train(
                 )
             total += loss * batch.size
             seen += batch.size
-            backward(params, cache, Y_batch, loss_kind, out=grads)
+            backward(params, cache, Y_batch, out=grads)
             adam_step(params, grads, state)
         history.train_loss.append(total / seen)
         if n_val > 0:
@@ -428,7 +418,7 @@ def load_mlp(path) -> MlpParams:
     """Load a network written by save_mlp(). A file that is not such an
     archive, a truncated or malformed one, or parameters that do not
     fit the network are a DataError, raised before any array larger
-    than the file is allocated."""
+    than the file is allocated. An OSError reading the file passes."""
     # Opened here, not by np.load, which leaves a file it opened unclosed
     # when the archive is unreadable.
     with open(path, "rb") as fh:
@@ -449,5 +439,9 @@ def load_mlp(path) -> MlpParams:
                                    int(z["latent_index"]))
                 return MlpParams(config=config, flat=z["flat"])
         except (ValueError, SyntaxError, TypeError, KeyError, EOFError, NotImplementedError,
-                zipfile.BadZipFile, ConfigError) as exc:
+                zipfile.BadZipFile, ConfigError, OSError) as exc:
+            # zipfile seeks to where a corrupt end record points; a
+            # negative offset is EINVAL. Any other OSError is real I/O.
+            if isinstance(exc, OSError) and exc.errno != errno.EINVAL:
+                raise
             raise DataError(f"{path}: not a readable {MODEL_FORMAT!r} file: {exc}") from exc

@@ -201,7 +201,7 @@ class TestEncode:
             enc.X_cat[:, :3],
             [[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1]],
         )
-        assert enc.cat_names[:3] == ["color=a", "color=b", "color=c"]
+        assert enc.level_map.categorical[0].levels == ("a", "b", "c")
         assert np.all(enc.X_cat.sum(axis=1) == 2)  # one 1 per source column
 
     def test_every_row_one_indicator_per_block(self, encoded):
@@ -323,14 +323,42 @@ class TestEncode:
 
 class TestLevelMapRoundTrip:
     def test_reencode_is_lossless(self, encoded, tmp_path):
+        # The recipe of the synthetic set, line for line; float() gives
+        # back each mean and std bit for bit.
         path = tmp_path / "levels.txt"
         ds.save_level_map(path, encoded.level_map)
-        lm = ds.load_level_map(path)
-        assert lm == encoded.level_map
-        # Saving what was loaded writes the same bytes.
-        again = tmp_path / "again.txt"
-        ds.save_level_map(again, lm)
-        assert again.read_bytes() == path.read_bytes()
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0] == "tabfair-levelmap 1\n"
+        assert lines[3:] == ["categorical color blue|green|red\n",
+                             "categorical shape circle|square\n",
+                             "sensitive group privileged B\n",
+                             "label outcome positive=yes\n"]
+        for line, enc in zip(lines[1:3], encoded.level_map.numerical):
+            kind, name, mean, std = line.split()
+            assert (kind, name) == ("numerical", enc.name)
+            assert float(mean) == enc.mean and float(std) == enc.std
+
+    def test_exact_text(self, tmp_path):
+        # 17 significant digits, an age band's empty level list, a
+        # reference coding's levels in order, and a 0/1 label.
+        lm = ds.LevelMap(
+            numerical=(ds.NumericalEncoding("x", 0.1, 2 / 3),),
+            categorical=(ds.CategoricalEncoding("c", ("a", "b")),),
+            sensitive=(ds.SensitiveEncoding("age", "age_band", ()),
+                       ds.SensitiveEncoding("race", "reference", ("w", "b", "o"))),
+            label_name="y",
+            label_positive=None,
+        )
+        path = tmp_path / "levels.txt"
+        ds.save_level_map(path, lm)
+        assert path.read_text(encoding="utf-8") == (
+            "tabfair-levelmap 1\n"
+            "numerical x 0.10000000000000001 0.66666666666666663\n"
+            "categorical c a|b\n"
+            "sensitive age age_band \n"
+            "sensitive race reference w|b|o\n"
+            "label y\n"
+        )
 
     def test_level_with_space_cannot_persist(self, tmp_path):
         lm = ds.LevelMap(
@@ -389,6 +417,13 @@ class TestStratifiedSplit:
     def test_tiny_class_rejected(self):
         with pytest.raises(DataError):
             ds.stratified_split(np.array([0, 0, 0, 1]), 0.5, seed=0)
+
+    @pytest.mark.parametrize("n_pos, fraction, n_test", [(2, 0.75, 2), (3, 0.1, 0)])
+    def test_class_left_out_of_a_split_rejected(self, n_pos, fraction, n_test):
+        y = np.array([1] * n_pos + [0] * 50)
+        with pytest.raises(DataError, match=f"class 1 has {n_pos} rows, of which test_fraction "
+                                            f"{fraction} puts {n_test} in the test split"):
+            ds.stratified_split(y, fraction, seed=0)
 
     def test_round_trip(self, tmp_path):
         y = np.random.default_rng(8).integers(0, 2, size=30)

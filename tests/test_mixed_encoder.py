@@ -69,8 +69,8 @@ class TestWidths:
         cfg = small_config()
         nc = build_num_cat(5, 11, cfg)
         cn = build_cat_num(11, 5, cfg)
-        assert nc.output_activation == "sigmoid" and nc.loss_kind() == "bce"
-        assert cn.output_activation == "linear" and cn.loss_kind() == "mse"
+        assert nc.output_activation == "sigmoid"
+        assert cn.output_activation == "linear"
         assert nc.layer_widths[0] == 5 and nc.layer_widths[-1] == 11
         assert cn.layer_widths[0] == 11 and cn.layer_widths[-1] == 5
 

@@ -36,12 +36,14 @@ from tabfair.neuralnet import (
 )
 
 
-def loss_at(params, X, Y, loss_kind):
-    cache = forward(params, X)
-    return bce_loss(cache.output, Y) if loss_kind == "bce" else mse_loss(cache.output, Y)
+def loss_at(params, X, Y):
+    """The loss train() pairs with the output activation: BCE for
+    sigmoid, MSE for linear."""
+    loss_fn = bce_loss if params.config.output_activation == "sigmoid" else mse_loss
+    return loss_fn(forward(params, X).output, Y)
 
 
-def fd_gradients(params, X, Y, loss_kind, h=1e-5):
+def fd_gradients(params, X, Y, h=1e-5):
     """Central finite differences on every weight and bias entry."""
     grads_w, grads_b = [], []
     for arrs, grads in ((params.weights, grads_w), (params.biases, grads_b)):
@@ -52,9 +54,9 @@ def fd_gradients(params, X, Y, loss_kind, h=1e-5):
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                hi = loss_at(params, X, Y, loss_kind)
+                hi = loss_at(params, X, Y)
                 arr[idx] = orig - h
-                lo = loss_at(params, X, Y, loss_kind)
+                lo = loss_at(params, X, Y)
                 arr[idx] = orig
                 g[idx] = (hi - lo) / (2.0 * h)
             grads.append(g)
@@ -78,12 +80,6 @@ class TestConfig:
         for bad in (0, 2):
             with pytest.raises(ConfigError):
                 MlpConfig(layer_widths=(3, 4, 2), output_activation="linear", latent_index=bad)
-
-    def test_loss_kind_pairing(self):
-        sig = MlpConfig(layer_widths=(2, 3, 2), output_activation="sigmoid", latent_index=1)
-        lin = MlpConfig(layer_widths=(2, 3, 2), output_activation="linear", latent_index=1)
-        assert sig.loss_kind() == "bce"
-        assert lin.loss_kind() == "mse"
 
 
 class TestInit:
@@ -212,7 +208,7 @@ class TestBackward:
         params = init_params(cfg, seed=1)
         X = np.abs(np.random.default_rng(1).normal(size=(4, 2)))  # keep relu active
         cache = forward(params, X)
-        grads = backward(params, cache, cache.output, "mse")
+        grads = backward(params, cache, cache.output)
         for g in grads.weights + grads.biases:
             assert np.allclose(g, 0.0)
 
@@ -223,16 +219,9 @@ class TestBackward:
         X = np.array([[1.0], [2.0], [0.5]])
         T = np.array([[1.0], [0.0], [1.0]])
         cache = forward(params, X)
-        grads = backward(params, cache, T, "bce")
+        grads = backward(params, cache, T)
         expected = np.sum(cache.output - T) / 3.0
         assert grads.biases[-1][0] == pytest.approx(expected, abs=1e-15)
-
-    def test_loss_activation_mismatch(self):
-        cfg = MlpConfig(layer_widths=(2, 2, 1), output_activation="sigmoid", latent_index=1)
-        params = init_params(cfg, seed=0)
-        cache = forward(params, np.zeros((1, 2)))
-        with pytest.raises(ConfigError):
-            backward(params, cache, np.zeros((1, 1)), "mse")
 
     def test_gradients_match_finite_differences(self):
         # 50 random small nets, both losses; max relative error < 1e-5.
@@ -266,8 +255,8 @@ class TestBackward:
                 Y = rng.integers(0, 2, size=(X.shape[0], widths[-1])).astype(float)
             else:
                 Y = rng.normal(size=(X.shape[0], widths[-1]))
-            grads = backward(params, cache, Y, cfg.loss_kind())
-            fd_w, fd_b = fd_gradients(params, X, Y, cfg.loss_kind())
+            grads = backward(params, cache, Y)
+            fd_w, fd_b = fd_gradients(params, X, Y)
             worst = max(worst, max_rel_error(grads.weights, fd_w))
             worst = max(worst, max_rel_error(grads.biases, fd_b))
             checked += 1
@@ -294,7 +283,7 @@ class TestBackward:
             X = rng.normal(size=(batch, widths[0]))
             Y = rng.integers(0, 2, size=(batch, widths[-1])).astype(float)
             cache = forward(params, X)
-            grads = backward(params, cache, Y, cfg.loss_kind())
+            grads = backward(params, cache, Y)
             diff, scale = cache.output - Y, 1.0 / (batch * widths[-1])
             delta = diff * scale if output == "sigmoid" else 2.0 * diff * scale
             for l in range(cfg.n_layers - 1, -1, -1):
@@ -316,8 +305,8 @@ class TestBackward:
             Y = rng.integers(0, 2, size=(9, 5)).astype(float)
             cache = forward(params, X)
             g = MlpParams(config=cfg, flat=rng.normal(size=cfg.n_params))
-            assert backward(params, cache, Y, cfg.loss_kind(), out=g) is g
-            fresh = backward(params, cache, Y, cfg.loss_kind())
+            assert backward(params, cache, Y, out=g) is g
+            fresh = backward(params, cache, Y)
             assert g.flat.tobytes() == fresh.flat.tobytes()
 
 
@@ -381,7 +370,7 @@ class TestAdam:
 def reference_train(config, X, Y, *, epochs, batch_size, val_fraction, seed, lr=ADAM_LR):
     """train() written out with the public, checked forward, backward
     and losses, and Adam applied one tensor at a time."""
-    loss_fn = bce_loss if config.loss_kind() == "bce" else mse_loss
+    loss_fn = bce_loss if config.output_activation == "sigmoid" else mse_loss
     params = init_params(config, seed)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(X.shape[0])
@@ -400,7 +389,7 @@ def reference_train(config, X, Y, *, epochs, batch_size, val_fraction, seed, lr=
             batch = order[lo : lo + batch_size]
             cache = forward(params, X[batch])
             total += loss_fn(cache.output, Y[batch]) * batch.size
-            grads = backward(params, cache, Y[batch], config.loss_kind())
+            grads = backward(params, cache, Y[batch])
             t += 1
             c1 = 1.0 - b1**t
             c2 = 1.0 - b2**t
@@ -612,3 +601,23 @@ class TestPersistence:
             self.forged_model(path, widths, (n,))
             with pytest.raises(DataError):
                 load_mlp(path)
+
+    def test_byte_flips_are_data_errors(self, tmp_path):
+        # Invert each byte of a saved model in turn. A flip the zip reader
+        # sees is a DataError; flips in the end record's directory offset
+        # made zipfile seek before the file start (OSError EINVAL). The
+        # rest hit bytes it does not use (the local headers' copies of
+        # sizes, CRCs and dates, their zip64 fields, the directory's dates
+        # and versions): those files load the saved network, bit for bit.
+        params = init_params(MlpConfig((4, 6, 3, 5), "sigmoid", 1), seed=0)
+        path = tmp_path / "model.npz"
+        save_mlp(path, params)
+        data = path.read_bytes()
+        for i in range(len(data)):
+            path.write_bytes(data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1 :])
+            try:
+                back = load_mlp(path)
+            except DataError:
+                continue
+            assert back.config == params.config, i
+            assert back.flat.tobytes() == params.flat.tobytes(), i
