@@ -279,6 +279,8 @@ def cmd_debias(run: Run) -> None:
             "attributes": ",".join(attributes),
             "orthogonality_residual": f"{result.residual:.17g}",
             "relative_residual": f"{result.relative_residual:.17g}",
+            "variance_kept": ev.format_or_undefined(result.variance_kept),
+            "information_loss": ev.format_or_undefined(result.information_loss),
         },
     )
 
@@ -302,7 +304,7 @@ def cmd_evaluate(run: Run) -> None:
         summary[f"{tag}_accuracy"] = f"{report.accuracy:.17g}"
         summary[f"{tag}_roc_auc"] = f"{report.roc_auc:.17g}"
         for a in report.attributes:
-            summary[f"{tag}_di_x100_{a.name}"] = ev.format_di_x100(a.di_x100)
+            summary[f"{tag}_di_x100_{a.name}"] = ev.format_or_undefined(a.di_x100)
             summary[f"{tag}_spd_{a.name}"] = f"{a.spd:.17g}"
     run.write_provenance("evaluate.provenance.txt", summary)
 

@@ -260,10 +260,10 @@ def evaluate_representation(
 REPORT_FORMAT = "tabfair-report 2"
 
 
-def format_di_x100(di_x100: float | None) -> str:
-    """DI x 100 as written to reports and provenance: 17 significant
-    digits, or 'undefined'."""
-    return "undefined" if di_x100 is None else f"{di_x100:.17g}"
+def format_or_undefined(value: float | None) -> str:
+    """A value as written to reports and provenance: 17 significant
+    digits, or 'undefined' for None."""
+    return "undefined" if value is None else f"{value:.17g}"
 
 
 def save_report(path, report: FairnessReport, dataset: str, representation: str) -> None:
@@ -278,7 +278,7 @@ def save_report(path, report: FairnessReport, dataset: str, representation: str)
         fh.write(f"attributes {len(report.attributes)}\n")
         for a in report.attributes:
             fh.write(
-                f"sensitive {a.name} di_x100 {format_di_x100(a.di_x100)} spd {a.spd:.17g} "
+                f"sensitive {a.name} di_x100 {format_or_undefined(a.di_x100)} spd {a.spd:.17g} "
                 f"passes_80 {'true' if a.passes_80_rule else 'false'}\n"
             )
 

@@ -7,7 +7,8 @@ approximation and then residualized against the sensitive matrix S:
 
 Every column of Z_hat is orthogonal to every column of S, and the
 truncation keeps the dominant variation of Z. The order is fixed:
-truncate first, then residualize.
+truncate first, then residualize. The SVD is taken of the triangular
+factor R of Z = QR (Chan's R-SVD), so no n x p factor of Z is formed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .linalg import explained_variance, first_collinear_column, rank_k_svd, residualize
+from .linalg import (_as_matrix, explained_variance, first_collinear_column, rank_k_svd,
+                     residualize)
 
 # Acceptable relative orthogonality residual of Z_hat^T S.
 ORTHOGONALITY_TOL = 1e-8
@@ -47,12 +49,17 @@ class FairProjectionConfig:
 class DebiasedRepresentation:
     """The debiased matrix, the rank used, and the achieved
     orthogonality residual (max |Z_hat^T S| entry, absolute and
-    relative to ||Z_hat||_F ||S||_F)."""
+    relative to ||Z_hat||_F ||S||_F). variance_kept is the fraction of
+    the squared singular values of Z within rank k, and
+    information_loss is ||Z_k - Z_hat||_F / ||Z_k||_F; both are None
+    (undefined) for an all-zero Z."""
 
     Z_hat: np.ndarray
     k: int
     residual: float
     relative_residual: float
+    variance_kept: float | None
+    information_loss: float | None
 
 
 def select_k(D, variance_target: float) -> int:
@@ -105,19 +112,19 @@ def check_sensitive_rank(S, names: list[str], attributes: list[str],
 def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
     """Compute Z_hat = (I - P_S) @ rank_k(Z).
 
-    One SVD of Z serves both the k selection and the truncation. The
-    residualization is applied to the n x k left factor, M_res =
-    M_k - Q (Q^T M_k) with Q the thin-QR basis of S, before the rank-k
-    product is formed, so no n x n matrix is ever materialized. S (with
-    the intercept column, when configured) whose Gram matrix S^T S has a
-    reciprocal condition number below linalg.RCOND_LIMIT raises
-    NumericalError; the test runs on the singular values of the QR
-    factor R, which equal those of S.
+    One SVD of the p x p (min(n, p) x p when n < p) triangular factor R
+    of Z = QR gives the singular values D of Z, for the k selection, and
+    its right singular vectors N. The rank-k truncation is Z_k =
+    (Z N_k) N_k^T. The n x k product Z N_k is residualized, Z N_k -
+    Q_S (Q_S^T Z N_k) with Q_S the thin-QR basis of S, before the rank-k
+    product is formed, so no n x n matrix is ever materialized. The sign
+    of a column of N_k cancels in Z_hat. S (with the intercept column,
+    when configured) whose Gram matrix S^T S has a reciprocal condition
+    number below linalg.RCOND_LIMIT raises NumericalError; the test runs
+    on the singular values of the QR factor of S, which equal those of S.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or Z.ndim != 2:
-        raise ConfigError("Z and S must be 2-D matrices")
+    Z = _as_matrix(Z, "Z")
+    S = _as_matrix(S, "S")
     if Z.shape[0] != S.shape[0]:
         raise ConfigError(f"row mismatch: Z has {Z.shape[0]} rows, S has {S.shape[0]}")
     if S.shape[1] == 0:
@@ -126,13 +133,15 @@ def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
     n, p = Z.shape
     if config.variance_target is None and not 1 <= config.k <= min(n, p):
         raise ConfigError(f"k={config.k} out of range [1, {min(n, p)}] for a {n}x{p} matrix")
-    svd = rank_k_svd(Z, min(n, p))
+    svd = rank_k_svd(np.linalg.qr(Z, mode="r"), min(n, p))
     if config.variance_target is not None:
         k = select_k(svd.D, config.variance_target)
     else:
         k = config.k
-    M_res = residualize(S, svd.M[:, :k])
-    Z_hat = (M_res * svd.D[:k]) @ svd.N[:, :k].T
+    N_k = svd.N[:, :k]
+    ZN = Z @ N_k
+    ZN_res = residualize(S, ZN)
+    Z_hat = ZN_res @ N_k.T
 
     residual = float(np.max(np.abs(Z_hat.T @ S)))
     denom = np.linalg.norm(Z_hat) * np.linalg.norm(S) + np.finfo(np.float64).tiny
@@ -141,6 +150,13 @@ def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
         raise NumericalError(
             f"debiasing failed orthogonality: relative residual {relative:.3e}"
         )
+    # N_k has orthonormal columns, so ||Z_k - Z_hat||_F = ||ZN - ZN_res||_F.
+    norm_k = float(np.linalg.norm(ZN))
+    variance_kept = information_loss = None
+    if norm_k > 0.0:
+        variance_kept = float(explained_variance(svd.D)[k - 1])
+        information_loss = float(np.linalg.norm(ZN - ZN_res)) / norm_k
     return DebiasedRepresentation(
-        Z_hat=Z_hat, k=k, residual=residual, relative_residual=relative
+        Z_hat=Z_hat, k=k, residual=residual, relative_residual=relative,
+        variance_kept=variance_kept, information_loss=information_loss,
     )

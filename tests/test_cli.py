@@ -132,6 +132,19 @@ class TestStages:
         assert float(prov["orthogonality_residual"]) >= 0.0
         assert float(prov["relative_residual"]) < 1e-8
         assert prov["attributes"] == "group"
+        assert 0.0 < float(prov["variance_kept"]) <= 1.0
+        assert 0.0 <= float(prov["information_loss"]) <= 1.0
+
+    def test_debias_of_all_zero_z_writes_undefined_diagnostics(self, tmp_path):
+        config = make_workspace(tmp_path)
+        for stage in ("prepare", "train-embed"):
+            assert main([stage, "--config", str(config)]) == 0
+        Z_path = tmp_path / "out" / "Z.txt"
+        save_matrix(Z_path, np.zeros_like(load_matrix(Z_path)))
+        assert main(["debias", "--config", str(config)]) == 0
+        prov = read_provenance(tmp_path / "out" / "debias.provenance.txt")
+        assert prov["relative_residual"] == "0"
+        assert prov["variance_kept"] == prov["information_loss"] == "undefined"
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
-"""Closed-form debiasing: orthogonality, the dense projector oracle,
-idempotence, optimality against random challengers, and k selection."""
+"""Closed-form debiasing: orthogonality, the dense projector oracle and
+diagnostics, idempotence, optimality against random challengers, k
+selection, and an SVD that never sees the n x p Z."""
 
 import numpy as np
 import pytest
@@ -67,15 +68,56 @@ class TestDebias:
             assert np.allclose(result.Z_hat.T @ S, 0.0, atol=1e-8)
 
     def test_matches_dense_oracle(self):
-        # Brute-force path: materialize I - P_S and multiply.
+        # Brute-force path: materialize I - P_S and multiply. Tall and
+        # wide Z, a fixed k or a variance target, with and without the
+        # intercept column; the diagnostics from the same dense values.
         rng = np.random.default_rng(6)
-        for _ in range(30):
-            Z, S = random_instance(rng)
-            k = int(rng.integers(1, min(Z.shape) + 1))
-            result = debias(Z, S, FairProjectionConfig(k=k))
+        for trial in range(60):
+            if trial % 2:
+                Z, S = random_instance(rng, n=int(rng.integers(3, 7)), p=int(rng.integers(7, 12)))
+            else:
+                Z, S = random_instance(rng)
+            D = np.linalg.svd(Z, compute_uv=False)
+            intercept = trial % 4 >= 2
+            if trial % 3 == 0:
+                target = float(rng.uniform(0.5, 1.0))
+                config = FairProjectionConfig(variance_target=target, include_intercept=intercept)
+                k = select_k(D, target)
+            else:
+                k = int(rng.integers(1, min(Z.shape) + 1))
+                config = FairProjectionConfig(k=k, include_intercept=intercept)
+            result = debias(Z, S, config)
+            assert result.k == k
+            S_full = np.hstack([S, np.ones((len(S), 1))]) if intercept else S
             Z_k = rank_k_svd(Z, k).reconstruction()
-            explicit = dense_residualizer(S) @ Z_k
+            explicit = dense_residualizer(S_full) @ Z_k
             assert np.allclose(result.Z_hat, explicit, atol=1e-10)
+            assert abs(result.variance_kept - np.sum(D[:k] ** 2) / np.sum(D**2)) < 1e-10
+            loss = np.linalg.norm(Z_k - explicit) / np.linalg.norm(Z_k)
+            assert abs(result.information_loss - loss) < 1e-10
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_z(self, value):
+        rng = np.random.default_rng(26)
+        Z, S = random_instance(rng, n=8, p=3)
+        Z[5, 1] = value
+        with pytest.raises(DataError, match="Z contains non-finite"):
+            debias(Z, S, FairProjectionConfig(k=2))
+
+    def test_svd_never_sees_the_tall_matrix(self, monkeypatch):
+        # The SVD runs on the p x p factor R of Z, not on the n x p Z.
+        seen = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        rng = np.random.default_rng(28)
+        Z, S = random_instance(rng, n=500, p=8)
+        debias(Z, S, FairProjectionConfig(k=3))
+        assert seen and max(rows for rows, _ in seen) <= 8
 
     def test_ones_column_centers(self):
         # S = all-ones: residualization subtracts column means.
