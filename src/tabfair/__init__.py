@@ -1,5 +1,22 @@
 """Fair tabular representations: mixed-space encoding, closed-form
-sensitive-attribute removal, and group-fairness evaluation."""
+sensitive-attribute removal, and group-fairness evaluation.
+
+Importing the package pins BLAS to one thread per process, unless the
+caller set a thread variable. The pin must come before numpy's first
+import, which starts the BLAS thread pool. BLAS_PINNED records whether
+it took effect: only then are the two networks, and the two probes,
+each run in their own process (see linalg.run_both).
+"""
+
+import os as _os
+import sys as _sys
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+_numpy_first = "numpy" in _sys.modules
+for _var in BLAS_THREAD_VARS:
+    _os.environ.setdefault(_var, "1")
+BLAS_PINNED = not _numpy_first and all(_os.environ[v] == "1" for v in BLAS_THREAD_VARS)
 
 from .dataset import (
     ColumnSchema,

@@ -29,7 +29,7 @@ from . import evaluation as ev
 from .errors import ConfigError, DataError, NumericalError, TabfairError
 from .fair_projection import (FairProjectionConfig, build_sensitive_matrix,
                               check_sensitive_rank, debias)
-from .linalg import load_matrix, save_matrix
+from .linalg import load_matrix, run_both, save_matrix
 from .mixed_encoder import MixedEncoderConfig, encode_dataset
 from .neuralnet import save_mlp
 
@@ -287,19 +287,25 @@ def cmd_debias(run: Run) -> None:
 
 def cmd_evaluate(run: Run) -> None:
     """Probe and fairness-score both the biased and debiased
-    representations on the persisted split."""
+    representations on the persisted split, each in its own process
+    when run_both() allows."""
     S = run.read("S.txt", load_matrix)
     y = run.read("y.txt", load_matrix).ravel()
     names = _read_names(run, S)
     split = run.read("split.txt", ds.load_split)
-    # Read both before writing anything: a missing Z_hat.txt leaves no report.
-    representations = {"biased": run.read("Z.txt", load_matrix),
-                        "debiased": run.read("Z_hat.txt", load_matrix)}
+
+    def score(name: str):
+        report = ev.evaluate_representation(run.read(name, load_matrix), y, S, split,
+                                            names, run.probe)
+        return report, ev.roc_curve_points(report.test_scores,
+                                           y[split.test].astype(np.int64))
+
+    # Both scored before anything is written: a missing or corrupt
+    # Z_hat.txt leaves no report.
+    scored = run_both(lambda: score("Z.txt"), lambda: score("Z_hat.txt"))
     summary = {}
-    for tag, Z in representations.items():
-        report = ev.evaluate_representation(Z, y, S, split, names, run.probe)
+    for tag, (report, points) in zip(("biased", "debiased"), scored):
         run.write(f"report_{tag}.txt", ev.save_report, report, run.cfg["dataset"], tag)
-        points = ev.roc_curve_points(report.test_scores, y[split.test].astype(np.int64))
         run.write(f"roc_{tag}.csv", ev.save_roc_csv, points)
         summary[f"{tag}_accuracy"] = f"{report.accuracy:.17g}"
         summary[f"{tag}_roc_auc"] = f"{report.roc_auc:.17g}"

@@ -8,12 +8,17 @@ float64 round-trips exactly. write_rows() formats each row with one
 np.loadtxt, whose values are bit-identical to float(), so the text held
 in memory stays bounded however tall the matrix is.
 
-Matrix files are written and parsed by two processes at once, split at
-a row boundary: save_matrix() and load_matrix() fork a child that
-formats the second half of the rows into a part file, or parses it
-straight into the result, which load_matrix() allocates in shared
-memory. The bytes are the same as one process writes, and the child
-never calls BLAS.
+Matrix files of at least SPLIT_MIN_VALUES values are written and
+parsed by two processes at once, split at a row boundary: save_matrix()
+and load_matrix() fork a child that formats the second half of the rows
+into a part file, or parses it straight into the result, which
+load_matrix() allocates in shared memory. The bytes are the same as one
+process writes.
+
+_in_two() is the one fork primitive. run_both() builds on it to run two
+independent jobs, such as the two networks' training, in two processes
+when BLAS is pinned to one thread per process (see tabfair.BLAS_PINNED),
+so that each job's BLAS calls are the ones a single process makes.
 
 All operations are pure and work on float64 ``numpy`` arrays. Matrices
 are required to be finite; violations raise early rather than letting
@@ -26,11 +31,14 @@ import io
 import itertools
 import mmap
 import os
+import pickle
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+import tabfair
 
 from .errors import ConfigError, DataError, NumericalError, undecodable_is_data_error
 
@@ -167,6 +175,13 @@ def residualize(S, M) -> np.ndarray:
     return M - Q @ (Q.T @ M)
 
 
+# Matrices of fewer values are written and parsed by one process. The
+# fork and the part file cost 3-5 ms; measured on a 2-core VM over 1-100
+# columns, two processes start to write faster near 20,000 values, and
+# to parse faster between 20,000 and 40,000 (1,000 values: 2 ms to
+# write and 1 ms to parse in one process, 5-6 ms and 4-5 ms in two).
+SPLIT_MIN_VALUES = 20_000
+
 # Rows per np.loadtxt call in _read_into(). Larger chunks parse no faster
 # but hold more text at once: on Adult-shaped artifacts (200 columns),
 # 128-row chunks raised the peak RSS of `evaluate` by 0.5 MB, 64-row
@@ -226,11 +241,15 @@ def _parse_rows(lines: list[str], cols: int, where: str, first: int) -> np.ndarr
 
 def save_matrix(path, M) -> None:
     """Write a matrix as text: a 'rows cols' header line, then one line
-    per row (see write_rows). A forked process writes the second half of
-    the rows to a part file beside `path` while this one writes the
-    header and the first half; the part is then appended and removed."""
+    per row (see write_rows). From SPLIT_MIN_VALUES values up, a forked
+    process writes the second half of the rows to a part file beside
+    `path` while this one writes the header and the first half; the part
+    is then appended and removed."""
     M = _as_matrix(M, "matrix")
     rows, cols = M.shape
+    if M.size < SPLIT_MIN_VALUES:
+        _write_text(path, M, f"{rows} {cols}\n")
+        return
     h = rows // 2
     path = Path(path)
     part = path.with_name(path.name + ".part")
@@ -257,10 +276,11 @@ def load_matrix(path) -> np.ndarray:
     float64 array. A truncated or malformed file, text that is not
     UTF-8, or a non-finite value is a DataError.
 
-    The rows are split at the first line end after their byte midpoint.
-    The result lives in an anonymous shared mapping, and a forked
-    process parses the rows after the split straight into it while this
-    one parses the rows before it. If the child fails, this process
+    From SPLIT_MIN_VALUES values up, the rows are split at the first
+    line end after their byte midpoint. The result then lives in an
+    anonymous shared mapping, and a forked process parses the rows
+    after the split straight into it while this one parses the rows
+    before it. If the child fails, this process
     parses the child's rows again itself: a fault there is the DataError
     the child met, and without one the failure is an OSError naming the
     rows. Messages name rows of the whole matrix; of two faults, the one
@@ -281,16 +301,22 @@ def load_matrix(path) -> np.ndarray:
         if min(rows, cols) < 0 or rows * (2 * cols or 1) > os.fstat(fh.fileno()).st_size:
             raise DataError(f"{path}: {rows} x {cols} values do not fit the file")
         start = fh.tell()
-        h, offset = _split_rows(fh, start, rows)
-    # mmap refuses a length of 0; np.frombuffer keeps the mapping alive.
-    shared = mmap.mmap(-1, max(rows * cols * 8, 1))
-    out = np.frombuffer(shared, dtype=np.float64, count=rows * cols).reshape(rows, cols)
-    code = _in_two(lambda: _parse_text(path, start, out, 0, h),
-                   lambda: _parse_text(path, offset, out, h, rows))
-    if code:
-        _parse_text(path, offset, out, h, rows)
-        raise OSError(f"{path}: the process parsing rows {h} to {rows - 1} failed "
-                      f"(exit code {code})")
+        split = rows * cols >= SPLIT_MIN_VALUES
+        if split:
+            h, offset = _split_rows(fh, start, rows)
+    if not split:
+        out = np.empty((rows, cols))
+        _parse_text(path, start, out, 0, rows)
+    else:
+        # mmap refuses a length of 0; np.frombuffer keeps the mapping alive.
+        shared = mmap.mmap(-1, max(rows * cols * 8, 1))
+        out = np.frombuffer(shared, dtype=np.float64, count=rows * cols).reshape(rows, cols)
+        code = _in_two(lambda: _parse_text(path, start, out, 0, h),
+                       lambda: _parse_text(path, offset, out, h, rows))
+        if code:
+            _parse_text(path, offset, out, h, rows)
+            raise OSError(f"{path}: the process parsing rows {h} to {rows - 1} failed "
+                          f"(exit code {code})")
     if not np.isfinite(out).all():
         raise DataError(f"{path}: matrix contains non-finite entries")
     return out
@@ -342,3 +368,34 @@ def _in_two(first, second) -> int:
     finally:
         status = os.waitpid(pid, 0)[1]
     return os.waitstatus_to_exitcode(status)
+
+
+def run_both(first, second):
+    """(first(), second()). When tabfair.BLAS_PINNED holds, second() runs
+    in a forked child, which sends its result back pickled, while this
+    process runs first(); otherwise both run here, in order. If the
+    child fails, this process runs second() itself, so its error is the
+    one a single process meets.
+
+    This process drains the pipe, or closes it when first() raises,
+    before it reaps the child: a result larger than the pipe buffer
+    blocks the child until then."""
+    if not tabfair.BLAS_PINNED:
+        return first(), second()
+    results = []
+    r, w = os.pipe()
+    with open(r, "rb") as receive, open(w, "wb") as send:
+
+        def here():
+            send.close()
+            with receive:
+                results.append(first())
+                results.append(receive.read())
+
+        def child():
+            receive.close()
+            with send:
+                pickle.dump(second(), send, pickle.HIGHEST_PROTOCOL)
+
+        code = _in_two(here, child)
+    return results[0], pickle.loads(results[1]) if code == 0 else second()

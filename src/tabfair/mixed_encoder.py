@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .linalg import run_both
 from .neuralnet import MlpConfig, MlpParams, TrainHistory, _check_input, train
 
 
@@ -103,17 +104,25 @@ def train_mixed(X_num, X_cat, config: MixedEncoderConfig) -> MixedTrainResult:
 
     The sensitive matrix S and the labels y are never part of either
     network's inputs or targets. The two trainings are independent;
-    their seeds derive from config.seed (seed and seed + 1).
+    their seeds derive from config.seed (seed and seed + 1). The
+    cat->num network trains in a second process when run_both() allows;
+    it sends back its flat buffer, from which MlpParams rebuilds the
+    per-layer views.
     """
     d1, d2 = X_num.shape[1], X_cat.shape[1]
-    nets = ((build_num_cat(d1, d2, config), X_num, X_cat),
-            (build_cat_num(d2, d1, config), X_cat, X_num))
-    (params_nc, hist_nc), (params_cn, hist_cn) = (
-        train(net, X, Y, epochs=config.epochs, batch_size=config.batch_size,
-              val_fraction=config.val_fraction, seed=config.seed + i)
-        for i, (net, X, Y) in enumerate(nets)
-    )
-    return MixedTrainResult(params_nc, params_cn, hist_nc, hist_cn)
+    num_cat, cat_num = build_num_cat(d1, d2, config), build_cat_num(d2, d1, config)
+
+    def fit(net, X, Y, seed):
+        return train(net, X, Y, epochs=config.epochs, batch_size=config.batch_size,
+                     val_fraction=config.val_fraction, seed=seed)
+
+    def fit_cat_num():
+        params, history = fit(cat_num, X_cat, X_num, config.seed + 1)
+        return params.flat, history
+
+    (params_nc, hist_nc), (flat_cn, hist_cn) = run_both(
+        lambda: fit(num_cat, X_num, X_cat, config.seed), fit_cat_num)
+    return MixedTrainResult(params_nc, MlpParams(cat_num, flat_cn), hist_nc, hist_cn)
 
 
 def extract_latent(params: MlpParams, X) -> np.ndarray:

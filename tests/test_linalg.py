@@ -277,6 +277,13 @@ class TestResidualize:
             residualize(np.ones((4, 1)), np.ones((5, 2)))
 
 
+@pytest.fixture
+def split_every_matrix(monkeypatch):
+    """Two processes write and parse even the small matrices of a test
+    of the split itself."""
+    monkeypatch.setattr(linalg, "SPLIT_MIN_VALUES", 0)
+
+
 class TestMatrixPersistence:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -322,7 +329,24 @@ class TestMatrixPersistence:
         assert np.array_equal(back.view(np.uint64), oracle.view(np.uint64))
         assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
 
-    def test_split_far_from_row_midpoint(self, tmp_path):
+    def test_small_matrix_is_one_process(self, tmp_path, monkeypatch):
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        path = tmp_path / "m.txt"
+        rng = np.random.default_rng(8)
+        for M, split in ((rng.normal(size=(1000, 1)), False),
+                         (rng.normal(size=(linalg.SPLIT_MIN_VALUES, 1)), True)):
+            forks.clear()
+            save_matrix(path, M)
+            assert np.array_equal(load_matrix(path), M)
+            assert len(forks) == (2 if split else 0)
+
+    def test_split_far_from_row_midpoint(self, tmp_path, split_every_matrix):
         # Rows of "0" and rows of 17-digit values: the byte midpoint of
         # the rows lies far from their row midpoint, on either side.
         rng = np.random.default_rng(5)
@@ -343,7 +367,7 @@ class TestMatrixPersistence:
             with pytest.raises(DataError):
                 load_matrix(path)
 
-    def test_short_row(self, tmp_path):
+    def test_short_row(self, tmp_path, split_every_matrix):
         path = tmp_path / "m.txt"
         path.write_text("2 3\n1 2 3\n4 5\n", encoding="utf-8")
         with pytest.raises(DataError, match="row 1"):
@@ -366,7 +390,7 @@ class TestMatrixPersistence:
             with pytest.raises(DataError, match=match):
                 load_matrix(path)
 
-    def test_not_utf8_is_data_error(self, tmp_path):
+    def test_not_utf8_is_data_error(self, tmp_path, split_every_matrix):
         path = tmp_path / "m.txt"
         # 24 kB, so the first half's 8 kB read-ahead stops short of the
         # second half's faults. 0xff in the header, in rows 10 and 3900
@@ -400,7 +424,7 @@ class TestMatrixPersistence:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
-    def test_child_failure_outside_parsing_names_its_rows(self, tmp_path, monkeypatch):
+    def test_child_failure_outside_parsing_names_its_rows(self, tmp_path, split_every_matrix, monkeypatch):
         path = tmp_path / "m.txt"
         save_matrix(path, np.ones((100, 3)))
         parent, read_into = os.getpid(), linalg._read_into
@@ -417,7 +441,7 @@ class TestMatrixPersistence:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_child_write_failure_leaves_no_part_file(self, tmp_path, monkeypatch):
+    def test_child_write_failure_leaves_no_part_file(self, tmp_path, split_every_matrix, monkeypatch):
         parent, write_rows = os.getpid(), linalg.write_rows
 
         def fail_in_child(fh, M):
