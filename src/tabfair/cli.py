@@ -37,9 +37,9 @@ PROVENANCE_FORMAT = "tabfair-provenance 1"
 
 # The stage that writes each artifact a later stage reads.
 PRODUCERS = {
-    **dict.fromkeys(("X_num.txt", "X_cat.txt", "S.txt", "y.txt", "split.txt",
+    **dict.fromkeys(("X_num.npy", "X_cat.npy", "S.npy", "y.npy", "split.txt",
                      "sensitive_names.txt"), "prepare"),
-    "Z.txt": "train-embed",
+    "Z.npy": "train-embed",
     "Z_hat.txt": "debias",
 }
 
@@ -132,8 +132,9 @@ class Run:
     """One CLI invocation: its config sections and output directory;
     every stage reads and writes its artifacts through it. Writes are
     recorded in order. A value written earlier in the same process is
-    handed on from memory, which is exact: the text formats round-trip
-    float64 and save_matrix has checked the values are finite."""
+    handed on from memory, which is exact: both matrix formats hold
+    float64 bit for bit, and save_matrix has checked the values are
+    finite."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -190,11 +191,11 @@ def _load_names(path: Path) -> list[str]:
 
 
 def _read_names(run: Run, S: np.ndarray) -> list[str]:
-    """sensitive_names.txt, which must name each column of S.txt."""
+    """sensitive_names.txt, which must name each column of S.npy."""
     names = run.read("sensitive_names.txt", _load_names)
     if len(names) != S.shape[1]:
         raise DataError(f"{run.out / 'sensitive_names.txt'}: {len(names)} names for "
-                        f"the {S.shape[1]} columns of S.txt")
+                        f"the {S.shape[1]} columns of S.npy")
     return names
 
 
@@ -214,10 +215,10 @@ def cmd_prepare(run: Run) -> None:
     # debias repeats this rank test; here it names the column, before training.
     attributes = run.cfg["projection"].get("attributes") or encoded.sensitive_names
     check_sensitive_rank(encoded.S, encoded.sensitive_names, attributes, run.projection)
-    run.write_matrix("X_num.txt", encoded.X_num)
-    run.write_matrix("X_cat.txt", encoded.X_cat)
-    run.write_matrix("S.txt", encoded.S)
-    run.write_matrix("y.txt", encoded.y[:, None])
+    run.write_matrix("X_num.npy", encoded.X_num)
+    run.write_matrix("X_cat.npy", encoded.X_cat)
+    run.write_matrix("S.npy", encoded.S)
+    run.write_matrix("y.npy", encoded.y[:, None])
     run.write("levelmap.txt", ds.save_level_map, encoded.level_map)
     run.write("split.txt", ds.save_split, split)
     run.write("sensitive_names.txt", _save_names, list(encoded.sensitive_names))
@@ -236,11 +237,11 @@ def cmd_prepare(run: Run) -> None:
 def cmd_train_embed(run: Run) -> None:
     """Train both reconstruction networks and persist the mixed
     representation, the models, and the per-epoch loss histories."""
-    X_num = run.read("X_num.txt", load_matrix)
-    X_cat = run.read("X_cat.txt", load_matrix)
+    X_num = run.read("X_num.npy", load_matrix)
+    X_cat = run.read("X_cat.npy", load_matrix)
     Z, result = encode_dataset(X_num, X_cat, run.encoder)
     hist_nc, hist_cn = result.history_num_cat, result.history_cat_num
-    run.write_matrix("Z.txt", Z)
+    run.write_matrix("Z.npy", Z)
     run.write("model_num_cat.npz", save_mlp, result.params_num_cat)
     run.write("model_cat_num.npz", save_mlp, result.params_cat_num)
     run.write("loss_num_cat.csv", lambda path, h: h.to_csv(path), hist_nc)
@@ -264,8 +265,8 @@ def _fmt_last(values: list[float]) -> str:
 def cmd_debias(run: Run) -> None:
     """Project the representation orthogonal to the configured
     sensitive attributes and persist it with the residual report."""
-    Z = run.read("Z.txt", load_matrix)
-    S_full = run.read("S.txt", load_matrix)
+    Z = run.read("Z.npy", load_matrix)
+    S_full = run.read("S.npy", load_matrix)
     names = _read_names(run, S_full)
     attributes = run.cfg["projection"].get("attributes") or names
     S = build_sensitive_matrix(S_full, names, attributes)
@@ -289,8 +290,8 @@ def cmd_evaluate(run: Run) -> None:
     """Probe and fairness-score both the biased and debiased
     representations on the persisted split, each in its own process
     when run_both() allows."""
-    S = run.read("S.txt", load_matrix)
-    y = run.read("y.txt", load_matrix).ravel()
+    S = run.read("S.npy", load_matrix)
+    y = run.read("y.npy", load_matrix).ravel()
     names = _read_names(run, S)
     split = run.read("split.txt", ds.load_split)
 
@@ -302,7 +303,7 @@ def cmd_evaluate(run: Run) -> None:
 
     # Both scored before anything is written: a missing or corrupt
     # Z_hat.txt leaves no report.
-    scored = run_both(lambda: score("Z.txt"), lambda: score("Z_hat.txt"))
+    scored = run_both(lambda: score("Z.npy"), lambda: score("Z_hat.txt"))
     summary = {}
     for tag, (report, points) in zip(("biased", "debiased"), scored):
         run.write(f"report_{tag}.txt", ev.save_report, report, run.cfg["dataset"], tag)
@@ -316,7 +317,7 @@ def cmd_evaluate(run: Run) -> None:
 
 
 def _sha256_file(path: Path) -> str:
-    # Streamed, so hashing Z.txt does not hold the whole file in memory.
+    # Streamed, so hashing Z_hat.txt does not hold the whole file in memory.
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

@@ -221,7 +221,8 @@ def evaluate_representation(
     """Train the probe on the train rows, score the test rows, and
     compute fairness metrics on the test predictions. A DI left
     undefined by a zero privileged positive rate is recorded as None
-    rather than raised."""
+    rather than raised. A split that does not hold each row once, or a
+    y or S with a value other than 0/1, is a DataError."""
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     S = np.asarray(S, dtype=np.float64)
@@ -229,13 +230,19 @@ def evaluate_representation(
         raise ConfigError("one name per sensitive column required")
     if Z.shape[0] != y.size or S.shape[0] != y.size:
         raise ConfigError("Z, y, and S row counts must match")
+    rows = np.sort(np.concatenate([split.train, split.test]))
+    if not np.array_equal(rows, np.arange(y.size)):
+        raise DataError(f"the split must hold each of the {y.size} rows once, "
+                        "in train or in test")
+    # Checked as floats: a cast to int would truncate 0.5 to 0.
+    y_test = _binary(y, "y")[split.test]
+    S = _binary(S, "S").reshape(S.shape)
     model = train_probe(Z[split.train], y[split.train], probe_config)
     scores = predict_proba(model, Z[split.test])
     y_pred = (scores >= 0.5).astype(np.int64)
-    y_test = y[split.test].astype(np.int64)
     attrs = []
     for j, name in enumerate(sensitive_names):
-        s_test = S[split.test, j].astype(np.int64)
+        s_test = S[split.test, j]
         spd = statistical_parity_difference(y_pred, s_test)
         try:
             di = disparate_impact(y_pred, s_test)

@@ -1,19 +1,17 @@
 """Dense real-matrix utilities: truncated SVD, explained variance,
-projectors onto sensitive-attribute column spaces, and the text matrix
-file format.
+projectors onto sensitive-attribute column spaces, and the two matrix
+file formats.
 
-A row is one line of space-separated 17-significant-digit values, so
-float64 round-trips exactly. write_rows() formats each row with one
-`%` call; _read_into() parses READ_CHUNK_ROWS lines at a time with
-np.loadtxt, whose values are bit-identical to float(), so the text held
-in memory stays bounded however tall the matrix is.
-
-Matrix files of at least SPLIT_MIN_VALUES values are written and
-parsed by two processes at once, split at a row boundary: save_matrix()
-and load_matrix() fork a child that formats the second half of the rows
-into a part file, or parses it straight into the result, which
-load_matrix() allocates in shared memory. The bytes are the same as one
-process writes.
+A file whose name ends in `.npy` is numpy's format: a C-order float64
+array of two dimensions. Any other matrix file is text: a row is one
+line of space-separated 17-significant-digit values, so float64
+round-trips exactly. write_rows() formats each row with one `%` call;
+_read_into() parses READ_CHUNK_ROWS lines at a time with np.loadtxt,
+whose values are bit-identical to float(), so the text held in memory
+stays bounded however tall the matrix is. save_matrix() writes text in
+two processes at once, split at a row boundary: a forked child formats
+the second half of the rows into a part file. The bytes are the same as
+one process writes. load_matrix() parses text in one process.
 
 _in_two() is the one fork primitive. run_both() builds on it to run two
 independent jobs, such as the two networks' training, in two processes
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import mmap
 import os
 import pickle
 import shutil
@@ -175,13 +172,6 @@ def residualize(S, M) -> np.ndarray:
     return M - Q @ (Q.T @ M)
 
 
-# Matrices of fewer values are written and parsed by one process. The
-# fork and the part file cost 3-5 ms; measured on a 2-core VM over 1-100
-# columns, two processes start to write faster near 20,000 values, and
-# to parse faster between 20,000 and 40,000 (1,000 values: 2 ms to
-# write and 1 ms to parse in one process, 5-6 ms and 4-5 ms in two).
-SPLIT_MIN_VALUES = 20_000
-
 # Rows per np.loadtxt call in _read_into(). Larger chunks parse no faster
 # but hold more text at once: on Adult-shaped artifacts (200 columns),
 # 128-row chunks raised the peak RSS of `evaluate` by 0.5 MB, 64-row
@@ -197,12 +187,11 @@ def write_rows(fh, M: np.ndarray) -> None:
         fh.write(line % tuple(row.tolist()))
 
 
-def _read_into(fh, out: np.ndarray, lo: int, hi: int, where: str) -> None:
-    """Parse the next hi - lo lines of fh into out[lo:hi]. Messages name
-    rows of out, which the file holds len(out) of."""
+def _read_into(fh, out: np.ndarray, where: str) -> None:
+    """Parse the next len(out) lines of fh into out."""
     rows, cols = out.shape
-    for first in range(lo, hi, READ_CHUNK_ROWS):
-        n = min(READ_CHUNK_ROWS, hi - first)
+    for first in range(0, rows, READ_CHUNK_ROWS):
+        n = min(READ_CHUNK_ROWS, rows - first)
         with undecodable_is_data_error(where):
             lines = list(itertools.islice(fh, n))
         end = first + len(lines)
@@ -240,18 +229,19 @@ def _parse_rows(lines: list[str], cols: int, where: str, first: int) -> np.ndarr
 
 
 def save_matrix(path, M) -> None:
-    """Write a matrix as text: a 'rows cols' header line, then one line
-    per row (see write_rows). From SPLIT_MIN_VALUES values up, a forked
-    process writes the second half of the rows to a part file beside
-    `path` while this one writes the header and the first half; the part
-    is then appended and removed."""
+    """Write a matrix in the format its file name asks for. A `.npy`
+    path gets numpy's format, C-order float64. Any other path gets text:
+    a 'rows cols' header line, then one line per row (see write_rows).
+    A forked process writes the second half of the rows to a part file
+    beside `path` while this one writes the header and the first half;
+    the part is then appended and removed."""
     M = _as_matrix(M, "matrix")
-    rows, cols = M.shape
-    if M.size < SPLIT_MIN_VALUES:
-        _write_text(path, M, f"{rows} {cols}\n")
-        return
-    h = rows // 2
     path = Path(path)
+    if path.suffix == ".npy":
+        np.save(path, np.ascontiguousarray(M), allow_pickle=False)
+        return
+    rows, cols = M.shape
+    h = rows // 2
     part = path.with_name(path.name + ".part")
     try:
         code = _in_two(lambda: _write_text(path, M[:h], f"{rows} {cols}\n"),
@@ -272,81 +262,61 @@ def _write_text(path: Path, M: np.ndarray, header: str = "") -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by save_matrix(), as a writable C-contiguous
-    float64 array. A truncated or malformed file, text that is not
-    UTF-8, or a non-finite value is a DataError.
-
-    From SPLIT_MIN_VALUES values up, the rows are split at the first
-    line end after their byte midpoint. The result then lives in an
-    anonymous shared mapping, and a forked process parses the rows
-    after the split straight into it while this one parses the rows
-    before it. If the child fails, this process
-    parses the child's rows again itself: a fault there is the DataError
-    the child met, and without one the failure is an OSError naming the
-    rows. Messages name rows of the whole matrix; of two faults, the one
-    in the earlier row is raised."""
+    """Read a matrix written by save_matrix(), in the format its file
+    name gives, as a writable C-contiguous float64 array. A truncated or
+    malformed file, a non-finite value, a `.npy` file that does not hold
+    a 2-D C-order little-endian float64 array, or text that is not UTF-8
+    is a DataError. Messages about text name the row at fault."""
     path = Path(path)
     with open(path, "rb") as fh:
-        # Undecodable bytes become U+FFFD, which no header number holds.
-        line = fh.readline().decode("utf-8", "replace")
-        header = line.split()
-        if len(header) != 2 or not line.endswith("\n"):
-            raise DataError(f"{path}: expected 'rows cols' header line")
-        try:
-            rows, cols = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed header {header!r}") from exc
-        # A row takes at least one byte and a value two, so a corrupt
-        # header is refused here rather than sized into an allocation.
-        if min(rows, cols) < 0 or rows * (2 * cols or 1) > os.fstat(fh.fileno()).st_size:
-            raise DataError(f"{path}: {rows} x {cols} values do not fit the file")
-        start = fh.tell()
-        split = rows * cols >= SPLIT_MIN_VALUES
-        if split:
-            h, offset = _split_rows(fh, start, rows)
-    if not split:
-        out = np.empty((rows, cols))
-        _parse_text(path, start, out, 0, rows)
-    else:
-        # mmap refuses a length of 0; np.frombuffer keeps the mapping alive.
-        shared = mmap.mmap(-1, max(rows * cols * 8, 1))
-        out = np.frombuffer(shared, dtype=np.float64, count=rows * cols).reshape(rows, cols)
-        code = _in_two(lambda: _parse_text(path, start, out, 0, h),
-                       lambda: _parse_text(path, offset, out, h, rows))
-        if code:
-            _parse_text(path, offset, out, h, rows)
-            raise OSError(f"{path}: the process parsing rows {h} to {rows - 1} failed "
-                          f"(exit code {code})")
+        out = _read_npy(fh, path) if path.suffix == ".npy" else _read_text(fh, path)
     if not np.isfinite(out).all():
         raise DataError(f"{path}: matrix contains non-finite entries")
     return out
 
 
-# Bytes per read when load_matrix() counts the rows before its split, so
-# the first half of a large file is never held in memory at once.
-COUNT_CHUNK_BYTES = 1 << 20
+def _read_npy(fh, path: Path) -> np.ndarray:
+    try:
+        version = np.lib.format.read_magic(fh)
+        if version != (1, 0):
+            raise ValueError(f"format version {version}, expected (1, 0)")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    except (ValueError, SyntaxError, TypeError) as exc:
+        raise DataError(f"{path}: not a readable .npy matrix: {exc}") from exc
+    if dtype != np.dtype("<f8") or fortran_order or len(shape) != 2:
+        raise DataError(f"{path}: holds a {dtype} array of shape {shape}"
+                        f"{' in Fortran order' if fortran_order else ''}, "
+                        "not a C-order <f8 matrix")
+    # Checked before the allocation, so a forged shape is refused here.
+    data_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+    if min(shape) < 0 or shape[0] * shape[1] * 8 != data_bytes:
+        raise DataError(f"{path}: {shape[0]} x {shape[1]} values do not fill the "
+                        f"{data_bytes} bytes after the header")
+    out = np.empty(shape)
+    if fh.readinto(out) != out.nbytes:
+        raise DataError(f"{path}: file ends before its {out.nbytes} bytes of values")
+    return out
 
 
-def _split_rows(fh, start: int, rows: int) -> tuple[int, int]:
-    """Where load_matrix() splits the rows that begin at byte `start`:
-    h, the lines (at most `rows`) before the offset just past the first
-    line end after their byte midpoint, and that offset (`start` when no
-    line end follows the midpoint)."""
-    fh.seek((start + os.fstat(fh.fileno()).st_size) // 2)
-    cut = fh.tell() if fh.readline().endswith(b"\n") else start
-    fh.seek(start)
-    h = sum(fh.read(min(cut - pos, COUNT_CHUNK_BYTES)).count(b"\n")
-            for pos in range(start, cut, COUNT_CHUNK_BYTES))
-    return min(h, rows), cut
-
-
-def _parse_text(path: Path, offset: int, out: np.ndarray, lo: int, hi: int) -> None:
-    """Parse rows lo:hi of out from path's UTF-8 text at byte `offset`.
-    Lines end at '\\n' only, as _split_rows() counts them."""
-    with open(path, "rb") as raw:
-        raw.seek(offset)
-        with io.TextIOWrapper(raw, encoding="utf-8", newline="\n") as fh:
-            _read_into(fh, out, lo, hi, str(path))
+def _read_text(fh, path: Path) -> np.ndarray:
+    # Undecodable bytes become U+FFFD, which no header number holds.
+    line = fh.readline().decode("utf-8", "replace")
+    header = line.split()
+    if len(header) != 2 or not line.endswith("\n"):
+        raise DataError(f"{path}: expected 'rows cols' header line")
+    try:
+        rows, cols = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed header {header!r}") from exc
+    # A row takes at least one byte and a value two, so a corrupt
+    # header is refused here rather than sized into an allocation.
+    if min(rows, cols) < 0 or rows * (2 * cols or 1) > os.fstat(fh.fileno()).st_size:
+        raise DataError(f"{path}: {rows} x {cols} values do not fit the file")
+    out = np.empty((rows, cols))
+    # Lines end at '\n' only, so a lone '\r' inside a row is bad data.
+    with io.TextIOWrapper(fh, encoding="utf-8", newline="\n") as text:
+        _read_into(text, out, str(path))
+    return out
 
 
 def _in_two(first, second) -> int:

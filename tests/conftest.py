@@ -5,7 +5,7 @@ The generator plants a strong dependence between the sensitive group
 and both the label and the features, so fairness metrics start out
 clearly outside the 80% band and debiasing has something to remove.
 
-Also the oracles for the text row format of matrix and model files: a
+Also the oracles for the text row format of matrix files: a
 per-value writer and a per-token reader, as the format was first
 written, and random float64 bit patterns with the values that format
 and parse at the edges.

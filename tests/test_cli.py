@@ -12,7 +12,7 @@ import pytest
 import tabfair.cli
 from conftest import SCHEMA_TEXT, synthetic_rows, write_csv
 from tabfair.cli import Run, config_hash, load_config, main, read_provenance
-from tabfair.dataset import stratified_split
+from tabfair.dataset import load_split, stratified_split
 from tabfair.errors import DataError
 from tabfair.linalg import load_matrix, save_matrix
 from tabfair.neuralnet import MlpConfig, init_params, load_mlp, save_mlp
@@ -38,9 +38,9 @@ BASE_CONFIG = {
 }
 
 PIPELINE_ARTIFACTS = [
-    "X_num.txt", "X_cat.txt", "S.txt", "y.txt", "levelmap.txt", "split.txt",
+    "X_num.npy", "X_cat.npy", "S.npy", "y.npy", "levelmap.txt", "split.txt",
     "sensitive_names.txt", "prepare.provenance.txt",
-    "Z.txt", "model_num_cat.npz", "model_cat_num.npz",
+    "Z.npy", "model_num_cat.npz", "model_cat_num.npz",
     "loss_num_cat.csv", "loss_cat_num.csv", "train_embed.provenance.txt",
     "Z_hat.txt", "debias.provenance.txt",
     "report_biased.txt", "roc_biased.csv", "report_debiased.txt",
@@ -76,10 +76,10 @@ class TestStages:
         out = tmp_path / "out"
         for name in PIPELINE_ARTIFACTS + ["manifest.json"]:
             assert (out / name).exists(), name
-        Z = load_matrix(out / "Z.txt")
+        Z = load_matrix(out / "Z.npy")
         assert Z.shape == (240, 12)
         Z_hat = load_matrix(out / "Z_hat.txt")
-        S = load_matrix(out / "S.txt")
+        S = load_matrix(out / "S.npy")
         assert np.max(np.abs(Z_hat.T @ S)) < 1e-8 * np.linalg.norm(Z_hat) * np.linalg.norm(S) + 1e-12
 
     def test_stages_runnable_individually(self, tmp_path):
@@ -101,8 +101,8 @@ class TestStages:
         # the sensitive matrix and labels deleted.
         config = make_workspace(tmp_path)
         main(["prepare", "--config", str(config)])
-        (tmp_path / "out" / "S.txt").unlink()
-        (tmp_path / "out" / "y.txt").unlink()
+        (tmp_path / "out" / "S.npy").unlink()
+        (tmp_path / "out" / "y.npy").unlink()
         assert main(["train-embed", "--config", str(config)]) == 0
 
     def test_pipeline_equals_stage_by_stage(self, tmp_path):
@@ -139,7 +139,7 @@ class TestStages:
         config = make_workspace(tmp_path)
         for stage in ("prepare", "train-embed"):
             assert main([stage, "--config", str(config)]) == 0
-        Z_path = tmp_path / "out" / "Z.txt"
+        Z_path = tmp_path / "out" / "Z.npy"
         save_matrix(Z_path, np.zeros_like(load_matrix(Z_path)))
         assert main(["debias", "--config", str(config)]) == 0
         prov = read_provenance(tmp_path / "out" / "debias.provenance.txt")
@@ -170,8 +170,8 @@ class TestDeterminism:
         main(["pipeline", "--config", str(config), "--out", str(tmp_path / "a")])
         main(["pipeline", "--config", str(config), "--seed", "1",
               "--out", str(tmp_path / "b")])
-        Za = load_matrix(tmp_path / "a" / "Z.txt")
-        Zb = load_matrix(tmp_path / "b" / "Z.txt")
+        Za = load_matrix(tmp_path / "a" / "Z.npy")
+        Zb = load_matrix(tmp_path / "b" / "Z.npy")
         assert not np.array_equal(Za, Zb)
 
     def test_config_hash_excludes_out_dir_only(self, tmp_path):
@@ -349,18 +349,19 @@ class TestExitCodes:
         assert err.startswith("error: ") and "a_file" in err, err
 
     def test_bad_matrix_token_is_data_error(self, tmp_path, capsys):
+        # Z_hat.txt is the one text matrix a stage reads.
         config = make_workspace(tmp_path)
-        for verb in ("prepare", "train-embed"):
+        for verb in ("prepare", "train-embed", "debias"):
             assert main([verb, "--config", str(config)]) == 0, verb
-        path = tmp_path / "out" / "Z.txt"
+        path = tmp_path / "out" / "Z_hat.txt"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         lines[4] = "x" + lines[4][lines[4].index(" "):]  # header, then rows 0-2
         path.write_text("".join(lines), encoding="utf-8")
         capsys.readouterr()
         # An uncaught exception (a traceback) would fail the test here.
-        assert main(["debias", "--config", str(config)]) == 2
+        assert main(["evaluate", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert "data error" in err and "Z.txt" in err and "row 3" in err, err
+        assert "data error" in err and "Z_hat.txt" in err and "row 3" in err, err
 
     def test_evaluate_without_debias_names_missing_stage(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
@@ -376,11 +377,11 @@ class TestExitCodes:
 
     # Every upstream file each stage reads, with the stage that writes it.
     STAGE_INPUTS = {
-        "train-embed": {"X_num.txt": "prepare", "X_cat.txt": "prepare"},
-        "debias": {"Z.txt": "train-embed", "S.txt": "prepare",
+        "train-embed": {"X_num.npy": "prepare", "X_cat.npy": "prepare"},
+        "debias": {"Z.npy": "train-embed", "S.npy": "prepare",
                    "sensitive_names.txt": "prepare"},
-        "evaluate": {"S.txt": "prepare", "y.txt": "prepare", "split.txt": "prepare",
-                     "sensitive_names.txt": "prepare", "Z.txt": "train-embed",
+        "evaluate": {"S.npy": "prepare", "y.npy": "prepare", "split.txt": "prepare",
+                     "sensitive_names.txt": "prepare", "Z.npy": "train-embed",
                      "Z_hat.txt": "debias"},
     }
 
@@ -404,7 +405,7 @@ class TestExitCodes:
         config = make_workspace(tmp_path)
         for verb in ("prepare", "train-embed", "debias"):
             assert main([verb, "--config", str(config)]) == 0, verb
-        for name in ("X_num.txt", "X_cat.txt", "levelmap.txt"):
+        for name in ("X_num.npy", "X_cat.npy", "levelmap.txt"):
             (tmp_path / "out" / name).unlink()
         assert main(["evaluate", "--config", str(config)]) == 0
 
@@ -443,7 +444,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "stage 'prepare' failed" in err
         assert "column 'group2' of S is collinear with the columns before it ['group']" in err
-        assert not (tmp_path / "out" / "Z.txt").exists()
+        assert not (tmp_path / "out" / "Z.npy").exists()
 
     def test_unobserved_reference_level_collides_with_intercept(self, tmp_path, capsys):
         # Reference level C never occurs, so group=A + group=B is 1 on
@@ -456,7 +457,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "column 'intercept' of S is collinear with the columns before it " \
                "['group=A', 'group=B']" in err, err
-        assert not (tmp_path / "out" / "Z.txt").exists()
+        assert not (tmp_path / "out" / "Z.npy").exists()
 
     def test_schema_without_sensitive_column_writes_nothing(self, tmp_path, capsys):
         config = make_workspace(tmp_path, projection={"attributes": None})
@@ -478,7 +479,7 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "stage 'prepare' failed" in err and "'group'" in err and "'C'" in err
-        assert not (tmp_path / "out" / "Z.txt").exists()
+        assert not (tmp_path / "out" / "Z.npy").exists()
 
     def test_sensitive_group_absent_from_test_split_stops_at_prepare(self, tmp_path, capsys):
         # One training row has group C: the S column group=C is 0 on
@@ -495,7 +496,7 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "stage 'prepare' failed" in err and "'group=C'" in err
-        assert not (tmp_path / "out" / "Z.txt").exists()
+        assert not (tmp_path / "out" / "Z.npy").exists()
 
     def test_class_missing_from_a_split_stops_at_prepare(self, tmp_path, capsys):
         # Two positive rows at test_fraction 0.75: both would be test
@@ -533,6 +534,40 @@ class TestExitCodes:
             # An uncaught exception (a traceback) would fail the test here.
             assert main(["evaluate", "--config", str(config)]) == 2, text
             assert "data error" in capsys.readouterr().err
+
+    def test_split_that_misses_or_repeats_rows_is_data_error(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        for verb in ("prepare", "train-embed", "debias"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        split = tmp_path / "out" / "split.txt"
+        lines = split.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[-1].startswith("test ")
+        test = lines[-1].split()[1:]
+        edits = [test + ["99999"], test + ["-1"], test + [test[0]], test[1:]]
+        capsys.readouterr()
+        for indices in edits:
+            split.write_text("".join(lines[:-1]) + " ".join(["test"] + indices) + "\n",
+                             encoding="utf-8")
+            # An uncaught exception (a traceback) would fail the test here.
+            assert main(["evaluate", "--config", str(config)]) == 2, indices[-1]
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and "each of the 240 rows once" in err, err
+
+    @pytest.mark.parametrize("name, rows, value", [("S.npy", 10, 0.5), ("y.npy", 3, 0.7)])
+    def test_non_binary_s_or_y_is_data_error(self, tmp_path, capsys, name, rows, value):
+        config = make_workspace(tmp_path)
+        for verb in ("prepare", "train-embed", "debias"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        out = tmp_path / "out"
+        M = load_matrix(out / name)
+        M[load_split(out / "split.txt").test[:rows], 0] = value
+        save_matrix(out / name, M)
+        capsys.readouterr()
+        # An uncaught exception (a traceback) would fail the test here.
+        assert main(["evaluate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{name[0]} must contain only 0/1" in err, err
+        assert not (out / "report_biased.txt").exists()
 
     def test_provenance_line_without_value_is_data_error(self, tmp_path):
         path = tmp_path / "x.provenance.txt"
@@ -575,6 +610,18 @@ class TestExitCodes:
             path.write_bytes(data[:n])
             with pytest.raises(DataError):
                 load_mlp(path)
+        # The five .npy matrices of a run, cut at every byte of the
+        # 128-byte header and the first values, then every 61st byte.
+        config = make_workspace(tmp_path)
+        for verb in ("prepare", "train-embed"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        for name in ("X_num.npy", "X_cat.npy", "S.npy", "y.npy", "Z.npy"):
+            path = tmp_path / "out" / name
+            data = path.read_bytes()
+            for n in [*range(160), *range(160, len(data), 61)]:
+                path.write_bytes(data[:n])
+                with pytest.raises(DataError):
+                    load_matrix(path)
         # Any count of names is valid, so only a cut inside the last, or
         # a byte that is not UTF-8, is seen.
         path, names = tmp_path / "names", b"group\nrace\n"
@@ -599,7 +646,7 @@ class TestExitCodes:
             # An uncaught exception (a traceback) would fail the test here.
             assert main([verb, "--config", str(config)]) == 2, verb
             err = capsys.readouterr().err
-            assert f"{len(names) - 1} names for the {len(names)} columns of S.txt" in err, err
+            assert f"{len(names) - 1} names for the {len(names)} columns of S.npy" in err, err
 
     def test_k_out_of_range_fails_before_compute(self, tmp_path, capsys):
         config = make_workspace(tmp_path, projection={"k": 999})
@@ -735,21 +782,20 @@ class TestShippedConfigs:
 class TestReports:
     def test_provenance_reproducible_from_artifacts(self, tmp_path):
         # Every number in evaluate.provenance.txt must be recomputable
-        # from the persisted matrices alone, and exactly so: the text
-        # format round-trips float64.
-        from tabfair.dataset import load_split
+        # from the persisted matrices alone, and exactly so: both matrix
+        # formats round-trip float64.
         from tabfair.evaluation import ProbeConfig, evaluate_representation
 
         config = make_workspace(tmp_path)
         assert main(["pipeline", "--config", str(config)]) == 0
         out = tmp_path / "out"
-        S = load_matrix(out / "S.txt")
-        y = load_matrix(out / "y.txt").ravel()
+        S = load_matrix(out / "S.npy")
+        y = load_matrix(out / "y.npy").ravel()
         split = load_split(out / "split.txt")
         names = (out / "sensitive_names.txt").read_text().split()
         prov = read_provenance(out / "evaluate.provenance.txt")
         probe = ProbeConfig(learning_rate=0.01, epochs=200)
-        for tag, source in (("biased", "Z.txt"), ("debiased", "Z_hat.txt")):
+        for tag, source in (("biased", "Z.npy"), ("debiased", "Z_hat.txt")):
             Z = load_matrix(out / source)
             report = evaluate_representation(Z, y, S, split, names, probe)
             assert float(prov[f"{tag}_accuracy"]) == report.accuracy

@@ -437,6 +437,29 @@ class TestEvaluateRepresentation:
         with pytest.raises(ConfigError):
             evaluate_representation(Z, y, S, split, ["a", "b"])
 
+    def test_non_binary_s_or_y_is_data_error(self):
+        # Cast to int, 0.5 and 0.7 would be scored as 0.
+        Z, y, S, split = self.make_setup()
+        S_half, y_soft = S.copy(), y.copy()
+        S_half[split.test[:10], 0] = 0.5
+        y_soft[split.test[:3]] = 0.7
+        for args, name in (((y, S_half), "S"), ((y_soft, S), "y")):
+            with pytest.raises(DataError, match=f"^{name} must contain only 0/1"):
+                evaluate_representation(Z, *args, split, ["group"])
+
+    @pytest.mark.parametrize("train, test", [
+        ([0, 1, 2], [3, 4, 5]), ([0, 1, 2, 3], [3, 4, 5, 6]), ([-1, 1, 2], [3, 4, 5, 6]),
+        ([0, 1, 2], [3, 4, 5, 6, 7]), ([], [0, 1, 2, 3, 4, 5, 6]),
+    ])
+    def test_split_must_cover_each_row_once(self, train, test):
+        # A missing row, a duplicate, a negative index, one past the
+        # last row, and every row in test with none to train on.
+        Z, y = np.eye(7, 2), np.array([0, 1, 0, 1, 0, 1, 0], dtype=float)
+        split = SplitIndices(train=np.array(train, dtype=np.int64),
+                             test=np.array(test, dtype=np.int64), seed=0, test_fraction=0.5)
+        with pytest.raises(DataError):
+            evaluate_representation(Z, y, y[:, None], split, ["group"])
+
     def test_report_round_trip(self, tmp_path):
         Z, y, S, split = self.make_setup()
         report = evaluate_representation(Z, y, S, split, ["group"])

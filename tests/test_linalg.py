@@ -2,7 +2,7 @@
 Jacobi SVD written out below and against hand-reduced small cases."""
 
 import os
-import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,13 +277,6 @@ class TestResidualize:
             residualize(np.ones((4, 1)), np.ones((5, 2)))
 
 
-@pytest.fixture
-def split_every_matrix(monkeypatch):
-    """Two processes write and parse even the small matrices of a test
-    of the split itself."""
-    monkeypatch.setattr(linalg, "SPLIT_MIN_VALUES", 0)
-
-
 class TestMatrixPersistence:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -329,26 +322,10 @@ class TestMatrixPersistence:
         assert np.array_equal(back.view(np.uint64), oracle.view(np.uint64))
         assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
 
-    def test_small_matrix_is_one_process(self, tmp_path, monkeypatch):
-        forks, fork = [], os.fork
-
-        def counted_fork():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        path = tmp_path / "m.txt"
-        rng = np.random.default_rng(8)
-        for M, split in ((rng.normal(size=(1000, 1)), False),
-                         (rng.normal(size=(linalg.SPLIT_MIN_VALUES, 1)), True)):
-            forks.clear()
-            save_matrix(path, M)
-            assert np.array_equal(load_matrix(path), M)
-            assert len(forks) == (2 if split else 0)
-
-    def test_split_far_from_row_midpoint(self, tmp_path, split_every_matrix):
-        # Rows of "0" and rows of 17-digit values: the byte midpoint of
-        # the rows lies far from their row midpoint, on either side.
+    def test_split_far_from_row_midpoint(self, tmp_path):
+        # Rows of "0" and rows of 17-digit values: the second process
+        # writes from the row midpoint, far from the byte midpoint of
+        # the rows, on either side.
         rng = np.random.default_rng(5)
         full = random_finite_floats(rng, (150, 20))
         path = tmp_path / "m.txt"
@@ -356,6 +333,90 @@ class TestMatrixPersistence:
             save_matrix(path, M)
             assert path.read_text(encoding="utf-8") == "300 20\n" + per_value_text(M)
             assert np.array_equal(load_matrix(path).view(np.uint64), M.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(7, 5), (0, 3), (3, 0), (0, 0)])
+    def test_npy_round_trip_bitwise(self, tmp_path, shape):
+        M = random_finite_floats(np.random.default_rng(sum(shape)), shape)
+        path = tmp_path / "m.npy"
+        for layout in (M, np.asfortranarray(M)):
+            save_matrix(path, layout)
+            with open(path, "rb") as fh:
+                assert np.lib.format.read_magic(fh) == (1, 0)
+                assert np.lib.format.read_array_header_1_0(fh) == (shape, False, np.dtype("<f8"))
+            back = load_matrix(path)
+            assert back.dtype == np.float64 and back.shape == shape
+            assert back.flags.writeable and back.flags.c_contiguous
+            assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
+
+    def test_npy_every_prefix_is_data_error(self, tmp_path):
+        path = tmp_path / "m.npy"
+        save_matrix(path, random_finite_floats(np.random.default_rng(2), (4, 3)))
+        data = path.read_bytes()
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            with pytest.raises(DataError, match="m.npy"):
+                load_matrix(path)
+        path.write_bytes(data + bytes(8))  # one value more than the header declares
+        with pytest.raises(DataError, match="4 x 3 values do not fill the 104 bytes"):
+            load_matrix(path)
+
+    @staticmethod
+    def write_npy_header(path, shape, data=b"", descr="<f8"):
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": descr, "fortran_order": False, "shape": shape})
+            fh.write(data)
+
+    def test_npy_forged_size_is_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "m.npy"
+        self.write_npy_header(path, (2_000_000_000, 2), bytes(64))
+        tracemalloc.start()  # numpy reports its array allocations here
+        try:
+            with pytest.raises(DataError, match="2000000000 x 2 values do not fill"):
+                load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        # Negative dimensions whose product fits the data.
+        self.write_npy_header(path, (-2, -4), bytes(64))
+        with pytest.raises(DataError, match="-2 x -4 values"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("array", [
+        np.ones((2, 3), dtype=np.float32), np.ones((2, 3), dtype=np.int64),
+        np.ones((2, 3), dtype=">f8"), np.ones(3), np.ones((2, 3, 1)),
+        np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+    ], ids=["float32", "int64", "big-endian", "ndim1", "ndim3", "fortran"])
+    def test_npy_other_arrays_are_refused(self, tmp_path, array):
+        path = tmp_path / "m.npy"
+        np.save(path, array)
+        with pytest.raises(DataError, match="not a C-order <f8 matrix"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_npy_non_finite_is_refused(self, tmp_path, value):
+        M = np.zeros((3, 2))
+        M[1, 1] = value
+        path = tmp_path / "m.npy"
+        np.save(path, M)
+        with pytest.raises(DataError, match="non-finite"):
+            load_matrix(path)
+
+    def test_npy_bad_magic_or_header(self, tmp_path):
+        path = tmp_path / "m.npy"
+        save_matrix(path, np.ones((2, 2)))
+        data = path.read_bytes()
+        header = data[10:data.index(b"\n") + 1]
+        # A text matrix, another format version, and header dicts that
+        # do not parse or hold an unhashable key.
+        for bad in (b"2 2\n1 1\n1 1\n", data[:6] + b"\x03" + data[7:],
+                    data.replace(b"(2, 2)", b"(2, x)"),
+                    data.replace(b"'descr'", b"[1, 2 ]"),
+                    data[:10] + b"[" + header[1:]):
+            path.write_bytes(bad)
+            with pytest.raises(DataError, match="not a readable .npy matrix"):
+                load_matrix(path)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -367,13 +428,13 @@ class TestMatrixPersistence:
             with pytest.raises(DataError):
                 load_matrix(path)
 
-    def test_short_row(self, tmp_path, split_every_matrix):
+    def test_short_row(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("2 3\n1 2 3\n4 5\n", encoding="utf-8")
         with pytest.raises(DataError, match="row 1"):
             load_matrix(path)
-        # In either half of a taller file the message names the row of
-        # the whole matrix; with a fault in each half, the earlier one.
+        # In a file of several read chunks the message names the row of
+        # the whole matrix; with two faults, the earlier one.
         rows = ["1 2 3\n"] * 200
         for short, match in (((20,), "row 20 has 2"), ((150,), "row 150 has 2"),
                              ((20, 150), "row 20 has 2")):
@@ -381,20 +442,20 @@ class TestMatrixPersistence:
             path.write_text("200 3\n" + text, encoding="utf-8")
             with pytest.raises(DataError, match=match):
                 load_matrix(path)
-        # A file cut inside its last row (also one that holds the byte
-        # midpoint), or after it.
+        # A file cut inside its last row, or after it, and a lone '\r'
+        # inside a row, which does not end it.
         for text, match in (("200 3\n" + "".join(rows)[:-3], "row 199 is cut short"),
+                            ("2 3\n1 2\r3\n4 5 6\n", "row 0: "),
                             ("2 3\n1 2 3\n" + "4 " * 20, "row 1 is cut short"),
                             ("201 3\n" + "".join(rows), "expected 201 rows, file ends after 200")):
             path.write_text(text, encoding="utf-8")
             with pytest.raises(DataError, match=match):
                 load_matrix(path)
 
-    def test_not_utf8_is_data_error(self, tmp_path, split_every_matrix):
+    def test_not_utf8_is_data_error(self, tmp_path):
         path = tmp_path / "m.txt"
-        # 24 kB, so the first half's 8 kB read-ahead stops short of the
-        # second half's faults. 0xff in the header, in rows 10 and 3900
-        # (one in each half), and after the last row.
+        # 24 kB, past the 8 kB read-ahead. 0xff in the header, in rows 10
+        # and 3900, and after the last row.
         data = b"4000 3\n" + b"1 2 3\n" * 4000
         for bad in [data[:i] + b"\xff" + data[i + 1:] for i in (1, 7 + 6 * 10, 7 + 6 * 3900)] + [
                 data + b"\xff"]:
@@ -402,46 +463,7 @@ class TestMatrixPersistence:
             with pytest.raises(DataError):
                 load_matrix(path)
 
-    def test_fault_in_first_half_reaps_the_child(self, tmp_path):
-        # This process fails on row 5 while the child parses 400 kB of
-        # values: the child must still end and be reaped.
-        M = np.arange(2000 * 50, dtype=np.float64).reshape(2000, 50)
-        path = tmp_path / "m.txt"
-        save_matrix(path, M)
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[6] = "x" + lines[6]
-        path.write_text("".join(lines), encoding="utf-8")
-
-        def hung(signum, frame):
-            raise TimeoutError("load_matrix waits on a child that waits on it")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            with pytest.raises(DataError, match="row 5"):
-                load_matrix(path)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-
-    def test_child_failure_outside_parsing_names_its_rows(self, tmp_path, split_every_matrix, monkeypatch):
-        path = tmp_path / "m.txt"
-        save_matrix(path, np.ones((100, 3)))
-        parent, read_into = os.getpid(), linalg._read_into
-
-        def fail_in_child(fh, out, lo, hi, where):
-            if os.getpid() != parent:
-                raise OSError("input/output error")
-            read_into(fh, out, lo, hi, where)
-
-        monkeypatch.setattr(linalg, "_read_into", fail_in_child)
-        # The child's rows parse cleanly here, so the fault is the child's.
-        with pytest.raises(OSError, match=r"parsing rows \d+ to 99 failed \(exit code 1\)"):
-            load_matrix(path)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_child_write_failure_leaves_no_part_file(self, tmp_path, split_every_matrix, monkeypatch):
+    def test_child_write_failure_leaves_no_part_file(self, tmp_path, monkeypatch):
         parent, write_rows = os.getpid(), linalg.write_rows
 
         def fail_in_child(fh, M):

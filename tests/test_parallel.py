@@ -151,14 +151,14 @@ class TestSameErrors:
     def test_second_network_diverges_in_train_embed(self, tmp_path, capsys, mode):
         config = make_workspace(tmp_path)
         assert main(["prepare", "--config", str(config)]) == 0
-        X_num = tmp_path / "out" / "X_num.txt"
+        X_num = tmp_path / "out" / "X_num.npy"
         save_matrix(X_num, load_matrix(X_num) * 1e160)
         capsys.readouterr()
         with np.errstate(all="ignore"):
             assert main(["train-embed", "--config", str(config)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: training diverged") and "Traceback" not in err
-        assert not (tmp_path / "out" / "Z.txt").exists()
+        assert not (tmp_path / "out" / "Z.npy").exists()
 
     @pytest.mark.parametrize("fault, code", [("corrupt", 2), ("missing", 1)])
     def test_bad_z_hat_in_evaluate_writes_no_report(self, tmp_path, capsys, mode, fault, code):
