@@ -3,13 +3,18 @@
 Every stage writes files under the configured output directory, so
 stages can be rerun or swapped independently. A stage run on its own
 reads its inputs from disk; `pipeline` hands each matrix on in memory
-and parses back no file it wrote. A JSON config fixes the dataset paths,
-network shapes, projection rank, probe settings, and the seed; given
-the same config, every stage is idempotent and byte-identical either
-way (the pipeline manifest's timestamp and timings aside).
+and parses back no file it wrote. No stage reads `Z_hat.txt`: `evaluate`
+scores the projection `debias` made in the same process, or, run on its
+own, projects `Z.npy` against `S.npy` under its own config. A JSON
+config fixes the dataset paths, network shapes, projection rank, probe
+settings, and the seed; given the same config, every stage is
+idempotent and byte-identical either way (the pipeline manifest's
+timestamp and timings aside).
 
 Exit codes: 0 success, 1 usage/config error or a file the system cannot
-read or make, 2 data error, 3 numerical failure.
+read or make, 2 data error, 3 numerical failure. `debias` and
+`evaluate` both project, so both can exit 1 for a k out of range and 3
+for a failed projection.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ import numpy as np
 from . import dataset as ds
 from . import evaluation as ev
 from .errors import ConfigError, DataError, NumericalError, TabfairError
-from .fair_projection import (FairProjectionConfig, build_sensitive_matrix,
-                              check_sensitive_rank, debias)
+from .fair_projection import (DebiasedRepresentation, FairProjectionConfig,
+                              build_sensitive_matrix, check_sensitive_rank, debias)
 from .linalg import load_matrix, run_both, save_matrix
 from .mixed_encoder import MixedEncoderConfig, encode_dataset
 from .neuralnet import save_mlp
@@ -40,7 +45,6 @@ PRODUCERS = {
     **dict.fromkeys(("X_num.npy", "X_cat.npy", "S.npy", "y.npy", "split.txt",
                      "sensitive_names.txt"), "prepare"),
     "Z.npy": "train-embed",
-    "Z_hat.txt": "debias",
 }
 
 # The top-level config keys, all required, and the type each must fit.
@@ -84,6 +88,9 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
     if not _fits(attributes, list | None) or not all(_fits(a, str) for a in attributes or ()):
         raise ConfigError(f"{path}: projection 'attributes' must be a list of str, "
                           f"got {attributes!r}")
+    if attributes == []:
+        raise ConfigError(f"{path}: projection 'attributes' is empty; name at least one, "
+                          "or give null for all")
     base = path.parent
     for key in ("csv", "schema", "out_dir"):
         cfg[key] = str((base / cfg[key]).resolve()) if not Path(cfg[key]).is_absolute() else cfg[key]
@@ -92,8 +99,10 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
 
 def config_hash(cfg: dict) -> str:
     """sha256 over the canonical JSON of the config, excluding the
-    output directory (placement does not change results)."""
-    hashable = {k: v for k, v in cfg.items() if k != "out_dir"}
+    paths of the CSV, the schema and the output directory: placement
+    does not change results, and prepare records the sha256 of the two
+    inputs it read."""
+    hashable = {k: v for k, v in cfg.items() if k not in ("csv", "schema", "out_dir")}
     blob = json.dumps(hashable, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -147,6 +156,8 @@ class Run:
         self.out.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
         self._kept: dict[str, object] = {}
+        # (DebiasedRepresentation, attributes), once _debiased() has run.
+        self.debiased: tuple[DebiasedRepresentation, list[str]] | None = None
 
     def write(self, name: str, save, value, *args) -> None:
         """save(path, value, *args), then keep value for later reads."""
@@ -230,6 +241,8 @@ def cmd_prepare(run: Run) -> None:
             "d1": encoded.d1,
             "d2": encoded.d2,
             "sensitive_columns": encoded.s,
+            "csv_sha256": _sha256_file(run.cfg["csv"]),
+            "schema_sha256": _sha256_file(run.cfg["schema"]),
         },
     )
 
@@ -262,15 +275,25 @@ def _fmt_last(values: list[float]) -> str:
     return f"{values[-1]:.17g}" if values else "none"
 
 
+def _debiased(run: Run) -> tuple[DebiasedRepresentation, list[str]]:
+    """Z.npy projected orthogonal to the configured sensitive attributes
+    (all of them when none are named), and those attributes. Computed on
+    the first call and kept on the Run, so pipeline projects once."""
+    if run.debiased is None:
+        Z = run.read("Z.npy", load_matrix)
+        S_full = run.read("S.npy", load_matrix)
+        names = _read_names(run, S_full)
+        attributes = run.cfg["projection"].get("attributes") or names
+        S = build_sensitive_matrix(S_full, names, attributes)
+        run.debiased = debias(Z, S, run.projection), attributes
+    return run.debiased
+
+
 def cmd_debias(run: Run) -> None:
     """Project the representation orthogonal to the configured
-    sensitive attributes and persist it with the residual report."""
-    Z = run.read("Z.npy", load_matrix)
-    S_full = run.read("S.npy", load_matrix)
-    names = _read_names(run, S_full)
-    attributes = run.cfg["projection"].get("attributes") or names
-    S = build_sensitive_matrix(S_full, names, attributes)
-    result = debias(Z, S, run.projection)
+    sensitive attributes and persist it with the residual report.
+    Z_hat.txt is an export: no stage reads it back."""
+    result, attributes = _debiased(run)
     run.write_matrix("Z_hat.txt", result.Z_hat)
     run.write_provenance(
         "debias.provenance.txt",
@@ -287,37 +310,44 @@ def cmd_debias(run: Run) -> None:
 
 
 def cmd_evaluate(run: Run) -> None:
-    """Probe and fairness-score both the biased and debiased
-    representations on the persisted split, each in its own process
-    when run_both() allows."""
+    """Probe and fairness-score Z and its debiased projection on the
+    persisted split. The projection is the one debias made in this
+    process; run on its own, evaluate makes it from Z.npy and S.npy
+    under its own config. When run_both() allows, the debiased half,
+    projection included, runs in a child while this process scores Z."""
     S = run.read("S.npy", load_matrix)
     y = run.read("y.npy", load_matrix).ravel()
     names = _read_names(run, S)
     split = run.read("split.txt", ds.load_split)
 
-    def score(name: str):
-        report = ev.evaluate_representation(run.read(name, load_matrix), y, S, split,
-                                            names, run.probe)
+    def score(Z):
+        report = ev.evaluate_representation(Z, y, S, split, names, run.probe)
         return report, ev.roc_curve_points(report.test_scores,
                                            y[split.test].astype(np.int64))
 
+    def score_debiased():
+        result, attributes = _debiased(run)
+        return score(result.Z_hat), result.k, attributes
+
     # Both scored before anything is written: a missing or corrupt
-    # Z_hat.txt leaves no report.
-    scored = run_both(lambda: score("Z.npy"), lambda: score("Z_hat.txt"))
-    summary = {}
-    for tag, (report, points) in zip(("biased", "debiased"), scored):
+    # input, or a failed projection, leaves no report.
+    biased, (debiased, k, attributes) = run_both(
+        lambda: score(run.read("Z.npy", load_matrix)), score_debiased)
+    summary = {"debiased_k": k, "attributes": ",".join(attributes)}
+    for tag, (report, points) in zip(("biased", "debiased"), (biased, debiased)):
         run.write(f"report_{tag}.txt", ev.save_report, report, run.cfg["dataset"], tag)
         run.write(f"roc_{tag}.csv", ev.save_roc_csv, points)
         summary[f"{tag}_accuracy"] = f"{report.accuracy:.17g}"
         summary[f"{tag}_roc_auc"] = f"{report.roc_auc:.17g}"
+        summary[f"{tag}_probe_loss"] = f"{report.train_loss:.17g}"
         for a in report.attributes:
             summary[f"{tag}_di_x100_{a.name}"] = ev.format_or_undefined(a.di_x100)
             summary[f"{tag}_spd_{a.name}"] = f"{a.spd:.17g}"
     run.write_provenance("evaluate.provenance.txt", summary)
 
 
-def _sha256_file(path: Path) -> str:
-    # Streamed, so hashing Z_hat.txt does not hold the whole file in memory.
+def _sha256_file(path) -> str:
+    # Streamed, so hashing Z_hat.txt or a CSV does not hold the whole file in memory.
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

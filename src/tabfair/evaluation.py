@@ -200,14 +200,15 @@ class FairnessReport:
     """One probe evaluation: accuracy/ROC-AUC plus DI x 100 and SPD per
     sensitive attribute, mirroring one table row per attribute.
 
-    test_scores holds the probe's test-row probabilities; report files
-    do not store them.
+    test_scores holds the probe's test-row probabilities and train_loss
+    its final mean BCE on the train rows; report files store neither.
     """
 
     accuracy: float
     roc_auc: float
     attributes: list[AttributeFairness]
     test_scores: np.ndarray | None = field(default=None, repr=False, compare=False)
+    train_loss: float | None = field(default=None, compare=False)
 
 
 def evaluate_representation(
@@ -238,6 +239,7 @@ def evaluate_representation(
     y_test = _binary(y, "y")[split.test]
     S = _binary(S, "S").reshape(S.shape)
     model = train_probe(Z[split.train], y[split.train], probe_config)
+    train_loss = probe_loss(model, Z[split.train], y[split.train])
     scores = predict_proba(model, Z[split.test])
     y_pred = (scores >= 0.5).astype(np.int64)
     attrs = []
@@ -261,6 +263,7 @@ def evaluate_representation(
         roc_auc=roc_auc(scores, y_test),
         attributes=attrs,
         test_scores=scores,
+        train_loss=train_loss,
     )
 
 

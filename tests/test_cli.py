@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on synthetic data: artifacts,
 determinism, manifest integrity, and the exit-code taxonomy."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -124,6 +125,83 @@ class TestStages:
         config = make_workspace(tmp_path)
         assert main(["pipeline", "--config", str(config)]) == 0
 
+    def test_stage_alone_evaluate_reads_no_z_hat(self, tmp_path):
+        # evaluate run on its own projects Z.npy under its own config:
+        # without debias, and beside a Z_hat.txt that debias wrote at
+        # another k, it writes what pipeline writes.
+        config = make_workspace(tmp_path)
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        cfg["projection"]["k"] = 2
+        other_k = tmp_path / "other_k.json"
+        other_k.write_text(json.dumps(cfg), encoding="utf-8")
+        a, b = tmp_path / "a", tmp_path / "b"
+        scored = ["report_biased.txt", "roc_biased.csv", "report_debiased.txt",
+                  "roc_debiased.csv", "evaluate.provenance.txt"]
+        for verb in ("prepare", "train-embed", "evaluate"):
+            assert main([verb, "--config", str(config), "--out", str(b)]) == 0, verb
+        assert not (b / "Z_hat.txt").exists()
+        for name in scored:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert main(["debias", "--config", str(other_k), "--out", str(b)]) == 0
+        assert (a / "Z_hat.txt").read_bytes() != (b / "Z_hat.txt").read_bytes()
+        for name in scored:
+            (b / name).unlink()
+        assert main(["evaluate", "--config", str(config), "--out", str(b)]) == 0
+        for name in scored:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_evaluate_projection_equals_debias_export(self, tmp_path):
+        # The three Adult-shaped settings the benchmark sweeps: the
+        # projection evaluate makes from Z.npy and S.npy is, bit for bit,
+        # the Z_hat.txt that debias writes.
+        import importlib.util
+
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("synth", root / "perfbench" / "synth.py")
+        synth = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(synth)
+        synth.write_adult_csv(tmp_path / "adult.csv", seed=1, rows=600)
+        cfg = json.loads((root / "configs" / "adult.json").read_text(encoding="utf-8"))
+        cfg.update(csv=str(tmp_path / "adult.csv"), schema=str(root / "configs" / "adult.schema"),
+                   out_dir=str(tmp_path / "out"))
+        cfg["encoder"]["epochs"] = 1
+        config = tmp_path / "config.json"
+        settings = [
+            {"k": 18, "include_intercept": False, "attributes": ["sex", "race"]},
+            {"variance_target": 0.9, "include_intercept": True, "attributes": ["sex", "race"]},
+            {"k": 18, "include_intercept": False, "attributes": ["sex"]},
+        ]
+        for i, projection in enumerate(settings):
+            config.write_text(json.dumps({**cfg, "projection": projection}), encoding="utf-8")
+            for verb in ("prepare", "train-embed", "debias")[0 if i == 0 else 2:]:
+                assert main([verb, "--config", str(config)]) == 0, (verb, projection)
+            result, attributes = tabfair.cli._debiased(Run(load_config(config)))
+            Z_hat = load_matrix(tmp_path / "out" / "Z_hat.txt")
+            assert np.array_equal(result.Z_hat.view(np.uint64), Z_hat.view(np.uint64)), projection
+            prov = read_provenance(tmp_path / "out" / "debias.provenance.txt")
+            assert (str(result.k), ",".join(attributes)) == (prov["k"], prov["attributes"])
+
+    def test_evaluate_provenance_records_projection_and_probe_losses(self, tmp_path):
+        from tabfair.evaluation import ProbeConfig, probe_loss, train_probe
+
+        config = make_workspace(tmp_path, projection={"k": None, "variance_target": 0.9,
+                                                      "attributes": None})
+        for verb in ("prepare", "train-embed", "debias", "evaluate"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        out = tmp_path / "out"
+        prov = read_provenance(out / "evaluate.provenance.txt")
+        assert prov["debiased_k"] == read_provenance(out / "debias.provenance.txt")["k"]
+        assert prov["attributes"] == "group"
+        y = load_matrix(out / "y.npy").ravel()
+        train = load_split(out / "split.txt").train
+        probe = ProbeConfig(learning_rate=0.01, epochs=200)
+        for tag, source in (("biased", "Z.npy"), ("debiased", "Z_hat.txt")):
+            Z = load_matrix(out / source)[train]
+            loss = probe_loss(train_probe(Z, y[train], probe), Z, y[train])
+            assert float(prov[f"{tag}_probe_loss"]) == loss
+            assert 0.0 < loss < np.log(2.0)  # below the loss of the all-zero start
+
     def test_debias_provenance_records_rank_and_residual(self, tmp_path):
         config = make_workspace(tmp_path)
         main(["pipeline", "--config", str(config)])
@@ -173,6 +251,20 @@ class TestDeterminism:
         Za = load_matrix(tmp_path / "a" / "Z.npy")
         Zb = load_matrix(tmp_path / "b" / "Z.npy")
         assert not np.array_equal(Za, Zb)
+
+    def test_same_inputs_elsewhere_give_same_artifacts(self, tmp_path):
+        # Provenance records the CSV and schema bytes, not their paths.
+        for where in ("a", "b"):
+            (tmp_path / where).mkdir()
+            assert main(["pipeline", "--config", str(make_workspace(tmp_path / where))]) == 0
+        a, b = tmp_path / "a" / "out", tmp_path / "b" / "out"
+        for name in PIPELINE_ARTIFACTS:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert manifest_without_clock(a / "manifest.json") == manifest_without_clock(
+            b / "manifest.json")
+        prov = read_provenance(a / "prepare.provenance.txt")
+        for key, name in (("csv_sha256", "synthetic.csv"), ("schema_sha256", "synthetic.schema")):
+            assert prov[key] == hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
 
     def test_config_hash_excludes_out_dir_only(self, tmp_path):
         config = make_workspace(tmp_path)
@@ -276,6 +368,14 @@ class TestExitCodes:
         assert "config error" in err and repr(key) in err, err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_attributes_is_config_error(self, tmp_path, capsys):
+        # null or no key means every attribute; an empty list names none.
+        config = make_workspace(tmp_path, projection={"attributes": []})
+        assert main(["pipeline", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'attributes' is empty" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
         assert main(["prepare", "--config", str(config), "--seed", "-1"]) == 1
@@ -348,27 +448,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "a_file" in err, err
 
-    def test_bad_matrix_token_is_data_error(self, tmp_path, capsys):
-        # Z_hat.txt is the one text matrix a stage reads.
-        config = make_workspace(tmp_path)
-        for verb in ("prepare", "train-embed", "debias"):
-            assert main([verb, "--config", str(config)]) == 0, verb
-        path = tmp_path / "out" / "Z_hat.txt"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[4] = "x" + lines[4][lines[4].index(" "):]  # header, then rows 0-2
-        path.write_text("".join(lines), encoding="utf-8")
-        capsys.readouterr()
-        # An uncaught exception (a traceback) would fail the test here.
-        assert main(["evaluate", "--config", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert "data error" in err and "Z_hat.txt" in err and "row 3" in err, err
-
-    def test_evaluate_without_debias_names_missing_stage(self, tmp_path, capsys):
+    def test_evaluate_without_train_embed_names_missing_stage(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
         main(["prepare", "--config", str(config)])
-        main(["train-embed", "--config", str(config)])
         assert main(["evaluate", "--config", str(config)]) == 1
-        assert "run debias first" in capsys.readouterr().err
+        assert "run train-embed first" in capsys.readouterr().err
 
     def test_train_embed_without_prepare(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
@@ -381,13 +465,12 @@ class TestExitCodes:
         "debias": {"Z.npy": "train-embed", "S.npy": "prepare",
                    "sensitive_names.txt": "prepare"},
         "evaluate": {"S.npy": "prepare", "y.npy": "prepare", "split.txt": "prepare",
-                     "sensitive_names.txt": "prepare", "Z.npy": "train-embed",
-                     "Z_hat.txt": "debias"},
+                     "sensitive_names.txt": "prepare", "Z.npy": "train-embed"},
     }
 
     def test_each_missing_input_names_its_producer(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
-        for verb in ("prepare", "train-embed", "debias"):
+        for verb in ("prepare", "train-embed"):
             assert main([verb, "--config", str(config)]) == 0, verb
         out = tmp_path / "out"
         capsys.readouterr()

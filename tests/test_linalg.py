@@ -452,6 +452,15 @@ class TestMatrixPersistence:
             with pytest.raises(DataError, match=match):
                 load_matrix(path)
 
+    def test_bad_token_names_its_row(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_matrix(path, np.random.default_rng(0).normal(size=(6, 4)))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = "x" + lines[4][lines[4].index(" "):]  # header, then rows 0-2
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(DataError, match=r"m\.txt: row 3: "):
+            load_matrix(path)
+
     def test_not_utf8_is_data_error(self, tmp_path):
         path = tmp_path / "m.txt"
         # 24 kB, past the 8 kB read-ahead. 0xff in the header, in rows 10

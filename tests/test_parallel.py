@@ -3,6 +3,7 @@ thread, and the two networks and the two probes give the same bits and
 the same errors whether run_both() runs them in two processes or in
 one."""
 
+import json
 import os
 import signal
 import subprocess
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import tabfair
+import test_cli
 from test_cli import PIPELINE_ARTIFACTS, make_workspace, manifest_without_clock
 from tabfair.cli import main
 from tabfair.errors import NumericalError
@@ -160,22 +162,45 @@ class TestSameErrors:
         assert err.startswith("numerical failure: training diverged") and "Traceback" not in err
         assert not (tmp_path / "out" / "Z.npy").exists()
 
+    @staticmethod
+    def assert_no_report(out):
+        written = {p.name for p in out.iterdir()}
+        assert not written & {"report_biased.txt", "roc_biased.csv", "report_debiased.txt",
+                              "roc_debiased.csv", "evaluate.provenance.txt"}
+
     @pytest.mark.parametrize("fault, code", [("corrupt", 2), ("missing", 1)])
-    def test_bad_z_hat_in_evaluate_writes_no_report(self, tmp_path, capsys, mode, fault, code):
+    def test_bad_z_in_evaluate_writes_no_report(self, tmp_path, capsys, mode, fault, code):
+        # Both halves read Z.npy; the Z_hat.txt beside it is not read.
         config = make_workspace(tmp_path)
         for verb in ("prepare", "train-embed", "debias"):
             assert main([verb, "--config", str(config)]) == 0, verb
-        Z_hat = tmp_path / "out" / "Z_hat.txt"
+        Z = tmp_path / "out" / "Z.npy"
         if fault == "corrupt":
-            lines = Z_hat.read_text(encoding="utf-8").splitlines(keepends=True)
-            lines[3] = "x" + lines[3]
-            Z_hat.write_text("".join(lines), encoding="utf-8")
+            Z.write_bytes(Z.read_bytes()[:-8])  # one value short
         else:
-            Z_hat.unlink()
+            Z.unlink()
         capsys.readouterr()
         assert main(["evaluate", "--config", str(config)]) == code
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "Z_hat.txt" in err, err
-        written = {p.name for p in (tmp_path / "out").iterdir()}
-        assert not written & {"report_biased.txt", "roc_biased.csv", "report_debiased.txt",
-                              "roc_debiased.csv", "evaluate.provenance.txt"}
+        assert len(err.splitlines()) == 1 and "Z.npy" in err, err
+        self.assert_no_report(tmp_path / "out")
+
+    @pytest.mark.parametrize("edit, code, message", [
+        ({"attributes": ["group", "group2"]}, 3, "numerical failure: "),
+        ({"k": 999}, 1, "config error: k=999 out of range"),
+    ], ids=["collinear", "k-out-of-range"])
+    def test_projection_error_in_evaluate_writes_no_report(self, tmp_path, capsys, mode,
+                                                           edit, code, message):
+        # evaluate projects under its own config: a Z_hat.txt that debias
+        # wrote under another does not stand in for a failed projection.
+        config = test_cli.TestExitCodes.collinear_workspace(tmp_path, ["group"])
+        for verb in ("prepare", "train-embed", "debias"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        cfg["projection"].update(edit)
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(message), err
+        self.assert_no_report(tmp_path / "out")
