@@ -1,15 +1,14 @@
 """Pipeline orchestration: prepare -> train-embed -> debias -> evaluate.
 
-Every stage writes files under the configured output directory, so
-stages can be rerun or swapped independently. A stage run on its own
-reads its inputs from disk; `pipeline` hands each matrix on in memory
-and parses back no file it wrote. No stage reads `Z_hat.txt`: `evaluate`
-scores the projection `debias` made in the same process, or, run on its
-own, projects `Z.npy` against `S.npy` under its own config. A JSON
-config fixes the dataset paths, network shapes, projection rank, probe
-settings, and the seed; given the same config, every stage is
-idempotent and byte-identical either way (the pipeline manifest's
-timestamp and timings aside).
+Every stage writes files under the configured output directory and
+reads its inputs from there, so stages can be rerun or swapped
+independently, and `pipeline` runs the code of the four stages run
+alone. No stage reads `Z_hat.txt`: `evaluate` scores the projection
+`debias` made in the same process, or, run on its own, projects `Z.npy`
+against `S.npy` under its own config. A JSON config fixes the dataset
+paths, network shapes, projection rank, probe settings, and the seed;
+given the same config, every stage is idempotent and byte-identical
+either way (the pipeline manifest's timestamp and timings aside).
 
 Exit codes: 0 success, 1 usage/config error or a file the system cannot
 read or make, 2 data error, 3 numerical failure. `debias` and
@@ -22,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 import typing
@@ -57,10 +57,11 @@ CONFIG_KEYS = {
 
 
 def load_config(path, seed: int | None = None, out_dir: str | None = None) -> dict:
-    """Read a pipeline config, resolve paths relative to the config
-    file, and apply command-line overrides. Only the top-level keys are
-    checked here; the encoder, projection and probe sections are checked
-    when a Run is built from the result."""
+    """Read a pipeline config, apply command-line overrides, and make
+    every path absolute: a path from the config file is relative to that
+    file, an `out_dir` override to the working directory. Only the
+    top-level keys are checked here; the encoder, projection and probe
+    sections are checked when a Run is built from the result."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -91,9 +92,10 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
     if attributes == []:
         raise ConfigError(f"{path}: projection 'attributes' is empty; name at least one, "
                           "or give null for all")
-    base = path.parent
     for key in ("csv", "schema", "out_dir"):
-        cfg[key] = str((base / cfg[key]).resolve()) if not Path(cfg[key]).is_absolute() else cfg[key]
+        base = Path.cwd() if key == "out_dir" and out_dir is not None else path.parent
+        if not Path(cfg[key]).is_absolute():
+            cfg[key] = str((base / cfg[key]).resolve())
     return cfg
 
 
@@ -138,12 +140,11 @@ def _fits(value, hint) -> bool:
 
 
 class Run:
-    """One CLI invocation: its config sections and output directory;
-    every stage reads and writes its artifacts through it. Writes are
-    recorded in order. A value written earlier in the same process is
-    handed on from memory, which is exact: both matrix formats hold
-    float64 bit for bit, and save_matrix has checked the values are
-    finite."""
+    """One CLI invocation: its config sections and output directory.
+    Every stage reads its inputs from files there and writes its
+    artifacts there through it; writes are recorded in order. The one
+    value kept in memory is the projection (`debiased`), so `pipeline`
+    projects once."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -155,29 +156,22 @@ class Run:
         self.out = Path(cfg["out_dir"])
         self.out.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
-        self._kept: dict[str, object] = {}
         # (DebiasedRepresentation, attributes), once _debiased() has run.
         self.debiased: tuple[DebiasedRepresentation, list[str]] | None = None
 
     def write(self, name: str, save, value, *args) -> None:
-        """save(path, value, *args), then keep value for later reads."""
+        """save(path, value, *args), recorded in `written`."""
         path = self.out / name
         save(path, value, *args)
         self.written.append(path)
-        self._kept[name] = value
-
-    def write_matrix(self, name: str, M) -> None:
-        # Hand on what load_matrix would return: C-contiguous float64.
-        self.write(name, save_matrix, np.ascontiguousarray(M, dtype=np.float64))
 
     def write_provenance(self, name: str, entries: dict) -> None:
         body = {"config_hash": config_hash(self.cfg), "seed": self.cfg["seed"], **entries}
         self.write(name, _save_provenance, {k: str(v) for k, v in body.items()})
 
     def read(self, name: str, load):
-        """The value written as `name` in this process, else load(path)."""
-        if name in self._kept:
-            return self._kept[name]
+        """load(path) of the artifact `name`; a missing one is a
+        ConfigError naming the stage that writes it."""
         path = self.out / name
         if not path.exists():
             raise ConfigError(f"missing {path}; run {PRODUCERS[name]} first")
@@ -226,10 +220,13 @@ def cmd_prepare(run: Run) -> None:
     # debias repeats this rank test; here it names the column, before training.
     attributes = run.cfg["projection"].get("attributes") or encoded.sensitive_names
     check_sensitive_rank(encoded.S, encoded.sensitive_names, attributes, run.projection)
-    run.write_matrix("X_num.npy", encoded.X_num)
-    run.write_matrix("X_cat.npy", encoded.X_cat)
-    run.write_matrix("S.npy", encoded.S)
-    run.write_matrix("y.npy", encoded.y[:, None])
+    # Checked now, not when the level map is written: a refused level
+    # leaves no file behind.
+    ds.check_level_tokens(encoded.level_map)
+    run.write("X_num.npy", save_matrix, encoded.X_num)
+    run.write("X_cat.npy", save_matrix, encoded.X_cat)
+    run.write("S.npy", save_matrix, encoded.S)
+    run.write("y.npy", save_matrix, encoded.y[:, None])
     run.write("levelmap.txt", ds.save_level_map, encoded.level_map)
     run.write("split.txt", ds.save_split, split)
     run.write("sensitive_names.txt", _save_names, list(encoded.sensitive_names))
@@ -254,7 +251,7 @@ def cmd_train_embed(run: Run) -> None:
     X_cat = run.read("X_cat.npy", load_matrix)
     Z, result = encode_dataset(X_num, X_cat, run.encoder)
     hist_nc, hist_cn = result.history_num_cat, result.history_cat_num
-    run.write_matrix("Z.npy", Z)
+    run.write("Z.npy", save_matrix, Z)
     run.write("model_num_cat.npz", save_mlp, result.params_num_cat)
     run.write("model_cat_num.npz", save_mlp, result.params_cat_num)
     run.write("loss_num_cat.csv", lambda path, h: h.to_csv(path), hist_nc)
@@ -294,7 +291,7 @@ def cmd_debias(run: Run) -> None:
     sensitive attributes and persist it with the residual report.
     Z_hat.txt is an export: no stage reads it back."""
     result, attributes = _debiased(run)
-    run.write_matrix("Z_hat.txt", result.Z_hat)
+    run.write("Z_hat.txt", save_matrix, result.Z_hat)
     run.write_provenance(
         "debias.provenance.txt",
         {
@@ -376,8 +373,8 @@ def cmd_pipeline(run: Run) -> None:
         except TabfairError as exc:
             raise type(exc)(f"stage {name!r} failed: {exc}") from exc
         timings[name] = time.perf_counter() - start
-    losses = run.read("train_embed.provenance.txt", read_provenance)
-    scores = run.read("evaluate.provenance.txt", read_provenance)
+    losses = read_provenance(run.out / "train_embed.provenance.txt")
+    scores = read_provenance(run.out / "evaluate.provenance.txt")
     manifest = {
         "format": "tabfair-manifest 1",
         "config_hash": config_hash(run.cfg),
@@ -436,6 +433,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run = Run(load_config(args.config, seed=args.seed, out_dir=args.out))
         args.func(run)
+        # pipeline prints only its manifest, the last file it wrote.
+        for path in run.written[-1:] if args.func is cmd_pipeline else run.written:
+            print(path)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -446,11 +447,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # What stdout still buffers goes to /dev/null, so the flush
+            # at exit does not fail a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # pipeline prints only its manifest, the last file it wrote.
-    for path in run.written[-1:] if args.func is cmd_pipeline else run.written:
-        print(path)
     return 0
 
 

@@ -530,27 +530,26 @@ def load_split(path) -> SplitIndices:
         raise DataError(f"{path}: malformed split entry: {exc}") from exc
 
 
-def _check_level_token(name: str, level: str) -> None:
-    # The level-map format separates fields with spaces and levels with
-    # '|'; a level containing either, or none, would make its line
-    # ambiguous.
-    if "|" in level or any(ch.isspace() for ch in level) or not level:
-        raise DataError(
-            f"column {name!r}: level {level!r} cannot be persisted "
-            "(empty, or contains whitespace or '|')"
-        )
+def check_level_tokens(lm: LevelMap) -> None:
+    """DataError unless every categorical and sensitive level can be
+    written to a level map, whose lines separate fields with spaces and
+    levels with '|': a level containing either, or none, is refused."""
+    levels = [(e.name, lv) for e in lm.categorical for lv in e.levels]
+    levels += [(e.name, lv) for e in lm.sensitive for lv in e.detail]
+    for name, level in levels:
+        if "|" in level or any(ch.isspace() for ch in level) or not level:
+            raise DataError(
+                f"column {name!r}: level {level!r} cannot be persisted "
+                "(empty, or contains whitespace or '|')"
+            )
 
 
 def save_level_map(path, lm: LevelMap) -> None:
     """Persist the encoding recipe: one line per column, means and stds
     at 17 significant digits (enough for float() to give the same bits),
-    and the label line last."""
-    for e in lm.categorical:
-        for lv in e.levels:
-            _check_level_token(e.name, lv)
-    for e in lm.sensitive:
-        for lv in e.detail:
-            _check_level_token(e.name, lv)
+    and the label line last. A level check_level_tokens() refuses is a
+    DataError, raised before the file is opened."""
+    check_level_tokens(lm)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(LEVELMAP_FORMAT + "\n")
         for e in lm.numerical:

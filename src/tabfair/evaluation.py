@@ -227,8 +227,8 @@ def evaluate_representation(
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     S = np.asarray(S, dtype=np.float64)
-    if S.shape[1] != len(sensitive_names):
-        raise ConfigError("one name per sensitive column required")
+    if S.ndim != 2 or S.shape[1] != len(sensitive_names):
+        raise ConfigError("S must be 2-D, with one name per sensitive column")
     if Z.shape[0] != y.size or S.shape[0] != y.size:
         raise ConfigError("Z, y, and S row counts must match")
     rows = np.sort(np.concatenate([split.train, split.test]))

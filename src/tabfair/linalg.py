@@ -1,17 +1,13 @@
 """Dense real-matrix utilities: truncated SVD, explained variance,
-projectors onto sensitive-attribute column spaces, and the two matrix
-file formats.
+projectors onto sensitive-attribute column spaces, and matrix files.
 
-A file whose name ends in `.npy` is numpy's format: a C-order float64
-array of two dimensions. Any other matrix file is text: a row is one
-line of space-separated 17-significant-digit values, so float64
-round-trips exactly. write_rows() formats each row with one `%` call;
-_read_into() parses READ_CHUNK_ROWS lines at a time with np.loadtxt,
-whose values are bit-identical to float(), so the text held in memory
-stays bounded however tall the matrix is. save_matrix() writes text in
-two processes at once, split at a row boundary: a forked child formats
-the second half of the rows into a part file. The bytes are the same as
-one process writes. load_matrix() parses text in one process.
+load_matrix() reads numpy's `.npy` format only: a C-order float64 array
+of two dimensions. save_matrix() also writes text, for a path not ending
+in `.npy`: a 'rows cols' line, then one line of space-separated
+17-significant-digit values per row (write_rows()), so float64
+round-trips exactly. Two processes write it at once, split at a row
+boundary, with the bytes one process writes. No tabfair code reads text
+back; `np.loadtxt(path, skiprows=1, ndmin=2)` does, bit for bit.
 
 _in_two() is the one fork primitive. run_both() builds on it to run two
 independent jobs, such as the two networks' training, in two processes
@@ -25,8 +21,6 @@ NaNs propagate.
 
 from __future__ import annotations
 
-import io
-import itertools
 import os
 import pickle
 import shutil
@@ -37,7 +31,7 @@ import numpy as np
 
 import tabfair
 
-from .errors import ConfigError, DataError, NumericalError, undecodable_is_data_error
+from .errors import ConfigError, DataError, NumericalError
 
 # S^T S with a reciprocal condition number below this is treated as
 # rank-deficient; callers are told to drop collinear sensitive columns.
@@ -172,13 +166,6 @@ def residualize(S, M) -> np.ndarray:
     return M - Q @ (Q.T @ M)
 
 
-# Rows per np.loadtxt call in _read_into(). Larger chunks parse no faster
-# but hold more text at once: on Adult-shaped artifacts (200 columns),
-# 128-row chunks raised the peak RSS of `evaluate` by 0.5 MB, 64-row
-# chunks by 0.1 MB.
-READ_CHUNK_ROWS = 64
-
-
 def write_rows(fh, M: np.ndarray) -> None:
     """Write each row of the 2-D M as one line of space-separated
     17-significant-digit values, which round-trip float64 exactly."""
@@ -187,54 +174,14 @@ def write_rows(fh, M: np.ndarray) -> None:
         fh.write(line % tuple(row.tolist()))
 
 
-def _read_into(fh, out: np.ndarray, where: str) -> None:
-    """Parse the next len(out) lines of fh into out."""
-    rows, cols = out.shape
-    for first in range(0, rows, READ_CHUNK_ROWS):
-        n = min(READ_CHUNK_ROWS, rows - first)
-        with undecodable_is_data_error(where):
-            lines = list(itertools.islice(fh, n))
-        end = first + len(lines)
-        if len(lines) < n:
-            raise DataError(f"{where}: expected {rows} rows, file ends after {end}")
-        # Every row line ends in a newline; only a cut file's last does not.
-        if not lines[-1].endswith("\n"):
-            raise DataError(f"{where}: row {end - 1} is cut short (no line end)")
-        out[first:end] = _parse_rows(lines, cols, where, first)
-
-
-def _parse_rows(lines: list[str], cols: int, where: str, first: int) -> np.ndarray:
-    # np.loadtxt parses with PyOS_string_to_double, so each value is
-    # bit-identical to float(token). It skips blank lines (and warns
-    # when it sees nothing else), so a blank row shows as a short block.
-    if cols and lines[0].strip():
-        try:
-            block = np.loadtxt(lines, comments=None, ndmin=2)
-        except ValueError:
-            block = None
-        if block is not None and block.shape == (len(lines), cols):
-            return block
-    # Line by line, to name the first malformed row.
-    for i, line in enumerate(lines):
-        n = len(line.split())
-        if n != cols:
-            raise DataError(f"{where}: row {first + i} has {n} values, expected {cols}")
-        if cols:
-            try:
-                np.loadtxt([line], comments=None, ndmin=2)
-            except ValueError as exc:
-                raise DataError(f"{where}: row {first + i}: {exc}") from exc
-    # Only a block of zero-column rows (blank lines) gets here.
-    return np.empty((len(lines), 0))
-
-
 def save_matrix(path, M) -> None:
     """Write a matrix in the format its file name asks for. A `.npy`
     path gets numpy's format, C-order float64. Any other path gets text:
     a 'rows cols' header line, then one line per row (see write_rows).
     A forked process writes the second half of the rows to a part file
     beside `path` while this one writes the header and the first half;
-    the part is then appended and removed."""
+    the part is then appended and removed. The text is an export:
+    load_matrix() does not read it."""
     M = _as_matrix(M, "matrix")
     path = Path(path)
     if path.suffix == ".npy":
@@ -262,60 +209,35 @@ def _write_text(path: Path, M: np.ndarray, header: str = "") -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by save_matrix(), in the format its file
-    name gives, as a writable C-contiguous float64 array. A truncated or
-    malformed file, a non-finite value, a `.npy` file that does not hold
-    a 2-D C-order little-endian float64 array, or text that is not UTF-8
-    is a DataError. Messages about text name the row at fault."""
+    """Read a `.npy` matrix written by save_matrix() as a writable
+    C-contiguous float64 array. Any other path is a ConfigError. A
+    truncated file, a non-finite value, or a file that does not hold a
+    2-D C-order little-endian float64 array is a DataError."""
     path = Path(path)
+    if path.suffix != ".npy":
+        raise ConfigError(f"{path}: load_matrix reads only .npy files")
     with open(path, "rb") as fh:
-        out = _read_npy(fh, path) if path.suffix == ".npy" else _read_text(fh, path)
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):
+                raise ValueError(f"format version {version}, expected (1, 0)")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        except (ValueError, SyntaxError, TypeError) as exc:
+            raise DataError(f"{path}: not a readable .npy matrix: {exc}") from exc
+        if dtype != np.dtype("<f8") or fortran_order or len(shape) != 2:
+            raise DataError(f"{path}: holds a {dtype} array of shape {shape}"
+                            f"{' in Fortran order' if fortran_order else ''}, "
+                            "not a C-order <f8 matrix")
+        # Checked before the allocation, so a forged shape is refused here.
+        data_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if min(shape) < 0 or shape[0] * shape[1] * 8 != data_bytes:
+            raise DataError(f"{path}: {shape[0]} x {shape[1]} values do not fill the "
+                            f"{data_bytes} bytes after the header")
+        out = np.empty(shape)
+        if fh.readinto(out) != out.nbytes:
+            raise DataError(f"{path}: file ends before its {out.nbytes} bytes of values")
     if not np.isfinite(out).all():
         raise DataError(f"{path}: matrix contains non-finite entries")
-    return out
-
-
-def _read_npy(fh, path: Path) -> np.ndarray:
-    try:
-        version = np.lib.format.read_magic(fh)
-        if version != (1, 0):
-            raise ValueError(f"format version {version}, expected (1, 0)")
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-    except (ValueError, SyntaxError, TypeError) as exc:
-        raise DataError(f"{path}: not a readable .npy matrix: {exc}") from exc
-    if dtype != np.dtype("<f8") or fortran_order or len(shape) != 2:
-        raise DataError(f"{path}: holds a {dtype} array of shape {shape}"
-                        f"{' in Fortran order' if fortran_order else ''}, "
-                        "not a C-order <f8 matrix")
-    # Checked before the allocation, so a forged shape is refused here.
-    data_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
-    if min(shape) < 0 or shape[0] * shape[1] * 8 != data_bytes:
-        raise DataError(f"{path}: {shape[0]} x {shape[1]} values do not fill the "
-                        f"{data_bytes} bytes after the header")
-    out = np.empty(shape)
-    if fh.readinto(out) != out.nbytes:
-        raise DataError(f"{path}: file ends before its {out.nbytes} bytes of values")
-    return out
-
-
-def _read_text(fh, path: Path) -> np.ndarray:
-    # Undecodable bytes become U+FFFD, which no header number holds.
-    line = fh.readline().decode("utf-8", "replace")
-    header = line.split()
-    if len(header) != 2 or not line.endswith("\n"):
-        raise DataError(f"{path}: expected 'rows cols' header line")
-    try:
-        rows, cols = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed header {header!r}") from exc
-    # A row takes at least one byte and a value two, so a corrupt
-    # header is refused here rather than sized into an allocation.
-    if min(rows, cols) < 0 or rows * (2 * cols or 1) > os.fstat(fh.fileno()).st_size:
-        raise DataError(f"{path}: {rows} x {cols} values do not fit the file")
-    out = np.empty((rows, cols))
-    # Lines end at '\n' only, so a lone '\r' inside a row is bad data.
-    with io.TextIOWrapper(fh, encoding="utf-8", newline="\n") as text:
-        _read_into(text, out, str(path))
     return out
 
 

@@ -7,8 +7,9 @@ clearly outside the 80% band and debiasing has something to remove.
 
 Also the oracles for the text row format of matrix files: a
 per-value writer and a per-token reader, as the format was first
-written, and random float64 bit patterns with the values that format
-and parse at the edges.
+written, a whole-file reader built on the latter (the package itself
+reads only `.npy` matrices), and random float64 bit patterns with the
+values that format and parse at the edges.
 
 Every test is checked for what the forked halves of matrix I/O could
 leave behind: a child not reaped, or a part file in its tmp_path.
@@ -79,6 +80,14 @@ def per_value_text(M) -> str:
 def per_token_values(lines) -> list[list[float]]:
     """Oracle reader: float() on each token of each row line."""
     return [[float(t) for t in line.split()] for line in lines]
+
+
+def text_matrix(path) -> np.ndarray:
+    """Oracle reader of a text matrix file: its 'rows cols' line, then
+    per_token_values() of the row lines."""
+    header, *lines = Path(path).read_text(encoding="utf-8").splitlines()
+    rows, cols = (int(v) for v in header.split())
+    return np.array(per_token_values(lines), dtype=np.float64).reshape(rows, cols)
 
 
 @pytest.fixture(autouse=True)

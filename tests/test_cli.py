@@ -3,6 +3,7 @@ determinism, manifest integrity, and the exit-code taxonomy."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import tabfair.cli
-from conftest import SCHEMA_TEXT, synthetic_rows, write_csv
+from conftest import SCHEMA_TEXT, synthetic_rows, text_matrix, write_csv
 from tabfair.cli import Run, config_hash, load_config, main, read_provenance
 from tabfair.dataset import load_split, stratified_split
 from tabfair.errors import DataError
@@ -79,7 +80,7 @@ class TestStages:
             assert (out / name).exists(), name
         Z = load_matrix(out / "Z.npy")
         assert Z.shape == (240, 12)
-        Z_hat = load_matrix(out / "Z_hat.txt")
+        Z_hat = text_matrix(out / "Z_hat.txt")
         S = load_matrix(out / "S.npy")
         assert np.max(np.abs(Z_hat.T @ S)) < 1e-8 * np.linalg.norm(Z_hat) * np.linalg.norm(S) + 1e-12
 
@@ -107,8 +108,8 @@ class TestStages:
         assert main(["train-embed", "--config", str(config)]) == 0
 
     def test_pipeline_equals_stage_by_stage(self, tmp_path):
-        # pipeline hands artifacts on in memory; single stages read them
-        # from disk. Both paths must write the same bytes.
+        # pipeline runs the four stages in one process, projecting once;
+        # run alone, each is its own process. Both must write the same bytes.
         config = make_workspace(tmp_path)
         assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
         for verb in ("prepare", "train-embed", "debias", "evaluate"):
@@ -117,13 +118,18 @@ class TestStages:
             a = (tmp_path / "a" / name).read_bytes()
             assert a == (tmp_path / "b" / name).read_bytes(), name
 
-    def test_pipeline_reads_back_no_matrix(self, tmp_path, monkeypatch):
-        def refuse(path):
-            raise AssertionError(f"pipeline read back {path}")
-
-        monkeypatch.setattr(tabfair.cli, "load_matrix", refuse)
+    def test_relative_out_is_relative_to_working_directory(self, tmp_path, monkeypatch):
+        # A command-line --out is taken from where the command runs; the
+        # config's own out_dir stays relative to the config file.
         config = make_workspace(tmp_path)
-        assert main(["pipeline", "--config", str(config)]) == 0
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["prepare", "--config", str(config), "--out", "myout"]) == 0
+        assert (work / "myout" / "S.npy").exists()
+        assert not (tmp_path / "myout").exists()
+        assert main(["prepare", "--config", str(config)]) == 0
+        assert (tmp_path / "out" / "S.npy").exists() and not (work / "out").exists()
 
     def test_stage_alone_evaluate_reads_no_z_hat(self, tmp_path):
         # evaluate run on its own projects Z.npy under its own config:
@@ -177,7 +183,7 @@ class TestStages:
             for verb in ("prepare", "train-embed", "debias")[0 if i == 0 else 2:]:
                 assert main([verb, "--config", str(config)]) == 0, (verb, projection)
             result, attributes = tabfair.cli._debiased(Run(load_config(config)))
-            Z_hat = load_matrix(tmp_path / "out" / "Z_hat.txt")
+            Z_hat = text_matrix(tmp_path / "out" / "Z_hat.txt")
             assert np.array_equal(result.Z_hat.view(np.uint64), Z_hat.view(np.uint64)), projection
             prov = read_provenance(tmp_path / "out" / "debias.provenance.txt")
             assert (str(result.k), ",".join(attributes)) == (prov["k"], prov["attributes"])
@@ -196,8 +202,9 @@ class TestStages:
         y = load_matrix(out / "y.npy").ravel()
         train = load_split(out / "split.txt").train
         probe = ProbeConfig(learning_rate=0.01, epochs=200)
-        for tag, source in (("biased", "Z.npy"), ("debiased", "Z_hat.txt")):
-            Z = load_matrix(out / source)[train]
+        for tag, Z in (("biased", load_matrix(out / "Z.npy")),
+                       ("debiased", text_matrix(out / "Z_hat.txt"))):
+            Z = Z[train]
             loss = probe_loss(train_probe(Z, y[train], probe), Z, y[train])
             assert float(prov[f"{tag}_probe_loss"]) == loss
             assert 0.0 < loss < np.log(2.0)  # below the loss of the all-zero start
@@ -448,6 +455,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "a_file" in err, err
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_an_error_line(self, tmp_path, unbuffered):
+        # Listing the written files into a pipe whose reader has gone
+        # (as `tabfair prepare ... | head -1` can) ends in one line and
+        # exit 1, whether stdout is buffered or not; the files
+        # themselves are written.
+        config = make_workspace(tmp_path)
+        src = Path(tabfair.cli.__file__).resolve().parents[1]
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r}); "
+                 "from tabfair.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "prepare", "--config", str(config)],
+                stdout=w, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(w)
+        assert done.returncode == 1
+        assert done.stderr == "error: [Errno 32] Broken pipe\n", done.stderr
+        assert (tmp_path / "out" / "prepare.provenance.txt").exists()
+
     def test_evaluate_without_train_embed_names_missing_stage(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
         main(["prepare", "--config", str(config)])
@@ -595,6 +625,25 @@ class TestExitCodes:
         assert "class 1.0 has 2 rows" in err and "puts 2 in the test split" in err
         assert not list((tmp_path / "out").iterdir())
 
+    def test_level_that_cannot_be_written_leaves_no_file(self, tmp_path, capsys):
+        # A level with a space is refused before prepare writes anything:
+        # a fresh output directory stays empty, and an earlier run's
+        # files keep their bytes.
+        config = make_workspace(tmp_path)
+        assert main(["prepare", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        rows = synthetic_rows()
+        rows[5][2] = "dark red"
+        write_csv(tmp_path / "synthetic.csv", rows)
+        capsys.readouterr()
+        for where in (out, tmp_path / "fresh"):
+            assert main(["prepare", "--config", str(config), "--out", str(where)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and "'dark red'" in err, err
+        assert list((tmp_path / "fresh").iterdir()) == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_unknown_projection_attribute(self, tmp_path, capsys):
         config = make_workspace(tmp_path, projection={"attributes": ["nope"]})
         main(["prepare", "--config", str(config)])
@@ -663,7 +712,6 @@ class TestExitCodes:
 
     def test_truncated_artifacts_are_data_errors(self, tmp_path):
         formats = {
-            "matrix": (save_matrix, load_matrix, np.array([[1e-300, -0.5], [3.25, 1234.5678]])),
             "provenance": (tabfair.cli._save_provenance, read_provenance,
                            {"config_hash": "ab12", "seed": "1234"}),
         }
@@ -677,8 +725,8 @@ class TestExitCodes:
             # each line cut after its first word (a key with no value)
             cuts += ["".join(lines[:i]) + line.split()[0] + "\n"
                      for i, line in enumerate(lines) if len(line.split()) > 1]
-            # the file cut inside its last value (1234.5678 in a matrix)
-            cuts += [full[:-k] for k in range(1, len("1234.5678") + 2)]
+            # the file cut at each of its last ten bytes, into its last value and before it
+            cuts += [full[:-k] for k in range(1, 11)]
             # a byte that is not UTF-8 after the last line
             for data in [text.encode("utf-8") for text in cuts] + [full.encode("utf-8") + b"\xff"]:
                 path.write_bytes(data)
@@ -878,8 +926,8 @@ class TestReports:
         names = (out / "sensitive_names.txt").read_text().split()
         prov = read_provenance(out / "evaluate.provenance.txt")
         probe = ProbeConfig(learning_rate=0.01, epochs=200)
-        for tag, source in (("biased", "Z.npy"), ("debiased", "Z_hat.txt")):
-            Z = load_matrix(out / source)
+        for tag, Z in (("biased", load_matrix(out / "Z.npy")),
+                       ("debiased", text_matrix(out / "Z_hat.txt"))):
             report = evaluate_representation(Z, y, S, split, names, probe)
             assert float(prov[f"{tag}_accuracy"]) == report.accuracy
             assert float(prov[f"{tag}_roc_auc"]) == report.roc_auc

@@ -436,6 +436,10 @@ class TestEvaluateRepresentation:
         Z, y, S, split = self.make_setup()
         with pytest.raises(ConfigError):
             evaluate_representation(Z, y, S, split, ["a", "b"])
+        # A 1-D S, or Z, has no columns to name or fit.
+        for args in ((Z, y, S[:, 0]), (Z[:, 0], y, S)):
+            with pytest.raises(ConfigError, match="must be 2-D"):
+                evaluate_representation(*args, split, ["group"])
 
     def test_non_binary_s_or_y_is_data_error(self):
         # Cast to int, 0.5 and 0.7 would be scored as 0.

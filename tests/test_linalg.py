@@ -7,11 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import per_token_values, per_value_text, random_finite_floats
+from conftest import per_token_values, per_value_text, random_finite_floats, text_matrix
 from tabfair import linalg
 from tabfair.errors import ConfigError, DataError, NumericalError
 from tabfair.linalg import (
-    READ_CHUNK_ROWS,
     SvdResult,
     explained_variance,
     first_collinear_column,
@@ -283,7 +282,7 @@ class TestMatrixPersistence:
         M = rng.normal(size=(7, 4)) * 10.0 ** rng.integers(-200, 200, size=(7, 4))
         path = tmp_path / "m.txt"
         save_matrix(path, M)
-        back = load_matrix(path)
+        back = text_matrix(path)
         assert back.shape == M.shape
         assert np.array_equal(back, M)
 
@@ -291,23 +290,21 @@ class TestMatrixPersistence:
         M = np.array([[0.0, -0.0, 1e-308], [1e308, -1.5, 2.0 / 3.0]])
         path = tmp_path / "m.txt"
         save_matrix(path, M)
-        assert np.array_equal(load_matrix(path), M)
+        assert np.array_equal(text_matrix(path), M)
 
     def test_zero_column_matrix(self, tmp_path):
         M = np.zeros((3, 0))
         path = tmp_path / "m.txt"
         save_matrix(path, M)
-        back = load_matrix(path)
-        assert back.shape == (3, 0)
+        assert path.read_text(encoding="utf-8") == "3 0\n\n\n\n"
+        assert text_matrix(path).shape == (3, 0)
 
     def test_non_finite_rejected_on_save(self, tmp_path):
         with pytest.raises(DataError):
             save_matrix(tmp_path / "m.txt", np.array([[np.inf]]))
 
     @pytest.mark.parametrize("rows, cols", [
-        (1, 50), (2, 50), (3, 50),
-        (READ_CHUNK_ROWS - 1, 50), (READ_CHUNK_ROWS, 50), (READ_CHUNK_ROWS + 1, 50),
-        (2000, 50), (READ_CHUNK_ROWS + 1, 0), (0, 3),
+        (1, 50), (2, 50), (3, 50), (63, 50), (64, 50), (65, 50), (2000, 50), (65, 0), (0, 3),
     ])
     def test_matches_per_value_oracles(self, tmp_path, rows, cols):
         M = random_finite_floats(np.random.default_rng(rows + cols), (rows, cols))
@@ -315,12 +312,12 @@ class TestMatrixPersistence:
         save_matrix(path, M)
         text = path.read_text(encoding="utf-8")
         assert text == f"{rows} {cols}\n" + per_value_text(M)
-        back = load_matrix(path)
         oracle = np.array(per_token_values(text.splitlines()[1:])).reshape(rows, cols)
-        assert back.shape == (rows, cols) and back.dtype == np.float64
-        assert back.flags.writeable and back.flags.c_contiguous
-        assert np.array_equal(back.view(np.uint64), oracle.view(np.uint64))
-        assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
+        assert np.array_equal(oracle.view(np.uint64), M.view(np.uint64))
+        if rows and cols:
+            # np.loadtxt skips blank lines, so it reads only matrices with values.
+            back = np.loadtxt(path, skiprows=1, ndmin=2)
+            assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
 
     def test_split_far_from_row_midpoint(self, tmp_path):
         # Rows of "0" and rows of 17-digit values: the second process
@@ -332,7 +329,7 @@ class TestMatrixPersistence:
         for M in (np.vstack([np.zeros((150, 20)), full]), np.vstack([full, np.zeros((150, 20))])):
             save_matrix(path, M)
             assert path.read_text(encoding="utf-8") == "300 20\n" + per_value_text(M)
-            assert np.array_equal(load_matrix(path).view(np.uint64), M.view(np.uint64))
+            assert np.array_equal(text_matrix(path).view(np.uint64), M.view(np.uint64))
 
     @pytest.mark.parametrize("shape", [(7, 5), (0, 3), (3, 0), (0, 0)])
     def test_npy_round_trip_bitwise(self, tmp_path, shape):
@@ -418,59 +415,15 @@ class TestMatrixPersistence:
             with pytest.raises(DataError, match="not a readable .npy matrix"):
                 load_matrix(path)
 
-    def test_malformed_header(self, tmp_path):
-        path = tmp_path / "m.txt"
-        # too few fields, not a number, negative, more rows than the
-        # file could hold, and a header cut before its line end
-        for text in ("3\n1 2 3\n", "3 x\n", "-1 3\n", "2 -3\n", "9999999999999 1\n1\n",
-                     "0 3"):
-            path.write_text(text, encoding="utf-8")
-            with pytest.raises(DataError):
-                load_matrix(path)
-
-    def test_short_row(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("2 3\n1 2 3\n4 5\n", encoding="utf-8")
-        with pytest.raises(DataError, match="row 1"):
-            load_matrix(path)
-        # In a file of several read chunks the message names the row of
-        # the whole matrix; with two faults, the earlier one.
-        rows = ["1 2 3\n"] * 200
-        for short, match in (((20,), "row 20 has 2"), ((150,), "row 150 has 2"),
-                             ((20, 150), "row 20 has 2")):
-            text = "".join("4 5\n" if i in short else row for i, row in enumerate(rows))
-            path.write_text("200 3\n" + text, encoding="utf-8")
-            with pytest.raises(DataError, match=match):
-                load_matrix(path)
-        # A file cut inside its last row, or after it, and a lone '\r'
-        # inside a row, which does not end it.
-        for text, match in (("200 3\n" + "".join(rows)[:-3], "row 199 is cut short"),
-                            ("2 3\n1 2\r3\n4 5 6\n", "row 0: "),
-                            ("2 3\n1 2 3\n" + "4 " * 20, "row 1 is cut short"),
-                            ("201 3\n" + "".join(rows), "expected 201 rows, file ends after 200")):
-            path.write_text(text, encoding="utf-8")
-            with pytest.raises(DataError, match=match):
-                load_matrix(path)
-
-    def test_bad_token_names_its_row(self, tmp_path):
-        path = tmp_path / "m.txt"
-        save_matrix(path, np.random.default_rng(0).normal(size=(6, 4)))
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[4] = "x" + lines[4][lines[4].index(" "):]  # header, then rows 0-2
-        path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(DataError, match=r"m\.txt: row 3: "):
-            load_matrix(path)
-
-    def test_not_utf8_is_data_error(self, tmp_path):
-        path = tmp_path / "m.txt"
-        # 24 kB, past the 8 kB read-ahead. 0xff in the header, in rows 10
-        # and 3900, and after the last row.
-        data = b"4000 3\n" + b"1 2 3\n" * 4000
-        for bad in [data[:i] + b"\xff" + data[i + 1:] for i in (1, 7 + 6 * 10, 7 + 6 * 3900)] + [
-                data + b"\xff"]:
-            path.write_bytes(bad)
-            with pytest.raises(DataError):
-                load_matrix(path)
+    def test_only_npy_paths_are_read(self, tmp_path):
+        # Text matrices are an export; reading one, or any other suffix,
+        # is a ConfigError naming the path, also for a file not there.
+        save_matrix(tmp_path / "m.txt", np.ones((2, 2)))
+        save_matrix(tmp_path / "m.npy", np.ones((2, 2)))
+        (tmp_path / "m.npz").write_bytes((tmp_path / "m.npy").read_bytes())
+        for name in ("m.txt", "m.npz", "absent.txt", "m"):
+            with pytest.raises(ConfigError, match=f"{name}: load_matrix reads only .npy"):
+                load_matrix(tmp_path / name)
 
     def test_child_write_failure_leaves_no_part_file(self, tmp_path, monkeypatch):
         parent, write_rows = os.getpid(), linalg.write_rows
