@@ -3,17 +3,19 @@
 Every stage writes files under the configured output directory and
 reads its inputs from there, so stages can be rerun or swapped
 independently, and `pipeline` runs the code of the four stages run
-alone. No stage reads `Z_hat.txt`: `evaluate` scores the projection
-`debias` made in the same process, or, run on its own, projects `Z.npy`
-against `S.npy` under its own config. A JSON config fixes the dataset
-paths, network shapes, projection rank, probe settings, and the seed;
-given the same config, every stage is idempotent and byte-identical
-either way (the pipeline manifest's timestamp and timings aside).
+alone. No stage reads `Z_hat.txt`: `evaluate` probes the k coordinates
+C of the projection `debias` made in the same process, or, run on its
+own, projects `Z.npy` against `S.npy` under its own config. A JSON
+config fixes the dataset paths, network shapes, projection rank, probe
+settings, and the seed; given the same config, every stage is
+idempotent and byte-identical either way (the pipeline manifest's
+timestamp and timings aside).
 
 Exit codes: 0 success, 1 usage/config error or a file the system cannot
-read or make, 2 data error, 3 numerical failure. `debias` and
-`evaluate` both project, so both can exit 1 for a k out of range and 3
-for a failed projection.
+read or make, 2 data error, 3 numerical failure. A k above the width
+of Z that the encoder config gives is refused before any stage runs;
+`debias` and `evaluate` both project, so both can still exit 1 for a k
+out of range for the Z.npy they read, and 3 for a failed projection.
 """
 
 from __future__ import annotations
@@ -153,6 +155,11 @@ class Run:
         self.projection = _section(cfg, "projection", FairProjectionConfig,
                                    cli_keys=("attributes",))
         self.probe = _section(cfg, "probe", ev.ProbeConfig)
+        p = self.encoder.latent_num + self.encoder.latent_cat
+        if self.projection.variance_target is None and self.projection.k > p:
+            # debias checks k again against the Z it is given, for a stage run alone.
+            raise ConfigError(f"k={self.projection.k} out of range [1, {p}]: Z will have "
+                              f"latent_num + latent_cat = {p} columns")
         self.out = Path(cfg["out_dir"])
         self.out.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
@@ -308,10 +315,12 @@ def cmd_debias(run: Run) -> None:
 
 def cmd_evaluate(run: Run) -> None:
     """Probe and fairness-score Z and its debiased projection on the
-    persisted split. The projection is the one debias made in this
-    process; run on its own, evaluate makes it from Z.npy and S.npy
-    under its own config. When run_both() allows, the debiased half,
-    projection included, runs in a child while this process scores Z."""
+    persisted split. The debiased probe is fit on the projection's k
+    coordinates C, which span what Z_hat = C N_k^T spans. The projection
+    is the one debias made in this process; run on its own, evaluate
+    makes it from Z.npy and S.npy under its own config. When run_both()
+    allows, the debiased half, projection included, runs in a child
+    while this process scores Z."""
     S = run.read("S.npy", load_matrix)
     y = run.read("y.npy", load_matrix).ravel()
     names = _read_names(run, S)
@@ -324,7 +333,7 @@ def cmd_evaluate(run: Run) -> None:
 
     def score_debiased():
         result, attributes = _debiased(run)
-        return score(result.Z_hat), result.k, attributes
+        return score(result.C), result.k, attributes
 
     # Both scored before anything is written: a missing or corrupt
     # input, or a failed projection, leaves no report.
@@ -337,6 +346,7 @@ def cmd_evaluate(run: Run) -> None:
         summary[f"{tag}_accuracy"] = f"{report.accuracy:.17g}"
         summary[f"{tag}_roc_auc"] = f"{report.roc_auc:.17g}"
         summary[f"{tag}_probe_loss"] = f"{report.train_loss:.17g}"
+        summary[f"{tag}_probe_grad_norm"] = f"{report.train_grad_norm:.17g}"
         for a in report.attributes:
             summary[f"{tag}_di_x100_{a.name}"] = ev.format_or_undefined(a.di_x100)
             summary[f"{tag}_spd_{a.name}"] = f"{a.spd:.17g}"

@@ -151,7 +151,8 @@ class RawTable:
 
 
 def load_csv(path, schema: list[ColumnSchema]) -> RawTable:
-    """Read a comma-separated UTF-8 file with a header row.
+    """Read a comma-separated UTF-8 file with a header row; a leading
+    byte-order mark, as spreadsheet programs write, is dropped.
 
     The header must contain exactly the schema's column names (any
     order). Cells are whitespace-stripped. Rows with a missing value
@@ -162,7 +163,7 @@ def load_csv(path, schema: list[ColumnSchema]) -> RawTable:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"data file not found: {path}")
-    with undecodable_is_data_error(path), open(path, "r", encoding="utf-8", newline="") as fh:
+    with undecodable_is_data_error(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -289,16 +290,46 @@ class EncodedDataset:
 
 
 def _parse_numeric(values: list[str], name: str) -> np.ndarray:
+    """The cells as float64. A cell float() refuses, one float() accepts
+    only as Python number syntax ('_' digit groups, non-ASCII digits),
+    and one that parses to inf or NaN ('inf', 'nan', or a value past the
+    float64 range such as '1e400') are DataErrors naming the column and
+    the kept row."""
     out = np.empty(len(values))
     for i, v in enumerate(values):
         try:
+            if "_" in v or not v.isascii():
+                raise ValueError
             out[i] = float(v)
         except ValueError:
             raise DataError(
                 f"column {name!r}: cell {v!r} (row {i + 1} of the kept rows) "
                 "is not a number"
             ) from None
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"column {name!r}: cell {values[i]!r} (row {i + 1} of the kept rows) "
+                        "is not a finite number")
     return out
+
+
+def _standardize(x: np.ndarray, name: str) -> tuple[float, float, np.ndarray]:
+    """(mean, population (1/n) std, (x - mean) / std) of a numerical
+    column of finite values. A constant column, or one whose mean or std
+    overflows float64, is a DataError. A finite std bounds every
+    |x - mean|, so the standardized values are finite too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(x))
+        std = float(np.std(x))
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        i = int(np.argmax(np.abs(x)))
+        raise DataError(f"numerical column {name!r}: its mean or standard deviation "
+                        f"overflows float64 (largest magnitude {x[i]:g}, row {i + 1} "
+                        "of the kept rows)")
+    if std == 0.0:
+        raise DataError(f"numerical column {name!r} is constant")
+    return mean, std, (x - mean) / std
 
 
 def _observed_levels(values: list[str], declared: tuple[str, ...] | None, name: str):
@@ -337,13 +368,9 @@ def encode(raw: RawTable, schema: list[ColumnSchema]) -> EncodedDataset:
             continue
         values = raw.column(col.name)
         if col.kind == "numerical":
-            x = _parse_numeric(values, col.name)
-            mean = float(np.mean(x))
-            std = float(np.std(x))  # population (1/n) standard deviation
-            if std == 0.0:
-                raise DataError(f"numerical column {col.name!r} is constant")
+            mean, std, z = _standardize(_parse_numeric(values, col.name), col.name)
             num_encs.append(NumericalEncoding(col.name, mean, std))
-            num_cols.append((x - mean) / std)
+            num_cols.append(z)
         elif col.kind == "categorical":
             levels = _observed_levels(values, col.levels, col.name)
             cat_encs.append(CategoricalEncoding(col.name, levels))

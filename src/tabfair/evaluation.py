@@ -9,6 +9,7 @@ single final division.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,10 @@ class ProbeConfig:
     epochs: int = 500
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs < 0:
-            raise ConfigError("probe needs learning_rate > 0 and epochs >= 0")
+        # NaN fails every comparison, so test for the valid range.
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0) or self.epochs < 0:
+            raise ConfigError("probe needs a finite learning_rate > 0 and epochs >= 0, got "
+                              f"learning_rate={self.learning_rate}, epochs={self.epochs}")
 
 
 @dataclass
@@ -75,9 +78,16 @@ def predict_proba(model: LogisticModel, Z) -> np.ndarray:
     return _sigmoid(Z @ model.weights + model.bias)
 
 
-def probe_loss(model: LogisticModel, Z, y) -> float:
+def probe_loss_and_grad_norm(model: LogisticModel, Z, y) -> tuple[float, float]:
+    """The mean BCE train_probe descends, on (Z, y) at the model's
+    weights, and the Euclidean norm of its gradient in [weights, bias],
+    the one train_probe steps on: one product with Z and one with Z^T."""
+    Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    return bce_loss(predict_proba(model, Z)[:, None], y[:, None])
+    pred = predict_proba(model, Z)
+    delta = (pred - y) / y.size
+    grad_norm = float(np.linalg.norm(np.append(Z.T @ delta, delta.sum())))
+    return bce_loss(pred[:, None], y[:, None]), grad_norm
 
 
 def _binary(v, name: str) -> np.ndarray:
@@ -200,8 +210,10 @@ class FairnessReport:
     """One probe evaluation: accuracy/ROC-AUC plus DI x 100 and SPD per
     sensitive attribute, mirroring one table row per attribute.
 
-    test_scores holds the probe's test-row probabilities and train_loss
-    its final mean BCE on the train rows; report files store neither.
+    test_scores holds the probe's test-row probabilities, train_loss
+    its final mean BCE on the train rows, and train_grad_norm the
+    Euclidean norm of that loss's gradient in [weights, bias] at the
+    final weights; report files store none of them.
     """
 
     accuracy: float
@@ -209,6 +221,7 @@ class FairnessReport:
     attributes: list[AttributeFairness]
     test_scores: np.ndarray | None = field(default=None, repr=False, compare=False)
     train_loss: float | None = field(default=None, compare=False)
+    train_grad_norm: float | None = field(default=None, compare=False)
 
 
 def evaluate_representation(
@@ -238,8 +251,9 @@ def evaluate_representation(
     # Checked as floats: a cast to int would truncate 0.5 to 0.
     y_test = _binary(y, "y")[split.test]
     S = _binary(S, "S").reshape(S.shape)
-    model = train_probe(Z[split.train], y[split.train], probe_config)
-    train_loss = probe_loss(model, Z[split.train], y[split.train])
+    Z_train, y_train = Z[split.train], y[split.train]
+    model = train_probe(Z_train, y_train, probe_config)
+    train_loss, train_grad_norm = probe_loss_and_grad_norm(model, Z_train, y_train)
     scores = predict_proba(model, Z[split.test])
     y_pred = (scores >= 0.5).astype(np.int64)
     attrs = []
@@ -264,6 +278,7 @@ def evaluate_representation(
         attributes=attrs,
         test_scores=scores,
         train_loss=train_loss,
+        train_grad_norm=train_grad_norm,
     )
 
 

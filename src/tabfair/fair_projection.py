@@ -9,6 +9,9 @@ Every column of Z_hat is orthogonal to every column of S, and the
 truncation keeps the dominant variation of Z. The order is fixed:
 truncate first, then residualize. The SVD is taken of the triangular
 factor R of Z = QR (Chan's R-SVD), so no n x p factor of Z is formed.
+Z_hat = C N_k^T has rank k, so the result is kept as its k coordinates
+C = (I - P_S) Z N_k and the orthonormal basis N_k; a linear probe on C
+is a linear probe on Z_hat.
 """
 
 from __future__ import annotations
@@ -47,19 +50,27 @@ class FairProjectionConfig:
 
 @dataclass
 class DebiasedRepresentation:
-    """The debiased matrix, the rank used, and the achieved
+    """The debiased representation as its n x k coordinates C in the
+    orthonormal basis N_k (p x k), the rank k, and the achieved
     orthogonality residual (max |Z_hat^T S| entry, absolute and
     relative to ||Z_hat||_F ||S||_F). variance_kept is the fraction of
     the squared singular values of Z within rank k, and
     information_loss is ||Z_k - Z_hat||_F / ||Z_k||_F; both are None
     (undefined) for an all-zero Z."""
 
-    Z_hat: np.ndarray
+    C: np.ndarray
+    N_k: np.ndarray
     k: int
     residual: float
     relative_residual: float
     variance_kept: float | None
     information_loss: float | None
+
+    @property
+    def Z_hat(self) -> np.ndarray:
+        """The n x p debiased matrix C N_k^T, formed anew on each access
+        as one product, so its bits do not depend on the caller."""
+        return self.C @ self.N_k.T
 
 
 def select_k(D, variance_target: float) -> int:
@@ -109,19 +120,29 @@ def check_sensitive_rank(S, names: list[str], attributes: list[str],
                         f"it {named[:j]}; drop collinear sensitive columns")
 
 
+def _orthogonality_residual(C, N_k, S) -> tuple[float, float]:
+    """max |Z_hat^T S| for Z_hat = C N_k^T, absolute and relative to
+    ||Z_hat||_F ||S||_F, from the factors: N_k has orthonormal columns,
+    so Z_hat^T S = N_k (C^T S) and ||Z_hat||_F = ||C||_F."""
+    residual = float(np.max(np.abs(N_k @ (C.T @ S))))
+    denom = np.linalg.norm(C) * np.linalg.norm(S) + np.finfo(np.float64).tiny
+    return residual, residual / denom
+
+
 def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
-    """Compute Z_hat = (I - P_S) @ rank_k(Z).
+    """Compute Z_hat = (I - P_S) @ rank_k(Z), as its factors C and N_k.
 
     One SVD of the p x p (min(n, p) x p when n < p) triangular factor R
     of Z = QR gives the singular values D of Z, for the k selection, and
     its right singular vectors N. The rank-k truncation is Z_k =
     (Z N_k) N_k^T. The n x k product Z N_k is residualized, Z N_k -
-    Q_S (Q_S^T Z N_k) with Q_S the thin-QR basis of S, before the rank-k
-    product is formed, so no n x n matrix is ever materialized. The sign
-    of a column of N_k cancels in Z_hat. S (with the intercept column,
-    when configured) whose Gram matrix S^T S has a reciprocal condition
-    number below linalg.RCOND_LIMIT raises NumericalError; the test runs
-    on the singular values of the QR factor of S, which equal those of S.
+    Q_S (Q_S^T Z N_k) with Q_S the thin-QR basis of S, into C; neither
+    an n x n nor an n x p matrix is materialized. The sign of a column
+    of N_k flips that column of C and cancels in Z_hat. S (with the
+    intercept column, when configured) whose Gram matrix S^T S has a
+    reciprocal condition number below linalg.RCOND_LIMIT raises
+    NumericalError; the test runs on the singular values of the QR
+    factor of S, which equal those of S.
     """
     Z = _as_matrix(Z, "Z")
     S = _as_matrix(S, "S")
@@ -140,23 +161,19 @@ def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
         k = config.k
     N_k = svd.N[:, :k]
     ZN = Z @ N_k
-    ZN_res = residualize(S, ZN)
-    Z_hat = ZN_res @ N_k.T
-
-    residual = float(np.max(np.abs(Z_hat.T @ S)))
-    denom = np.linalg.norm(Z_hat) * np.linalg.norm(S) + np.finfo(np.float64).tiny
-    relative = residual / denom
+    C = residualize(S, ZN)
+    residual, relative = _orthogonality_residual(C, N_k, S)
     if relative >= ORTHOGONALITY_TOL:
         raise NumericalError(
             f"debiasing failed orthogonality: relative residual {relative:.3e}"
         )
-    # N_k has orthonormal columns, so ||Z_k - Z_hat||_F = ||ZN - ZN_res||_F.
+    # N_k has orthonormal columns, so ||Z_k - Z_hat||_F = ||ZN - C||_F.
     norm_k = float(np.linalg.norm(ZN))
     variance_kept = information_loss = None
     if norm_k > 0.0:
         variance_kept = float(explained_variance(svd.D)[k - 1])
-        information_loss = float(np.linalg.norm(ZN - ZN_res)) / norm_k
+        information_loss = float(np.linalg.norm(ZN - C)) / norm_k
     return DebiasedRepresentation(
-        Z_hat=Z_hat, k=k, residual=residual, relative_residual=relative,
+        C=C, N_k=N_k, k=k, residual=residual, relative_residual=relative,
         variance_kept=variance_kept, information_loss=information_loss,
     )

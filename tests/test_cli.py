@@ -4,6 +4,7 @@ determinism, manifest integrity, and the exit-code taxonomy."""
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,8 @@ from conftest import SCHEMA_TEXT, synthetic_rows, text_matrix, write_csv
 from tabfair.cli import Run, config_hash, load_config, main, read_provenance
 from tabfair.dataset import load_split, stratified_split
 from tabfair.errors import DataError
+from tabfair.fair_projection import (ORTHOGONALITY_TOL, FairProjectionConfig,
+                                     build_sensitive_matrix, debias)
 from tabfair.linalg import load_matrix, save_matrix
 from tabfair.neuralnet import MlpConfig, init_params, load_mlp, save_mlp
 
@@ -62,6 +65,15 @@ def make_workspace(tmp_path: Path, **config_overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg, indent=2), encoding="utf-8")
     return path
+
+
+def debiased_coordinates(out: Path, attributes: list[str], projection) -> np.ndarray:
+    """The k coordinates C that evaluate probes, recomputed by the library
+    from the Z.npy, S.npy and sensitive_names.txt in `out`."""
+    S = load_matrix(out / "S.npy")
+    names = (out / "sensitive_names.txt").read_text(encoding="utf-8").split()
+    return debias(load_matrix(out / "Z.npy"), build_sensitive_matrix(S, names, attributes),
+                  projection).C
 
 
 def manifest_without_clock(path: Path) -> dict:
@@ -187,9 +199,25 @@ class TestStages:
             assert np.array_equal(result.Z_hat.view(np.uint64), Z_hat.view(np.uint64)), projection
             prov = read_provenance(tmp_path / "out" / "debias.provenance.txt")
             assert (str(result.k), ",".join(attributes)) == (prov["k"], prov["attributes"])
+            # The factors evaluate probes: an orthonormal basis, and
+            # coordinates orthogonal to S (with the intercept, when set).
+            S = build_sensitive_matrix(
+                load_matrix(tmp_path / "out" / "S.npy"),
+                (tmp_path / "out" / "sensitive_names.txt").read_text().split(), attributes)
+            if projection["include_intercept"]:
+                S = np.hstack([S, np.ones((len(S), 1))])
+            gram = result.N_k.T @ result.N_k
+            assert np.max(np.abs(gram - np.eye(result.k))) < 1e-12, projection
+            tol, C = ORTHOGONALITY_TOL * np.linalg.norm(S), result.C
+            assert np.max(np.abs(C.T @ S)) < tol * np.linalg.norm(C), projection
+            # The residual from the factors and from the written Z_hat are
+            # both rounding noise; they differ by a negligible share of the gate.
+            dense = np.max(np.abs(Z_hat.T @ S)) / (np.linalg.norm(Z_hat) * np.linalg.norm(S))
+            assert dense < ORTHOGONALITY_TOL
+            assert abs(float(prov["relative_residual"]) - dense) < 1e-3 * ORTHOGONALITY_TOL
 
     def test_evaluate_provenance_records_projection_and_probe_losses(self, tmp_path):
-        from tabfair.evaluation import ProbeConfig, probe_loss, train_probe
+        from tabfair.evaluation import ProbeConfig, probe_loss_and_grad_norm, train_probe
 
         config = make_workspace(tmp_path, projection={"k": None, "variance_target": 0.9,
                                                       "attributes": None})
@@ -202,10 +230,10 @@ class TestStages:
         y = load_matrix(out / "y.npy").ravel()
         train = load_split(out / "split.txt").train
         probe = ProbeConfig(learning_rate=0.01, epochs=200)
-        for tag, Z in (("biased", load_matrix(out / "Z.npy")),
-                       ("debiased", text_matrix(out / "Z_hat.txt"))):
+        C = debiased_coordinates(out, ["group"], FairProjectionConfig(variance_target=0.9))
+        for tag, Z in (("biased", load_matrix(out / "Z.npy")), ("debiased", C)):
             Z = Z[train]
-            loss = probe_loss(train_probe(Z, y[train], probe), Z, y[train])
+            loss = probe_loss_and_grad_norm(train_probe(Z, y[train], probe), Z, y[train])[0]
             assert float(prov[f"{tag}_probe_loss"]) == loss
             assert 0.0 < loss < np.log(2.0)  # below the loss of the all-zero start
 
@@ -400,6 +428,58 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and repr(key) in err, err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_probe_learning_rate_stops_before_prepare(self, tmp_path, capsys,
+                                                                 value):
+        # json writes and reads these as NaN, Infinity and -Infinity.
+        config = make_workspace(tmp_path, probe={"learning_rate": value})
+        assert main(["pipeline", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "finite learning_rate" in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_k_above_p_stops_before_prepare(self, tmp_path, capsys):
+        # p = latent_num + latent_cat = 12 is known from the config.
+        config = make_workspace(tmp_path, projection={"k": 13})
+        assert main(["pipeline", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: k=13 out of range [1, 12]"), err
+        assert not (tmp_path / "out").exists()
+        # k = p runs; debias still checks k against the Z it reads.
+        config = make_workspace(tmp_path, projection={"k": 12})
+        for verb in ("prepare", "train-embed"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        Z_path = tmp_path / "out" / "Z.npy"
+        save_matrix(Z_path, load_matrix(Z_path)[:, :11])
+        capsys.readouterr()
+        assert main(["debias", "--config", str(config)]) == 1
+        assert "k=12 out of range [1, 11]" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "Z_hat.txt").exists()
+
+    @pytest.mark.parametrize("cell", ["inf", "nan", "1e400", "1_000"])
+    def test_numeric_cell_that_is_not_a_finite_number_writes_nothing(self, tmp_path, capsys,
+                                                                     cell):
+        config = make_workspace(tmp_path)
+        rows = synthetic_rows()
+        rows[5][1] = cell
+        write_csv(tmp_path / "synthetic.csv", rows)
+        assert main(["prepare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"column 'x2': cell {cell!r} (row 6 of the kept rows)" in err, err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_csv_with_byte_order_mark_prepares_the_same_files(self, tmp_path):
+        config = make_workspace(tmp_path)
+        assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+        csv = tmp_path / "synthetic.csv"
+        csv.write_bytes(b"\xef\xbb\xbf" + csv.read_bytes())
+        assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+        for path in sorted((tmp_path / "a").iterdir()):
+            a, b = path.read_bytes(), (tmp_path / "b" / path.name).read_bytes()
+            if path.name == "prepare.provenance.txt":
+                a, b = (re.sub(rb"csv_sha256 \w+", b"", v) for v in (a, b))
+            assert a == b, path.name
 
     def test_top_level_value_types_accepted(self, tmp_path):
         # An int fits test_fraction; attributes may be null or absent.
@@ -913,8 +993,8 @@ class TestShippedConfigs:
 class TestReports:
     def test_provenance_reproducible_from_artifacts(self, tmp_path):
         # Every number in evaluate.provenance.txt must be recomputable
-        # from the persisted matrices alone, and exactly so: both matrix
-        # formats round-trip float64.
+        # from the persisted matrices alone, and exactly so: .npy
+        # round-trips float64 and the projection is deterministic.
         from tabfair.evaluation import ProbeConfig, evaluate_representation
 
         config = make_workspace(tmp_path)
@@ -927,12 +1007,40 @@ class TestReports:
         prov = read_provenance(out / "evaluate.provenance.txt")
         probe = ProbeConfig(learning_rate=0.01, epochs=200)
         for tag, Z in (("biased", load_matrix(out / "Z.npy")),
-                       ("debiased", text_matrix(out / "Z_hat.txt"))):
+                       ("debiased", debiased_coordinates(out, ["group"],
+                                                         FairProjectionConfig(k=4)))):
             report = evaluate_representation(Z, y, S, split, names, probe)
             assert float(prov[f"{tag}_accuracy"]) == report.accuracy
             assert float(prov[f"{tag}_roc_auc"]) == report.roc_auc
             assert float(prov[f"{tag}_di_x100_group"]) == report.attributes[0].di_x100
             assert float(prov[f"{tag}_spd_group"]) == report.attributes[0].spd
+
+    def test_probe_grad_norms_reproducible_from_artifacts(self, tmp_path):
+        # Each probe's final gradient norm on its train rows, from the
+        # persisted matrices and the library's projection: the gradient
+        # train_probe steps on, evaluated once more at the final weights.
+        from tabfair.evaluation import ProbeConfig, predict_proba, train_probe
+
+        config = make_workspace(tmp_path)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        y = load_matrix(out / "y.npy").ravel()
+        train = load_split(out / "split.txt").train
+        prov = read_provenance(out / "evaluate.provenance.txt")
+        probe = ProbeConfig(learning_rate=0.01, epochs=200)
+        for tag, Z in (("biased", load_matrix(out / "Z.npy")),
+                       ("debiased", debiased_coordinates(out, ["group"],
+                                                         FairProjectionConfig(k=4)))):
+            Z, y_train = Z[train], y[train]
+            model = train_probe(Z, y_train, probe)
+            delta = (predict_proba(model, Z) - y_train) / y_train.size
+            grad = np.append(Z.T @ delta, delta.sum())
+            assert float(prov[f"{tag}_probe_grad_norm"]) == np.linalg.norm(grad)
+            # Adam has moved it below the gradient at the all-zero start.
+            start = (0.5 - y_train) / y_train.size
+            assert np.linalg.norm(grad) < np.linalg.norm(np.append(Z.T @ start, start.sum()))
+        # Reports store neither loss nor gradient.
+        assert "grad" not in (out / "report_debiased.txt").read_text(encoding="utf-8")
 
     def test_undefined_di_keeps_reports(self, tmp_path):
         # 10% positive labels: the probe predicts no positives, so DI is

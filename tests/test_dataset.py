@@ -146,6 +146,13 @@ class TestLoadCsv:
         raw = ds.load_csv(write_csv(tmp_path / "d.csv", []), schema)
         assert raw.n == 0
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, schema):
+        # Spreadsheet programs start a UTF-8 CSV with U+FEFF.
+        plain = write_csv(tmp_path / "plain.csv", synthetic_rows(8))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert ds.load_csv(marked, schema) == ds.load_csv(plain, schema)
+
     def test_missing_file_is_config_error(self, tmp_path, schema):
         with pytest.raises(ConfigError, match="not found"):
             ds.load_csv(tmp_path / "nope.csv", schema)
@@ -299,6 +306,40 @@ class TestEncode:
         ]
         raw = ds.load_csv(write_csv(tmp_path / "d.csv", rows), schema)
         with pytest.raises(DataError, match="oops"):
+            ds.encode(raw, schema)
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", "1e400", "-1e400"])
+    def test_non_finite_numeric_cell_rejected(self, tmp_path, schema, cell):
+        rows = synthetic_rows(6)
+        rows[4][0] = cell
+        raw = ds.load_csv(write_csv(tmp_path / "d.csv", rows), schema)
+        with pytest.raises(DataError, match=rf"column 'x1': cell '{cell}' \(row 5 of the kept "
+                                            r"rows\) is not a finite number"):
+            ds.encode(raw, schema)
+
+    @pytest.mark.parametrize("cell", ["1_000", "0.000_5", "1e1_0", "\u0663", "\uff11.5"])
+    def test_python_number_syntax_rejected(self, tmp_path, schema, cell):
+        # float() accepts '_' digit groups and non-ASCII decimal digits
+        # (Arabic-Indic three, full-width one); a CSV cell is not Python source.
+        assert np.isfinite(float(cell))
+        rows = synthetic_rows(6)
+        rows[2][1] = cell
+        raw = ds.load_csv(write_csv(tmp_path / "d.csv", rows), schema)
+        with pytest.raises(DataError, match=rf"column 'x2': cell '{cell}' \(row 3 of the kept "
+                                            r"rows\) is not a number"):
+            ds.encode(raw, schema)
+
+    def test_overflowing_standard_deviation_rejected(self, tmp_path, schema):
+        # Every cell is finite, but the variance of +-1e300 is not; the
+        # column would be written as all -0.0 with an infinite std.
+        rows = synthetic_rows(6)
+        for i, row in enumerate(rows):
+            row[0] = "-1e300" if i % 2 else "1e300"
+        rows[3][0] = "1.5e300"
+        raw = ds.load_csv(write_csv(tmp_path / "d.csv", rows), schema)
+        with pytest.raises(DataError, match=r"numerical column 'x1': its mean or standard "
+                                            r"deviation overflows float64 \(largest magnitude "
+                                            r"1\.5e\+300, row 4 of the kept rows\)"):
             ds.encode(raw, schema)
 
     def test_single_row_rejected(self, tmp_path, schema):

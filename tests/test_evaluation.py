@@ -1,6 +1,7 @@
 """Probe and fairness metrics against exact-rational brute-force
 oracles and hand-evaluated cases."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +19,7 @@ from tabfair.evaluation import (
     eighty_percent_rule,
     evaluate_representation,
     predict_proba,
-    probe_loss,
+    probe_loss_and_grad_norm,
     roc_auc,
     roc_curve_points,
     save_report,
@@ -266,7 +267,7 @@ class TestProbe:
     def test_probe_loss_at_half_is_ln2(self):
         Z, y = self.separable()
         model = train_probe(Z, y, ProbeConfig(epochs=0))
-        assert probe_loss(model, Z, y) == pytest.approx(np.log(2.0), abs=1e-15)
+        assert probe_loss_and_grad_norm(model, Z, y)[0] == pytest.approx(np.log(2.0), abs=1e-15)
 
     def test_bits_match_separate_moment_reference(self):
         # The probe shares the networks' Adam update over [w, b]; a loop
@@ -304,6 +305,12 @@ class TestProbe:
             ProbeConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
             ProbeConfig(epochs=-1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_learning_rate(self, value):
+        # NaN fails `<= 0` as it fails every comparison.
+        with pytest.raises(ConfigError, match="finite learning_rate"):
+            ProbeConfig(learning_rate=value)
 
 
 class TestRocCurve:
@@ -386,6 +393,21 @@ class TestEvaluateRepresentation:
         assert a.name == "group"
         assert a.di_x100 >= 0.0
         assert 0.0 <= a.spd <= 1.0
+
+    def test_train_grad_norm_falls_with_training(self):
+        # The norm of the mean-BCE gradient at the final weights: that of
+        # the mean of [z, 1] (1/2 - y) at the all-zero start, and under
+        # 1% of it once Adam has converged. Reports compare without it.
+        Z, y, S, split = self.make_setup()
+        norms = []
+        for epochs in (0, 100, 5000):
+            report = evaluate_representation(Z, y, S, split, ["group"], ProbeConfig(epochs=epochs))
+            norms.append(report.train_grad_norm)
+        Zt, yt = Z[split.train], y[split.train]
+        start = (0.5 - yt) / yt.size
+        assert norms[0] == np.linalg.norm(np.append(Zt.T @ start, start.sum()))
+        assert norms[0] > norms[1] > norms[2] and norms[2] < 0.01 * norms[0]
+        assert report == dataclasses.replace(report, train_grad_norm=None)
 
     def test_informative_features_beat_chance(self):
         Z, y, S, split = self.make_setup()

@@ -7,7 +7,9 @@ import pytest
 
 from tabfair.errors import ConfigError, DataError, NumericalError
 from tabfair.fair_projection import (
+    ORTHOGONALITY_TOL,
     FairProjectionConfig,
+    _orthogonality_residual,
     build_sensitive_matrix,
     check_sensitive_rank,
     debias,
@@ -184,6 +186,77 @@ class TestDebias:
         S = np.array([[1, 0, 1, 0, 1, 0]], dtype=float).T
         result = debias(Z, S, FairProjectionConfig(k=1, variance_target=1.0))
         assert result.k == 4
+
+
+def relative_residual(M, S):
+    """max |M^T S|, relative to ||M||_F ||S||_F (0 for an all-zero M)."""
+    tiny = np.finfo(np.float64).tiny
+    return np.max(np.abs(M.T @ S)) / (np.linalg.norm(M) * np.linalg.norm(S) + tiny)
+
+
+class TestFactors:
+    """debias returns Z_hat as its k coordinates C and basis N_k."""
+
+    @staticmethod
+    def instances(rng, count=40):
+        # Tall and wide Z, a fixed k or a variance target, with and
+        # without the intercept; nonnegative like the ReLU latents.
+        for trial in range(count):
+            wide = trial % 2
+            # n exceeds the 3 columns of [S, 1]: otherwise (I - P_S) = 0
+            # and C is rounding noise.
+            n = int(rng.integers(5, 8)) if wide else int(rng.integers(20, 120))
+            p = int(rng.integers(9, 13)) if wide else int(rng.integers(3, 15))
+            Z, S = random_instance(rng, n=n, p=p, s_cols=1 + trial % 2)
+            if np.linalg.matrix_rank(np.hstack([S, np.ones((n, 1))])) < S.shape[1] + 1:
+                continue
+            Z = np.abs(Z) * rng.uniform(0.1, 10.0, size=p)
+            intercept = trial % 4 >= 2
+            if trial % 3 == 0:
+                config = FairProjectionConfig(variance_target=float(rng.uniform(0.5, 1.0)),
+                                              include_intercept=intercept)
+            else:
+                config = FairProjectionConfig(k=int(rng.integers(1, min(n, p) + 1)),
+                                              include_intercept=intercept)
+            S_full = np.hstack([S, np.ones((n, 1))]) if intercept else S
+            yield Z, S_full, debias(Z, S, config)
+
+    def test_shapes_and_orthonormal_basis(self):
+        for Z, _, result in self.instances(np.random.default_rng(30)):
+            n, p = Z.shape
+            assert result.C.shape == (n, result.k) and result.N_k.shape == (p, result.k)
+            gram = result.N_k.T @ result.N_k
+            assert np.max(np.abs(gram - np.eye(result.k))) < 1e-12
+
+    def test_coordinates_orthogonal_to_s(self):
+        for _, S, result in self.instances(np.random.default_rng(32)):
+            assert relative_residual(result.C, S) < ORTHOGONALITY_TOL
+
+    def test_z_hat_is_the_one_product(self):
+        for _, _, result in self.instances(np.random.default_rng(34), count=10):
+            product = result.C @ result.N_k.T
+            assert np.array_equal(result.Z_hat.view(np.uint64), product.view(np.uint64))
+
+    def test_factor_residual_matches_materialized(self):
+        # The identity holds for any C, so check it where the residual
+        # is not rounding noise: C not orthogonal to S.
+        rng = np.random.default_rng(36)
+        for _ in range(30):
+            n, p = int(rng.integers(10, 60)), int(rng.integers(3, 12))
+            k = int(rng.integers(1, p + 1))
+            C = rng.normal(size=(n, k))
+            N_k = np.linalg.qr(rng.normal(size=(p, k)))[0]
+            S = rng.integers(0, 2, size=(n, 2)).astype(float)
+            residual, relative = _orthogonality_residual(C, N_k, S)
+            Z_hat = C @ N_k.T
+            assert residual == pytest.approx(np.max(np.abs(Z_hat.T @ S)), rel=1e-12)
+            assert relative == pytest.approx(relative_residual(Z_hat, S), rel=1e-12)
+        # On debias's own output both are rounding noise, far below the
+        # tolerance, and they differ by a negligible share of it.
+        for _, S, result in self.instances(np.random.default_rng(38)):
+            dense = relative_residual(result.Z_hat, S)
+            assert dense < ORTHOGONALITY_TOL
+            assert abs(result.relative_residual - dense) < 1e-3 * ORTHOGONALITY_TOL
 
 
 class TestSelectK:
