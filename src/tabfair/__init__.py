@@ -4,8 +4,8 @@ sensitive-attribute removal, and group-fairness evaluation.
 Importing the package pins BLAS to one thread per process, unless the
 caller set a thread variable. The pin must come before numpy's first
 import, which starts the BLAS thread pool. BLAS_PINNED records whether
-it took effect: only then are the two networks, and the two probes,
-each run in their own process (see linalg.run_both).
+it took effect: only then are the two networks each trained in their
+own process (see linalg.run_both).
 """
 
 import os as _os
@@ -41,7 +41,6 @@ from .errors import (
 )
 from .evaluation import (
     FairnessReport,
-    ProbeConfig,
     accuracy,
     disparate_impact,
     eighty_percent_rule,
@@ -105,7 +104,6 @@ __all__ = [
     "MlpConfig",
     "MlpParams",
     "NumericalError",
-    "ProbeConfig",
     "RawTable",
     "SplitIndices",
     "SvdResult",

@@ -6,8 +6,8 @@ independently, and `pipeline` runs the code of the four stages run
 alone. No stage reads `Z_hat.txt`: `evaluate` probes the k coordinates
 C of the projection `debias` made in the same process, or, run on its
 own, projects `Z.npy` against `S.npy` under its own config. A JSON
-config fixes the dataset paths, network shapes, projection rank, probe
-settings, and the seed; given the same config, every stage is
+config fixes the dataset paths, network shapes, projection rank, and
+the seed; given the same config, every stage is
 idempotent and byte-identical either way (the pipeline manifest's
 timestamp and timings aside).
 
@@ -36,7 +36,7 @@ from . import evaluation as ev
 from .errors import ConfigError, DataError, NumericalError, TabfairError
 from .fair_projection import (DebiasedRepresentation, FairProjectionConfig,
                               build_sensitive_matrix, check_sensitive_rank, debias)
-from .linalg import load_matrix, run_both, save_matrix
+from .linalg import load_matrix, save_matrix
 from .mixed_encoder import MixedEncoderConfig, encode_dataset
 from .neuralnet import save_mlp
 
@@ -49,12 +49,13 @@ PRODUCERS = {
     "Z.npy": "train-embed",
 }
 
-# The top-level config keys, all required, and the type each must fit.
+# The top-level config keys, all required and no other allowed, and the
+# type each must fit.
 CONFIG_KEYS = {
     **dict.fromkeys(("dataset", "csv", "schema", "out_dir"), str),
     "seed": int,
     "test_fraction": float,
-    **dict.fromkeys(("encoder", "projection", "probe"), dict),
+    **dict.fromkeys(("encoder", "projection"), dict),
 }
 
 
@@ -62,8 +63,9 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
     """Read a pipeline config, apply command-line overrides, and make
     every path absolute: a path from the config file is relative to that
     file, an `out_dir` override to the working directory. Only the
-    top-level keys are checked here; the encoder, projection and probe
-    sections are checked when a Run is built from the result."""
+    top-level keys are checked here, and one CONFIG_KEYS does not name
+    is refused; the encoder and projection sections are checked when a
+    Run is built from the result."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -76,6 +78,10 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
     for key in CONFIG_KEYS:
         if key not in cfg:
             raise ConfigError(f"{path}: missing config key {key!r}")
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}: unknown config key {key!r}; the keys are "
+                              f"{', '.join(CONFIG_KEYS)}")
     if seed is not None:
         cfg["seed"] = seed
     if out_dir is not None:
@@ -154,7 +160,6 @@ class Run:
         self.encoder = _section(cfg, "encoder", MixedEncoderConfig, seed=cfg["seed"])
         self.projection = _section(cfg, "projection", FairProjectionConfig,
                                    cli_keys=("attributes",))
-        self.probe = _section(cfg, "probe", ev.ProbeConfig)
         p = self.encoder.latent_num + self.encoder.latent_cat
         if self.projection.variance_target is None and self.projection.k > p:
             # debias checks k again against the Z it is given, for a stage run alone.
@@ -315,31 +320,29 @@ def cmd_debias(run: Run) -> None:
 
 def cmd_evaluate(run: Run) -> None:
     """Probe and fairness-score Z and its debiased projection on the
-    persisted split. The debiased probe is fit on the projection's k
-    coordinates C, which span what Z_hat = C N_k^T spans. The projection
-    is the one debias made in this process; run on its own, evaluate
-    makes it from Z.npy and S.npy under its own config. When run_both()
-    allows, the debiased half, projection included, runs in a child
-    while this process scores Z."""
+    persisted split, in this process. The debiased probe is fit on the
+    projection's k coordinates C: Z_hat = C N_k^T with N_k orthonormal,
+    and the probe is rotation-invariant, so it is the probe on Z_hat.
+    The projection is the one debias made in this process; run on its
+    own, evaluate makes it from Z.npy and S.npy under its own config."""
     S = run.read("S.npy", load_matrix)
     y = run.read("y.npy", load_matrix).ravel()
     names = _read_names(run, S)
     split = run.read("split.txt", ds.load_split)
 
     def score(Z):
-        report = ev.evaluate_representation(Z, y, S, split, names, run.probe)
+        report = ev.evaluate_representation(Z, y, S, split, names)
         return report, ev.roc_curve_points(report.test_scores,
                                            y[split.test].astype(np.int64))
 
-    def score_debiased():
-        result, attributes = _debiased(run)
-        return score(result.C), result.k, attributes
-
     # Both scored before anything is written: a missing or corrupt
-    # input, or a failed projection, leaves no report.
-    biased, (debiased, k, attributes) = run_both(
-        lambda: score(run.read("Z.npy", load_matrix)), score_debiased)
-    summary = {"debiased_k": k, "attributes": ",".join(attributes)}
+    # input, a failed projection or probe leaves no report. Projecting
+    # first, before the probe on Z has grown the heap, keeps the peak
+    # RSS of evaluate run alone at that of the projection.
+    result, attributes = _debiased(run)
+    debiased = score(result.C)
+    biased = score(run.read("Z.npy", load_matrix))
+    summary = {"debiased_k": result.k, "attributes": ",".join(attributes)}
     for tag, (report, points) in zip(("biased", "debiased"), (biased, debiased)):
         run.write(f"report_{tag}.txt", ev.save_report, report, run.cfg["dataset"], tag)
         run.write(f"roc_{tag}.csv", ev.save_roc_csv, points)
@@ -347,6 +350,7 @@ def cmd_evaluate(run: Run) -> None:
         summary[f"{tag}_roc_auc"] = f"{report.roc_auc:.17g}"
         summary[f"{tag}_probe_loss"] = f"{report.train_loss:.17g}"
         summary[f"{tag}_probe_grad_norm"] = f"{report.train_grad_norm:.17g}"
+        summary[f"{tag}_probe_iterations"] = report.probe_iterations
         for a in report.attributes:
             summary[f"{tag}_di_x100_{a.name}"] = ev.format_or_undefined(a.di_x100)
             summary[f"{tag}_spd_{a.name}"] = f"{a.spd:.17g}"

@@ -97,7 +97,8 @@ def load_schema(path) -> list[ColumnSchema]:
     if not path.exists():
         raise ConfigError(f"schema file not found: {path}")
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        # utf-8-sig drops a leading byte-order mark, as load_csv does.
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or lines[0].strip() != SCHEMA_FORMAT:

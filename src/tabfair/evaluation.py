@@ -3,51 +3,91 @@
 A logistic probe (frozen features, trainable linear head only) gives
 accuracy and ROC-AUC; disparate impact and statistical parity
 difference are computed per sensitive attribute from the probe's test
-predictions. Group-rate metrics use exact integer counting before the
-single final division.
+predictions. The probe is a ridge logistic regression fit to
+convergence by Newton's method, so it is the same function of the
+representation under any rotation of its columns. Group-rate metrics
+use exact integer counting before the single final division.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import SplitIndices
-from .errors import ConfigError, DataError, UndefinedMetricError
-from .neuralnet import AdamState, _adam_update, _sigmoid, bce_loss
+from .errors import ConfigError, DataError, NumericalError, UndefinedMetricError
+from .neuralnet import _sigmoid
 
 DI_PASS_THRESHOLD = 80.0  # DI x 100 must exceed this (strict) to pass
 
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Full-batch Adam settings for the logistic head; no regularization."""
-
-    learning_rate: float = 0.01
-    epochs: int = 500
-
-    def __post_init__(self):
-        # NaN fails every comparison, so test for the valid range.
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0) or self.epochs < 0:
-            raise ConfigError("probe needs a finite learning_rate > 0 and epochs >= 0, got "
-                              f"learning_rate={self.learning_rate}, epochs={self.epochs}")
+# The probe's ridge is lambda = PROBE_RIDGE / n_train on the weights,
+# not the bias: the mean-loss form of the default L2 logistic
+# regression (C = 1). It keeps the Hessian positive definite when Z has
+# all-zero or duplicated columns, and the optimum finite on separable
+# data.
+PROBE_RIDGE = 1.0
+# The fit stops once the Euclidean norm of the objective's gradient in
+# [weights, bias] is below PROBE_TOL; not reaching it within
+# PROBE_MAX_ITER Newton steps is a NumericalError.
+PROBE_TOL = 1e-8
+PROBE_MAX_ITER = 100
+# Armijo sufficient-decrease constant of the backtracking line search,
+# and the smallest step fraction it tries.
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0**-40
 
 
 @dataclass
 class LogisticModel:
-    """weights (p,) and bias for sigmoid(Z @ w + b)."""
+    """weights (p,) and bias for sigmoid(Z @ w + b); iterations is the
+    number of Newton steps train_probe took to reach them."""
 
     weights: np.ndarray
     bias: float
+    iterations: int = 0
 
 
-def train_probe(Z, y, config: ProbeConfig = ProbeConfig()) -> LogisticModel:
-    """Fit the linear head by full-batch Adam on mean BCE.
+def _ridge_objective(theta: np.ndarray, Z: np.ndarray, y: np.ndarray):
+    """(f, gradient, probabilities) at theta = [weights, bias], where f
+    is the mean BCE of sigmoid(Z w + b) against y plus lambda/2 ||w||^2,
+    lambda = PROBE_RIDGE / n. The loss is taken from the logits
+    (log(1 + e^u) - y u), so it is exact where the sigmoid saturates."""
+    n, p = Z.shape
+    lam = PROBE_RIDGE / n
+    w = theta[:p]
+    u = Z @ w + theta[p]
+    f = float(np.mean(np.logaddexp(0.0, u) - y * u)) + 0.5 * lam * float(w @ w)
+    pred = _sigmoid(u)
+    r = (pred - y) / n
+    return f, np.append(Z.T @ r + lam * w, r.sum()), pred
 
-    Weights start at zero (all probabilities 0.5), so the fit is fully
-    deterministic. Raises on a single-class label vector.
+
+def _hessian(Z: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """The objective's (p + 1) x (p + 1) Hessian in [weights, bias]:
+    [Z, 1]^T diag(s) [Z, 1] / n with s = pred (1 - pred), plus lambda on
+    the weights' diagonal. The one n x p temporary is Z scaled by
+    sqrt(s / n) per row; the bias row and column come from Z^T s."""
+    n, p = Z.shape
+    s = pred * (1.0 - pred)
+    Zs = Z * np.sqrt(s / n)[:, None]
+    H = np.empty((p + 1, p + 1))
+    H[:p, :p] = Zs.T @ Zs
+    del Zs
+    H[:p, :p].flat[:: p + 1] += PROBE_RIDGE / n
+    H[:p, p] = H[p, :p] = (Z.T @ s) / n
+    H[p, p] = s.sum() / n
+    return H
+
+
+def train_probe(Z, y) -> LogisticModel:
+    """Fit the ridge logistic head by Newton's method (IRLS) from zero
+    weights, halving a step until it decreases the objective enough
+    (Armijo), until the gradient norm is below PROBE_TOL. The objective
+    is strictly convex, so the optimum is unique and the fit
+    deterministic. A single-class label vector is a DataError; not
+    converging within PROBE_MAX_ITER steps, or a line search that finds
+    no decrease, is a NumericalError.
     """
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -55,39 +95,57 @@ def train_probe(Z, y, config: ProbeConfig = ProbeConfig()) -> LogisticModel:
         raise ConfigError("Z must be 2-D with one row per label")
     if np.unique(y).size < 2:
         raise DataError("probe training labels contain a single class")
-    n, p = Z.shape
-    # theta is [weights, bias]; w is a view of its first p entries.
+    p = Z.shape[1]
     theta = np.zeros(p + 1)
-    w = theta[:p]
-    state = AdamState(m=np.zeros(p + 1), v=np.zeros(p + 1), lr=config.learning_rate)
-    for _ in range(config.epochs):
-        pred = _sigmoid(Z @ w + theta[p])
-        # Mean-BCE gradient through the sigmoid.
-        delta = (pred - y) / n
-        _adam_update(theta, np.append(Z.T @ delta, delta.sum()), state)
-    return LogisticModel(weights=w, bias=float(theta[p]))
+    f, g, pred = _ridge_objective(theta, Z, y)
+    for it in range(PROBE_MAX_ITER + 1):
+        grad_norm = float(np.linalg.norm(g))
+        if grad_norm < PROBE_TOL:
+            return LogisticModel(weights=theta[:p], bias=float(theta[p]), iterations=it)
+        if it == PROBE_MAX_ITER:
+            break
+        try:
+            d = np.linalg.solve(_hessian(Z, pred), g)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"probe Hessian is singular at Newton step {it + 1}") from exc
+        slope, t = float(g @ d), 1.0
+        while True:
+            candidate = theta - t * d
+            f_new, g_new, pred_new = _ridge_objective(candidate, Z, y)
+            if f_new <= f - _ARMIJO * t * slope:
+                break
+            t *= 0.5
+            if t < _MIN_STEP:
+                raise NumericalError(
+                    f"probe line search found no decrease at Newton step {it + 1} "
+                    f"(gradient norm {grad_norm:.3e}, tolerance {PROBE_TOL:g})")
+        theta, f, g, pred = candidate, f_new, g_new, pred_new
+    raise NumericalError(f"probe did not converge in {PROBE_MAX_ITER} Newton steps: "
+                         f"gradient norm {grad_norm:.3e}, tolerance {PROBE_TOL:g}")
 
 
-def predict_proba(model: LogisticModel, Z) -> np.ndarray:
+def _check_width(model: LogisticModel, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != model.weights.size:
         raise ConfigError(
             f"Z width {Z.shape[1] if Z.ndim == 2 else '?'} != model width "
             f"{model.weights.size}"
         )
-    return _sigmoid(Z @ model.weights + model.bias)
+    return Z
+
+
+def predict_proba(model: LogisticModel, Z) -> np.ndarray:
+    return _sigmoid(_check_width(model, Z) @ model.weights + model.bias)
 
 
 def probe_loss_and_grad_norm(model: LogisticModel, Z, y) -> tuple[float, float]:
-    """The mean BCE train_probe descends, on (Z, y) at the model's
-    weights, and the Euclidean norm of its gradient in [weights, bias],
-    the one train_probe steps on: one product with Z and one with Z^T."""
-    Z = np.asarray(Z, dtype=np.float64)
+    """The ridge objective train_probe minimizes, on (Z, y) at the
+    model's weights, and the Euclidean norm of its gradient in [weights,
+    bias]: the quantity train_probe's stopping test reads."""
+    Z = _check_width(model, Z)
     y = np.asarray(y, dtype=np.float64).ravel()
-    pred = predict_proba(model, Z)
-    delta = (pred - y) / y.size
-    grad_norm = float(np.linalg.norm(np.append(Z.T @ delta, delta.sum())))
-    return bce_loss(pred[:, None], y[:, None]), grad_norm
+    f, g, _ = _ridge_objective(np.append(model.weights, model.bias), Z, y)
+    return f, float(np.linalg.norm(g))
 
 
 def _binary(v, name: str) -> np.ndarray:
@@ -211,9 +269,10 @@ class FairnessReport:
     sensitive attribute, mirroring one table row per attribute.
 
     test_scores holds the probe's test-row probabilities, train_loss
-    its final mean BCE on the train rows, and train_grad_norm the
-    Euclidean norm of that loss's gradient in [weights, bias] at the
-    final weights; report files store none of them.
+    the ridge objective it minimized on the train rows, train_grad_norm
+    the Euclidean norm of that objective's gradient in [weights, bias]
+    at the final weights (below PROBE_TOL), and probe_iterations its
+    Newton step count; report files store none of them.
     """
 
     accuracy: float
@@ -222,6 +281,7 @@ class FairnessReport:
     test_scores: np.ndarray | None = field(default=None, repr=False, compare=False)
     train_loss: float | None = field(default=None, compare=False)
     train_grad_norm: float | None = field(default=None, compare=False)
+    probe_iterations: int | None = field(default=None, compare=False)
 
 
 def evaluate_representation(
@@ -230,7 +290,6 @@ def evaluate_representation(
     S,
     split: SplitIndices,
     sensitive_names: list[str],
-    probe_config: ProbeConfig = ProbeConfig(),
 ) -> FairnessReport:
     """Train the probe on the train rows, score the test rows, and
     compute fairness metrics on the test predictions. A DI left
@@ -252,7 +311,7 @@ def evaluate_representation(
     y_test = _binary(y, "y")[split.test]
     S = _binary(S, "S").reshape(S.shape)
     Z_train, y_train = Z[split.train], y[split.train]
-    model = train_probe(Z_train, y_train, probe_config)
+    model = train_probe(Z_train, y_train)
     train_loss, train_grad_norm = probe_loss_and_grad_norm(model, Z_train, y_train)
     scores = predict_proba(model, Z[split.test])
     y_pred = (scores >= 0.5).astype(np.int64)
@@ -279,6 +338,7 @@ def evaluate_representation(
         test_scores=scores,
         train_loss=train_loss,
         train_grad_norm=train_grad_norm,
+        probe_iterations=model.iterations,
     )
 
 

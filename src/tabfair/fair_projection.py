@@ -142,7 +142,8 @@ def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
     intercept column, when configured) whose Gram matrix S^T S has a
     reciprocal condition number below linalg.RCOND_LIMIT raises
     NumericalError; the test runs on the singular values of the QR
-    factor of S, which equal those of S.
+    factor of S, which equal those of S. An S with at least as many
+    columns as Z has rows is a DataError.
     """
     Z = _as_matrix(Z, "Z")
     S = _as_matrix(S, "S")
@@ -152,6 +153,14 @@ def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
         raise ConfigError("S has no columns: there is no sensitive attribute to remove")
     S = _with_intercept(S, config)
     n, p = Z.shape
+    if S.shape[1] >= n:
+        # Columns that span every row leave C = 0, and the relative
+        # orthogonality gate would divide rounding noise by noise.
+        raise DataError(
+            f"S has {S.shape[1]} columns"
+            f"{' with the intercept' if config.include_intercept else ''} for {n} rows; "
+            "debias needs more rows than S has columns"
+        )
     if config.variance_target is None and not 1 <= config.k <= min(n, p):
         raise ConfigError(f"k={config.k} out of range [1, {min(n, p)}] for a {n}x{p} matrix")
     svd = rank_k_svd(np.linalg.qr(Z, mode="r"), min(n, p))

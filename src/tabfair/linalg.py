@@ -10,9 +10,9 @@ boundary, with the bytes one process writes. No tabfair code reads text
 back; `np.loadtxt(path, skiprows=1, ndmin=2)` does, bit for bit.
 
 _in_two() is the one fork primitive. run_both() builds on it to run two
-independent jobs, such as the two networks' training, in two processes
-when BLAS is pinned to one thread per process (see tabfair.BLAS_PINNED),
-so that each job's BLAS calls are the ones a single process makes.
+independent jobs, the two networks' training, in two processes when
+BLAS is pinned to one thread per process (see tabfair.BLAS_PINNED), so
+that each job's BLAS calls are the ones a single process makes.
 
 All operations are pure and work on float64 ``numpy`` arrays. Matrices
 are required to be finite; violations raise early rather than letting

@@ -287,13 +287,7 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
     and state are updated in place and returned."""
     if grads.config.layer_widths != params.config.layer_widths:
         raise ConfigError("gradient layout does not match the parameter layout")
-    _adam_update(params.flat, grads.flat, state)
-    return params, state
-
-
-def _adam_update(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
-    """One bias-corrected Adam step on the flat vector theta, in place,
-    with g its gradient and state its moments."""
+    g = grads.flat
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
@@ -302,7 +296,7 @@ def _adam_update(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
     # Operation order is part of the result: (1 - b2) * g * g and
     # (1 - b2) * g**2 round differently, and models are byte-compared.
     # This is m += (1 - b1) * g, v += (1 - b2) * g * g and
-    # theta -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in that
+    # flat -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in that
     # order into the scratch arrays.
     m *= ADAM_BETA1
     np.multiply(1.0 - ADAM_BETA1, g, out=a)
@@ -317,7 +311,8 @@ def _adam_update(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
     np.divide(m, c1, out=b)
     b *= state.lr
     b /= a
-    theta -= b
+    params.flat -= b
+    return params, state
 
 
 def train(

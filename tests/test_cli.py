@@ -39,7 +39,6 @@ BASE_CONFIG = {
         "val_fraction": 0.1,
     },
     "projection": {"k": 4, "include_intercept": False, "attributes": ["group"]},
-    "probe": {"learning_rate": 0.01, "epochs": 200},
 }
 
 PIPELINE_ARTIFACTS = [
@@ -58,7 +57,7 @@ def make_workspace(tmp_path: Path, **config_overrides) -> Path:
     (tmp_path / "synthetic.schema").write_text(SCHEMA_TEXT, encoding="utf-8")
     cfg = json.loads(json.dumps(BASE_CONFIG))
     for key, value in config_overrides.items():
-        if isinstance(value, dict):
+        if isinstance(value, dict) and key in cfg:
             cfg[key].update(value)
         else:
             cfg[key] = value
@@ -217,7 +216,7 @@ class TestStages:
             assert abs(float(prov["relative_residual"]) - dense) < 1e-3 * ORTHOGONALITY_TOL
 
     def test_evaluate_provenance_records_projection_and_probe_losses(self, tmp_path):
-        from tabfair.evaluation import ProbeConfig, probe_loss_and_grad_norm, train_probe
+        from tabfair.evaluation import PROBE_TOL, probe_loss_and_grad_norm, train_probe
 
         config = make_workspace(tmp_path, projection={"k": None, "variance_target": 0.9,
                                                       "attributes": None})
@@ -229,13 +228,15 @@ class TestStages:
         assert prov["attributes"] == "group"
         y = load_matrix(out / "y.npy").ravel()
         train = load_split(out / "split.txt").train
-        probe = ProbeConfig(learning_rate=0.01, epochs=200)
         C = debiased_coordinates(out, ["group"], FairProjectionConfig(variance_target=0.9))
         for tag, Z in (("biased", load_matrix(out / "Z.npy")), ("debiased", C)):
             Z = Z[train]
-            loss = probe_loss_and_grad_norm(train_probe(Z, y[train], probe), Z, y[train])[0]
+            model = train_probe(Z, y[train])
+            loss, grad_norm = probe_loss_and_grad_norm(model, Z, y[train])
             assert float(prov[f"{tag}_probe_loss"]) == loss
             assert 0.0 < loss < np.log(2.0)  # below the loss of the all-zero start
+            assert float(prov[f"{tag}_probe_grad_norm"]) == grad_norm < PROBE_TOL
+            assert prov[f"{tag}_probe_iterations"] == str(model.iterations) != "0"
 
     def test_debias_provenance_records_rank_and_residual(self, tmp_path):
         config = make_workspace(tmp_path)
@@ -357,12 +358,12 @@ class TestExitCodes:
     def test_missing_config_key(self, tmp_path):
         path = tmp_path / "c.json"
         cfg = dict(BASE_CONFIG)
-        cfg.pop("probe")
+        cfg.pop("encoder")
         path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["prepare", "--config", str(path)]) == 1
 
     def test_unknown_section_key_is_config_error(self, tmp_path, capsys):
-        typos = {"encoder": "epoch", "projection": "include_intercep", "probe": "learning_rte"}
+        typos = {"encoder": "epoch", "projection": "include_intercep"}
         for section, key in typos.items():
             config = make_workspace(tmp_path, **{section: {key: 1}})
             # An uncaught exception (a traceback) would fail the test here.
@@ -372,8 +373,7 @@ class TestExitCodes:
             assert not (tmp_path / "out").exists()
 
     def test_wrong_typed_value_is_config_error(self, tmp_path, capsys):
-        wrong = {"encoder": ("epochs", "2"), "projection": ("k", True),
-                 "probe": ("learning_rate", None)}
+        wrong = {"encoder": ("epochs", "2"), "projection": ("k", True)}
         for section, (key, value) in wrong.items():
             config = make_workspace(tmp_path, **{section: {key: value}})
             # An uncaught exception (a traceback) would fail the test here.
@@ -382,16 +382,15 @@ class TestExitCodes:
             assert "config error" in err and repr(key) in err and section in err, err
             assert not (tmp_path / "out").exists()
         # An int fits a float field, and None a field typed `X | None`.
-        config = make_workspace(tmp_path, probe={"learning_rate": 1},
-                                projection={"k": None, "variance_target": 1})
+        config = make_workspace(tmp_path, projection={"k": None, "variance_target": 1})
         run = Run(load_config(config, out_dir=str(tmp_path / "o")))
-        assert run.probe.learning_rate == 1 and run.projection.k is None
+        assert run.projection.k is None
         assert run.projection.variance_target == 1
 
     @pytest.mark.parametrize("key, value", [
         ("dataset", 7), ("csv", 5), ("schema", None), ("out_dir", ["out"]),
         ("seed", True), ("seed", 1.0), ("seed", "0"), ("test_fraction", "0.5"),
-        ("test_fraction", False), ("encoder", 5), ("probe", None),
+        ("test_fraction", False), ("encoder", 5), ("probe", None),  # probe: no longer a key
         ("attributes", 5), ("attributes", "group"), ("attributes", ["group", 1]), ("seed", -1),
     ])
     def test_wrong_typed_top_level_value_is_config_error(self, tmp_path, capsys, key, value):
@@ -429,14 +428,17 @@ class TestExitCodes:
         assert "config error" in err and repr(key) in err, err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_probe_learning_rate_stops_before_prepare(self, tmp_path, capsys,
-                                                                 value):
-        # json writes and reads these as NaN, Infinity and -Infinity.
-        config = make_workspace(tmp_path, probe={"learning_rate": value})
+    @pytest.mark.parametrize("key, value", [
+        ("probe", {"learning_rate": float("nan"), "epochs": 500}), ("test_fracton", 0.5),
+    ], ids=["leftover-probe-section", "misspelled"])
+    def test_unknown_top_level_key_is_config_error(self, tmp_path, capsys, key, value):
+        # A key no stage reads must not look as if it applied: an old
+        # config's probe section, or a misspelling beside the real key.
+        config = make_workspace(tmp_path, **{key: value})
         assert main(["pipeline", "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "finite learning_rate" in err, err
+        assert err.startswith(f"config error: {config}: unknown config key {key!r}"), err
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
     def test_k_above_p_stops_before_prepare(self, tmp_path, capsys):
@@ -469,17 +471,29 @@ class TestExitCodes:
         assert f"column 'x2': cell {cell!r} (row 6 of the kept rows)" in err, err
         assert list((tmp_path / "out").iterdir()) == []
 
-    def test_csv_with_byte_order_mark_prepares_the_same_files(self, tmp_path):
+    @staticmethod
+    def assert_byte_order_mark_changes_only_its_hash(tmp_path, name, hash_key):
+        """prepare writes the same files after `name` gains a UTF-8
+        byte-order mark, but for that file's sha256 in provenance."""
         config = make_workspace(tmp_path)
         assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
-        csv = tmp_path / "synthetic.csv"
-        csv.write_bytes(b"\xef\xbb\xbf" + csv.read_bytes())
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
         for path in sorted((tmp_path / "a").iterdir()):
             a, b = path.read_bytes(), (tmp_path / "b" / path.name).read_bytes()
             if path.name == "prepare.provenance.txt":
-                a, b = (re.sub(rb"csv_sha256 \w+", b"", v) for v in (a, b))
+                assert a != b
+                a, b = (re.sub(hash_key.encode() + rb" \w+", b"", v) for v in (a, b))
             assert a == b, path.name
+
+    def test_csv_with_byte_order_mark_prepares_the_same_files(self, tmp_path):
+        self.assert_byte_order_mark_changes_only_its_hash(tmp_path, "synthetic.csv",
+                                                          "csv_sha256")
+
+    def test_schema_with_byte_order_mark_prepares_the_same_files(self, tmp_path):
+        self.assert_byte_order_mark_changes_only_its_hash(tmp_path, "synthetic.schema",
+                                                          "schema_sha256")
 
     def test_top_level_value_types_accepted(self, tmp_path):
         # An int fits test_fraction; attributes may be null or absent.
@@ -630,6 +644,38 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["debias", "--config", str(config)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_sensitive_columns_spanning_every_row_is_data_error(self, tmp_path, capsys):
+        # Three rows, two S columns and the intercept: the projection
+        # has nothing left to keep.
+        config = make_workspace(tmp_path, projection={"include_intercept": True,
+                                                      "attributes": None, "k": 3})
+        out = tmp_path / "out"
+        out.mkdir()
+        rng = np.random.default_rng(4)
+        save_matrix(out / "Z.npy", rng.normal(size=(3, 11)))
+        save_matrix(out / "S.npy", np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+        (out / "sensitive_names.txt").write_text("a\nb\n", encoding="utf-8")
+        assert main(["debias", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: S has 3 columns with the intercept for 3 rows; debias needs more "
+            "rows than S has columns\n")
+        assert sorted(p.name for p in out.iterdir()) == ["S.npy", "Z.npy",
+                                                         "sensitive_names.txt"]
+
+    def test_probe_that_does_not_converge_writes_no_report(self, tmp_path, capsys,
+                                                           monkeypatch):
+        config = make_workspace(tmp_path)
+        for verb in ("prepare", "train-embed", "debias"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        monkeypatch.setattr(tabfair.evaluation, "PROBE_MAX_ITER", 1)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: probe did not converge in 1 Newton "
+                              "steps: gradient norm ") and len(err.splitlines()) == 1, err
+        assert not [p for p in (tmp_path / "out").iterdir()
+                    if p.name.startswith(("report_", "roc_", "evaluate."))]
 
     def test_collinear_sensitive_stops_at_prepare(self, tmp_path, capsys):
         config = self.collinear_workspace(tmp_path, ["group", "group2"])
@@ -907,6 +953,18 @@ class TestTooling:
         assert 0.0 <= float(accuracy) <= 1.0
         assert di_x100 == "None" or float(di_x100) >= 0.0
 
+    def test_readme_config_example_loads(self, tmp_path):
+        # The README's JSON config example is a config the CLI accepts:
+        # a key it no longer reads would be refused here.
+        readme = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        text = readme.split("## Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        run = Run(load_config(config, out_dir=str(tmp_path / "o")))
+        shipped = json.loads((self.ROOT / "configs" / "german.json").read_text(encoding="utf-8"))
+        assert json.loads(text) == shipped
+        assert run.projection.k == shipped["projection"]["k"]
+
     def test_every_loader_has_a_caller(self):
         # A top-level load_*/read_* function is public (in
         # tabfair.__all__) or used by another function in the package,
@@ -995,7 +1053,7 @@ class TestReports:
         # Every number in evaluate.provenance.txt must be recomputable
         # from the persisted matrices alone, and exactly so: .npy
         # round-trips float64 and the projection is deterministic.
-        from tabfair.evaluation import ProbeConfig, evaluate_representation
+        from tabfair.evaluation import evaluate_representation
 
         config = make_workspace(tmp_path)
         assert main(["pipeline", "--config", str(config)]) == 0
@@ -1005,11 +1063,10 @@ class TestReports:
         split = load_split(out / "split.txt")
         names = (out / "sensitive_names.txt").read_text().split()
         prov = read_provenance(out / "evaluate.provenance.txt")
-        probe = ProbeConfig(learning_rate=0.01, epochs=200)
         for tag, Z in (("biased", load_matrix(out / "Z.npy")),
                        ("debiased", debiased_coordinates(out, ["group"],
                                                          FairProjectionConfig(k=4)))):
-            report = evaluate_representation(Z, y, S, split, names, probe)
+            report = evaluate_representation(Z, y, S, split, names)
             assert float(prov[f"{tag}_accuracy"]) == report.accuracy
             assert float(prov[f"{tag}_roc_auc"]) == report.roc_auc
             assert float(prov[f"{tag}_di_x100_group"]) == report.attributes[0].di_x100
@@ -1018,8 +1075,9 @@ class TestReports:
     def test_probe_grad_norms_reproducible_from_artifacts(self, tmp_path):
         # Each probe's final gradient norm on its train rows, from the
         # persisted matrices and the library's projection: the gradient
-        # train_probe steps on, evaluated once more at the final weights.
-        from tabfair.evaluation import ProbeConfig, predict_proba, train_probe
+        # of the ridge objective, lambda = 1 / n_train on the weights,
+        # that train_probe's stopping test reads, at the final weights.
+        from tabfair.evaluation import PROBE_TOL, predict_proba, train_probe
 
         config = make_workspace(tmp_path)
         assert main(["pipeline", "--config", str(config)]) == 0
@@ -1027,18 +1085,16 @@ class TestReports:
         y = load_matrix(out / "y.npy").ravel()
         train = load_split(out / "split.txt").train
         prov = read_provenance(out / "evaluate.provenance.txt")
-        probe = ProbeConfig(learning_rate=0.01, epochs=200)
         for tag, Z in (("biased", load_matrix(out / "Z.npy")),
                        ("debiased", debiased_coordinates(out, ["group"],
                                                          FairProjectionConfig(k=4)))):
             Z, y_train = Z[train], y[train]
-            model = train_probe(Z, y_train, probe)
+            model = train_probe(Z, y_train)
             delta = (predict_proba(model, Z) - y_train) / y_train.size
-            grad = np.append(Z.T @ delta, delta.sum())
-            assert float(prov[f"{tag}_probe_grad_norm"]) == np.linalg.norm(grad)
-            # Adam has moved it below the gradient at the all-zero start.
-            start = (0.5 - y_train) / y_train.size
-            assert np.linalg.norm(grad) < np.linalg.norm(np.append(Z.T @ start, start.sum()))
+            grad = np.append(Z.T @ delta + model.weights / y_train.size, delta.sum())
+            assert float(prov[f"{tag}_probe_grad_norm"]) == pytest.approx(
+                np.linalg.norm(grad), rel=0.0, abs=1e-12)
+            assert np.linalg.norm(grad) < PROBE_TOL
         # Reports store neither loss nor gradient.
         assert "grad" not in (out / "report_debiased.txt").read_text(encoding="utf-8")
 

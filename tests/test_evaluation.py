@@ -9,11 +9,15 @@ import numpy as np
 import pytest
 
 from tabfair.dataset import SplitIndices
-from tabfair.errors import ConfigError, DataError, UndefinedMetricError
+from tabfair import evaluation
+from tabfair.errors import ConfigError, DataError, NumericalError, UndefinedMetricError
 from tabfair.evaluation import (
+    PROBE_MAX_ITER,
+    PROBE_TOL,
     FairnessReport,
     LogisticModel,
-    ProbeConfig,
+    _hessian,
+    _ridge_objective,
     accuracy,
     disparate_impact,
     eighty_percent_rule,
@@ -27,7 +31,6 @@ from tabfair.evaluation import (
     statistical_parity_difference,
     train_probe,
 )
-from tabfair.neuralnet import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _sigmoid
 
 # --- exact-rational oracles -------------------------------------------------
 
@@ -217,36 +220,49 @@ class TestProbe:
         Z = np.where(y[:, None] == 1.0, 1.0, -1.0) + rng.normal(scale=0.1, size=(n, 2))
         return Z, y
 
+    @staticmethod
+    def bench_shaped(n=2000, p=60, seed=11):
+        """A noisy label on a few of p columns, with the degenerate
+        columns a trained Z has: all-zero (dead) units and duplicates."""
+        rng = np.random.default_rng(seed)
+        Z = np.abs(rng.normal(size=(n, p)))
+        Z[:, :6] = 0.0
+        Z[:, 6:10] = Z[:, 10:14]
+        y = (Z[:, 10:15].sum(axis=1) + rng.normal(size=n) > 4.0).astype(float)
+        return Z, y
+
     def test_learns_separable_data(self):
         Z, y = self.separable()
-        model = train_probe(Z, y, ProbeConfig(epochs=300))
+        model = train_probe(Z, y)
         y_pred = (predict_proba(model, Z) >= 0.5).astype(int)
         assert accuracy(y_pred, y.astype(int)) == 1.0
 
-    def test_zero_epochs_gives_half_probabilities(self):
-        Z, y = self.separable()
-        model = train_probe(Z, y, ProbeConfig(epochs=0))
-        assert np.all(predict_proba(model, Z) == 0.5)
+    def test_dead_features_and_balanced_labels_give_half_probabilities(self):
+        # The gradient at the all-zero start is zero: no step is taken.
+        _, y = self.separable()
+        model = train_probe(np.zeros((y.size, 3)), y)
+        assert model.iterations == 0
         assert np.all(model.weights == 0.0) and model.bias == 0.0
+        assert np.all(predict_proba(model, np.ones((4, 3))) == 0.5)
 
     def test_deterministic(self):
-        Z, y = self.separable()
-        m1 = train_probe(Z, y, ProbeConfig(epochs=50))
-        m2 = train_probe(Z, y, ProbeConfig(epochs=50))
+        Z, y = self.bench_shaped()
+        m1 = train_probe(Z, y)
+        m2 = train_probe(Z, y)
         assert np.array_equal(m1.weights, m2.weights)
-        assert m1.bias == m2.bias
+        assert m1.bias == m2.bias and m1.iterations == m2.iterations
 
     def test_label_flip_negates_boundary(self):
         Z, y = self.separable()
-        m_pos = train_probe(Z, y, ProbeConfig(epochs=400))
-        m_neg = train_probe(Z, 1.0 - y, ProbeConfig(epochs=400))
-        assert np.allclose(m_pos.weights, -m_neg.weights, atol=1e-3)
-        assert m_pos.bias == pytest.approx(-m_neg.bias, abs=1e-3)
+        m_pos = train_probe(Z, y)
+        m_neg = train_probe(Z, 1.0 - y)
+        assert np.allclose(m_pos.weights, -m_neg.weights, atol=1e-9)
+        assert m_pos.bias == pytest.approx(-m_neg.bias, abs=1e-9)
 
     def test_single_class_rejected(self):
         Z = np.zeros((4, 2))
         with pytest.raises(DataError):
-            train_probe(Z, np.ones(4), ProbeConfig(epochs=1))
+            train_probe(Z, np.ones(4))
 
     def test_sigmoid_hand_value(self):
         model = LogisticModel(weights=np.array([1.0]), bias=0.0)
@@ -263,54 +279,94 @@ class TestProbe:
         model = LogisticModel(weights=np.array([1.0, 2.0]), bias=0.0)
         with pytest.raises(ConfigError):
             predict_proba(model, np.zeros((3, 3)))
+        with pytest.raises(ConfigError):
+            probe_loss_and_grad_norm(model, np.zeros((3, 3)), np.array([0.0, 1.0, 0.0]))
 
     def test_probe_loss_at_half_is_ln2(self):
+        # At zero weights the ridge term is 0 and every probability 1/2.
         Z, y = self.separable()
-        model = train_probe(Z, y, ProbeConfig(epochs=0))
+        model = LogisticModel(weights=np.zeros(2), bias=0.0)
         assert probe_loss_and_grad_norm(model, Z, y)[0] == pytest.approx(np.log(2.0), abs=1e-15)
 
-    def test_bits_match_separate_moment_reference(self):
-        # The probe shares the networks' Adam update over [w, b]; a loop
-        # with separate weight and bias moments in the same operation
-        # order must give the same bits.
-        def reference_probe(Z, y, config):
-            n, p = Z.shape
-            w, b = np.zeros(p), 0.0
-            m_w, v_w, m_b, v_b = np.zeros(p), np.zeros(p), 0.0, 0.0
-            lr, b1, b2 = config.learning_rate, ADAM_BETA1, ADAM_BETA2
-            for t in range(1, config.epochs + 1):
-                delta = (_sigmoid(Z @ w + b) - y) / n
-                g_w, g_b = Z.T @ delta, float(delta.sum())
-                c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-                m_w = b1 * m_w + (1.0 - b1) * g_w
-                v_w = b2 * v_w + ((1.0 - b2) * g_w) * g_w
-                w = w - lr * (m_w / c1) / (np.sqrt(v_w / c2) + ADAM_EPS)
-                m_b = b1 * m_b + (1.0 - b1) * g_b
-                v_b = b2 * v_b + ((1.0 - b2) * g_b) * g_b
-                b = b - lr * (m_b / c1) / (np.sqrt(v_b / c2) + ADAM_EPS)
-            return w, b
+    def test_objective_hand_value(self):
+        # One row z = 2, y = 1 and one row z = 0, y = 0, at w = 1, b = -1:
+        # logits 1 and -1, so the mean BCE is log(1 + e^-1), the ridge
+        # term (1/2)(1/2) 1^2, and the gradient ((s(1) - 1) 2 / 2 + 1/2,
+        # (s(1) - 1 + s(-1)) / 2) = (1/2 - s(-1), 0) with s the sigmoid.
+        model = LogisticModel(weights=np.array([1.0]), bias=-1.0)
+        loss, grad_norm = probe_loss_and_grad_norm(model, np.array([[2.0], [0.0]]),
+                                                   np.array([1.0, 0.0]))
+        assert loss == pytest.approx(np.log1p(np.exp(-1.0)) + 0.25, abs=1e-15)
+        assert grad_norm == pytest.approx(0.5 - 1.0 / (1.0 + np.e), abs=1e-15)
 
-        rng = np.random.default_rng(11)
-        Z_big = rng.normal(size=(3000, 200))
-        y_big = (Z_big[:, :5].sum(axis=1) + rng.normal(size=3000) > 0).astype(float)
-        for Z, y, config in ((*self.separable(), ProbeConfig(epochs=300)),
-                             (Z_big, y_big, ProbeConfig())):
-            model = train_probe(Z, y, config)
-            w, b = reference_probe(Z, y, config)
-            assert np.array_equal(model.weights, w)
-            assert model.bias == b
+    def newton_step_change(self, model, Z, y):
+        """|f(theta - H^-1 g) - f(theta)| at the model's weights."""
+        theta = np.append(model.weights, model.bias)
+        f, g, pred = _ridge_objective(theta, Z, y)
+        step = np.linalg.solve(_hessian(Z, pred), g)
+        return abs(_ridge_objective(theta - step, Z, y)[0] - f)
 
-    def test_bad_config(self):
-        with pytest.raises(ConfigError):
-            ProbeConfig(learning_rate=0.0)
-        with pytest.raises(ConfigError):
-            ProbeConfig(epochs=-1)
+    def test_converged_oracle(self):
+        # At the returned weights the gradient is below the tolerance,
+        # and one more full Newton step moves the objective by < 1e-12.
+        for Z, y in (self.separable(), self.bench_shaped()):
+            model = train_probe(Z, y)
+            assert 0 < model.iterations <= PROBE_MAX_ITER
+            assert probe_loss_and_grad_norm(model, Z, y)[1] < PROBE_TOL
+            assert self.newton_step_change(model, Z, y) < 1e-12
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_learning_rate(self, value):
-        # NaN fails `<= 0` as it fails every comparison.
-        with pytest.raises(ConfigError, match="finite learning_rate"):
-            ProbeConfig(learning_rate=value)
+    def test_hessian_matches_gradient_differences(self):
+        # Central differences of the analytic gradient give the Hessian.
+        Z, y = self.bench_shaped(n=50, p=4)
+        theta = np.array([0.3, -0.2, 0.1, 0.4, -0.5])
+        H = _hessian(Z, _ridge_objective(theta, Z, y)[2])
+        h = 1e-6
+        for j in range(theta.size):
+            e = np.zeros_like(theta)
+            e[j] = h
+            column = (_ridge_objective(theta + e, Z, y)[1]
+                      - _ridge_objective(theta - e, Z, y)[1]) / (2 * h)
+            assert np.allclose(H[:, j], column, atol=1e-7), j
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_converges_at_every_scale(self, scale):
+        Z, y = self.bench_shaped()
+        model = train_probe(Z * scale, y)
+        assert probe_loss_and_grad_norm(model, Z * scale, y)[1] < PROBE_TOL
+        # Dead columns get no weight; duplicated columns share theirs.
+        assert np.all(model.weights[:6] == 0.0)
+        assert np.allclose(model.weights[6:10], model.weights[10:14], rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_converges_on_separable_data(self, flip):
+        # The ridge keeps the optimum finite where plain logistic
+        # regression has none.
+        Z, y = self.separable()
+        y = 1.0 - y if flip else y
+        model = train_probe(Z, y)
+        assert probe_loss_and_grad_norm(model, Z, y)[1] < PROBE_TOL
+        assert np.all(np.isfinite(model.weights)) and np.linalg.norm(model.weights) < 100.0
+
+    def test_rotation_invariant(self):
+        # A probe on C and a probe on C N^T, N with orthonormal columns,
+        # are the same function: the ridge penalizes ||w||, which the
+        # rotation keeps.
+        rng = np.random.default_rng(3)
+        n, k, p = 1500, 8, 40
+        C = rng.normal(size=(n, k))
+        y = (C[:, 0] - C[:, 1] + rng.normal(size=n) > 0).astype(float)
+        N = np.linalg.qr(rng.normal(size=(p, k)))[0]
+        Z = C @ N.T
+        train, test = slice(0, 1000), slice(1000, None)
+        on_c = predict_proba(train_probe(C[train], y[train]), C[test])
+        on_z = predict_proba(train_probe(Z[train], y[train]), Z[test])
+        assert np.max(np.abs(on_c - on_z)) < 1e-8
+
+    def test_not_converging_is_numerical_error(self, monkeypatch):
+        Z, y = self.bench_shaped()
+        monkeypatch.setattr(evaluation, "PROBE_MAX_ITER", 1)
+        with pytest.raises(NumericalError, match="did not converge in 1 Newton steps"):
+            train_probe(Z, y)
 
 
 class TestRocCurve:
@@ -395,19 +451,18 @@ class TestEvaluateRepresentation:
         assert 0.0 <= a.spd <= 1.0
 
     def test_train_grad_norm_falls_with_training(self):
-        # The norm of the mean-BCE gradient at the final weights: that of
-        # the mean of [z, 1] (1/2 - y) at the all-zero start, and under
-        # 1% of it once Adam has converged. Reports compare without it.
+        # The norm of the ridge objective's gradient: that of the mean
+        # of [z, 1] (1/2 - y) at the all-zero start, and below the
+        # tolerance at the final weights. Reports compare without it.
         Z, y, S, split = self.make_setup()
-        norms = []
-        for epochs in (0, 100, 5000):
-            report = evaluate_representation(Z, y, S, split, ["group"], ProbeConfig(epochs=epochs))
-            norms.append(report.train_grad_norm)
+        report = evaluate_representation(Z, y, S, split, ["group"])
         Zt, yt = Z[split.train], y[split.train]
         start = (0.5 - yt) / yt.size
-        assert norms[0] == np.linalg.norm(np.append(Zt.T @ start, start.sum()))
-        assert norms[0] > norms[1] > norms[2] and norms[2] < 0.01 * norms[0]
-        assert report == dataclasses.replace(report, train_grad_norm=None)
+        assert report.train_grad_norm < PROBE_TOL < np.linalg.norm(
+            np.append(Zt.T @ start, start.sum()))
+        assert 0 < report.probe_iterations <= PROBE_MAX_ITER
+        assert report == dataclasses.replace(report, train_grad_norm=None,
+                                             probe_iterations=None)
 
     def test_informative_features_beat_chance(self):
         Z, y, S, split = self.make_setup()
@@ -417,13 +472,12 @@ class TestEvaluateRepresentation:
 
     def test_constant_features_are_chance(self):
         Z, y, S, split = self.make_setup()
-        # Break ties toward the majority class with a zero-epoch probe:
-        # all probabilities 0.5 -> all predictions 1.
-        report = evaluate_representation(
-            Z * 0.0 + 1.0, y, S, split, ["group"], ProbeConfig(epochs=0)
-        )
+        # Every row gets the same score, so one class is predicted.
+        report = evaluate_representation(Z * 0.0 + 1.0, y, S, split, ["group"])
+        assert np.all(report.test_scores == report.test_scores[0])
         y_test = y[split.test]
-        assert report.accuracy == pytest.approx(np.mean(y_test == 1.0))
+        predicted = float(report.test_scores[0] >= 0.5)
+        assert report.accuracy == pytest.approx(np.mean(y_test == predicted))
         assert report.roc_auc == 0.5
 
     def test_undefined_di_is_recorded_not_raised(self, tmp_path):

@@ -162,6 +162,19 @@ class TestDebias:
         with pytest.raises(NumericalError):
             debias(Z, S, FairProjectionConfig(k=2))
 
+    @pytest.mark.parametrize("include_intercept, columns", [(True, 2), (False, 3), (False, 4)])
+    def test_s_spanning_every_row_is_data_error(self, include_intercept, columns):
+        # n <= columns of S: (I - P_S) is 0 or S is collinear, and C
+        # would be rounding noise that the relative gate divides by itself.
+        rng = np.random.default_rng(22)
+        Z = rng.normal(size=(3, 11))
+        S = rng.integers(0, 2, size=(3, columns)).astype(float)
+        config = FairProjectionConfig(k=2, include_intercept=include_intercept)
+        with pytest.raises(DataError, match=f"S has {columns + include_intercept} columns"
+                                            f"{' with the intercept' if include_intercept else ''}"
+                                            " for 3 rows"):
+            debias(Z, S, config)
+
     def test_row_mismatch(self):
         with pytest.raises(ConfigError):
             debias(np.zeros((4, 2)), np.ones((5, 1)), FairProjectionConfig(k=1))

@@ -1,7 +1,7 @@
 """The BLAS thread pin and run_both(): a fresh import pins one BLAS
-thread, and the two networks and the two probes give the same bits and
-the same errors whether run_both() runs them in two processes or in
-one."""
+thread, and the two networks give the same bits and the same errors
+whether run_both() runs them in two processes or in one. evaluate runs
+in one process; its errors are checked in both modes all the same."""
 
 import json
 import os
@@ -170,7 +170,7 @@ class TestSameErrors:
 
     @pytest.mark.parametrize("fault, code", [("corrupt", 2), ("missing", 1)])
     def test_bad_z_in_evaluate_writes_no_report(self, tmp_path, capsys, mode, fault, code):
-        # Both halves read Z.npy; the Z_hat.txt beside it is not read.
+        # Both scorings read Z.npy; the Z_hat.txt beside it is not read.
         config = make_workspace(tmp_path)
         for verb in ("prepare", "train-embed", "debias"):
             assert main([verb, "--config", str(config)]) == 0, verb
