@@ -2,20 +2,19 @@
 
 Every stage writes files under the configured output directory and
 reads its inputs from there, so stages can be rerun or swapped
-independently, and `pipeline` runs the code of the four stages run
-alone. No stage reads `Z_hat.txt`: `evaluate` probes the k coordinates
-C of the projection `debias` made in the same process, or, run on its
-own, projects `Z.npy` against `S.npy` under its own config. A JSON
-config fixes the dataset paths, network shapes, projection rank, and
-the seed; given the same config, every stage is
-idempotent and byte-identical either way (the pipeline manifest's
-timestamp and timings aside).
+independently, and `pipeline` is the four stages run in order. Only
+`debias` projects. It writes the projection's k coordinates `C.npy`;
+`evaluate` scores them, and refuses a `C.npy` that `debias` made under
+another config. No stage reads `Z_hat.txt`. A JSON config fixes the
+dataset paths, network shapes, projection rank, and the seed; given the
+same config, every stage is idempotent and byte-identical either way
+(the pipeline manifest's timestamp and timings aside).
 
 Exit codes: 0 success, 1 usage/config error or a file the system cannot
 read or make, 2 data error, 3 numerical failure. A k above the width
 of Z that the encoder config gives is refused before any stage runs;
-`debias` and `evaluate` both project, so both can still exit 1 for a k
-out of range for the Z.npy they read, and 3 for a failed projection.
+`debias` can still exit 1 for a k out of range for the Z.npy it reads,
+and 3 for a failed projection.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ import numpy as np
 from . import dataset as ds
 from . import evaluation as ev
 from .errors import ConfigError, DataError, NumericalError, TabfairError
-from .fair_projection import (DebiasedRepresentation, FairProjectionConfig,
-                              build_sensitive_matrix, check_sensitive_rank, debias)
+from .fair_projection import (FairProjectionConfig, build_sensitive_matrix,
+                              check_sensitive_rank, debias)
 from .linalg import load_matrix, save_matrix
 from .mixed_encoder import MixedEncoderConfig, encode_dataset
 from .neuralnet import save_mlp
@@ -47,6 +46,7 @@ PRODUCERS = {
     **dict.fromkeys(("X_num.npy", "X_cat.npy", "S.npy", "y.npy", "split.txt",
                      "sensitive_names.txt"), "prepare"),
     "Z.npy": "train-embed",
+    **dict.fromkeys(("C.npy", "debias.provenance.txt"), "debias"),
 }
 
 # The top-level config keys, all required and no other allowed, and the
@@ -93,6 +93,13 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
             )
     if cfg["seed"] < 0:
         raise ConfigError(f"{path}: config key 'seed' must be >= 0, got {cfg['seed']}")
+    # The name is written as the `dataset <name>` line of each report.
+    if cfg["dataset"].split() != [cfg["dataset"]]:
+        raise ConfigError(f"{path}: config key 'dataset' must be a non-empty name "
+                          f"without whitespace, got {cfg['dataset']!r}")
+    if not 0.0 < cfg["test_fraction"] < 1.0:
+        raise ConfigError(f"{path}: config key 'test_fraction' must be in (0, 1), "
+                          f"got {cfg['test_fraction']!r}")
     attributes = cfg["projection"].get("attributes")
     if not _fits(attributes, list | None) or not all(_fits(a, str) for a in attributes or ()):
         raise ConfigError(f"{path}: projection 'attributes' must be a list of str, "
@@ -150,9 +157,8 @@ def _fits(value, hint) -> bool:
 class Run:
     """One CLI invocation: its config sections and output directory.
     Every stage reads its inputs from files there and writes its
-    artifacts there through it; writes are recorded in order. The one
-    value kept in memory is the projection (`debiased`), so `pipeline`
-    projects once."""
+    artifacts there through it; writes are recorded in order, and that
+    record is all the stages of a pipeline share."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -168,8 +174,6 @@ class Run:
         self.out = Path(cfg["out_dir"])
         self.out.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
-        # (DebiasedRepresentation, attributes), once _debiased() has run.
-        self.debiased: tuple[DebiasedRepresentation, list[str]] | None = None
 
     def write(self, name: str, save, value, *args) -> None:
         """save(path, value, *args), recorded in `written`."""
@@ -195,8 +199,10 @@ def _save_provenance(path: Path, body: dict) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_provenance(path) -> dict:
-    return ds.read_key_values(path, PROVENANCE_FORMAT, ("config_hash", "seed"))
+def read_provenance(path, *keys: str) -> dict:
+    """The entries of a provenance file, which must hold config_hash,
+    seed and each of `keys`."""
+    return ds.read_key_values(path, PROVENANCE_FORMAT, ("config_hash", "seed", *keys))
 
 
 def _save_names(path: Path, names: list[str]) -> None:
@@ -284,26 +290,18 @@ def _fmt_last(values: list[float]) -> str:
     return f"{values[-1]:.17g}" if values else "none"
 
 
-def _debiased(run: Run) -> tuple[DebiasedRepresentation, list[str]]:
-    """Z.npy projected orthogonal to the configured sensitive attributes
-    (all of them when none are named), and those attributes. Computed on
-    the first call and kept on the Run, so pipeline projects once."""
-    if run.debiased is None:
-        Z = run.read("Z.npy", load_matrix)
-        S_full = run.read("S.npy", load_matrix)
-        names = _read_names(run, S_full)
-        attributes = run.cfg["projection"].get("attributes") or names
-        S = build_sensitive_matrix(S_full, names, attributes)
-        run.debiased = debias(Z, S, run.projection), attributes
-    return run.debiased
-
-
 def cmd_debias(run: Run) -> None:
-    """Project the representation orthogonal to the configured
-    sensitive attributes and persist it with the residual report.
+    """Project Z.npy orthogonal to the configured sensitive attributes
+    (all of them when none are named) and persist the projection's k
+    coordinates C.npy, which evaluate scores, with the residual report.
     Z_hat.txt is an export: no stage reads it back."""
-    result, attributes = _debiased(run)
+    Z = run.read("Z.npy", load_matrix)
+    S_full = run.read("S.npy", load_matrix)
+    names = _read_names(run, S_full)
+    attributes = run.cfg["projection"].get("attributes") or names
+    result = debias(Z, build_sensitive_matrix(S_full, names, attributes), run.projection)
     run.write("Z_hat.txt", save_matrix, result.Z_hat)
+    run.write("C.npy", save_matrix, result.C)
     run.write_provenance(
         "debias.provenance.txt",
         {
@@ -319,30 +317,30 @@ def cmd_debias(run: Run) -> None:
 
 
 def cmd_evaluate(run: Run) -> None:
-    """Probe and fairness-score Z and its debiased projection on the
-    persisted split, in this process. The debiased probe is fit on the
-    projection's k coordinates C: Z_hat = C N_k^T with N_k orthonormal,
-    and the probe is rotation-invariant, so it is the probe on Z_hat.
-    The projection is the one debias made in this process; run on its
-    own, evaluate makes it from Z.npy and S.npy under its own config."""
+    """Probe and fairness-score Z.npy and the projection's k coordinates
+    C.npy on the persisted split. Z_hat = C N_k^T with N_k orthonormal,
+    and the probe is rotation-invariant, so the probe on C is the probe
+    on Z_hat. A C.npy that debias made under another config is refused."""
     S = run.read("S.npy", load_matrix)
     y = run.read("y.npy", load_matrix).ravel()
     names = _read_names(run, S)
     split = run.read("split.txt", ds.load_split)
+    Z = run.read("Z.npy", load_matrix)
+    made = run.read("debias.provenance.txt", lambda path: read_provenance(path, "k", "attributes"))
+    if made["config_hash"] != config_hash(run.cfg):
+        raise ConfigError(f"{run.out / 'C.npy'} was made under another config "
+                          f"(config_hash {made['config_hash']}); run debias first")
+    C = run.read("C.npy", load_matrix)
 
     def score(Z):
         report = ev.evaluate_representation(Z, y, S, split, names)
         return report, ev.roc_curve_points(report.test_scores,
                                            y[split.test].astype(np.int64))
 
-    # Both scored before anything is written: a missing or corrupt
-    # input, a failed projection or probe leaves no report. Projecting
-    # first, before the probe on Z has grown the heap, keeps the peak
-    # RSS of evaluate run alone at that of the projection.
-    result, attributes = _debiased(run)
-    debiased = score(result.C)
-    biased = score(run.read("Z.npy", load_matrix))
-    summary = {"debiased_k": result.k, "attributes": ",".join(attributes)}
+    # Both scored before anything is written: a missing, stale or
+    # corrupt input, or a failed probe, leaves no report.
+    biased, debiased = score(Z), score(C)
+    summary = {"debiased_k": made["k"], "attributes": made["attributes"]}
     for tag, (report, points) in zip(("biased", "debiased"), (biased, debiased)):
         run.write(f"report_{tag}.txt", ev.save_report, report, run.cfg["dataset"], tag)
         run.write(f"roc_{tag}.csv", ev.save_roc_csv, points)

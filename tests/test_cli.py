@@ -14,9 +14,9 @@ import pytest
 
 import tabfair.cli
 from conftest import SCHEMA_TEXT, synthetic_rows, text_matrix, write_csv
-from tabfair.cli import Run, config_hash, load_config, main, read_provenance
+from tabfair.cli import PRODUCERS, Run, config_hash, load_config, main, read_provenance
 from tabfair.dataset import load_split, stratified_split
-from tabfair.errors import DataError
+from tabfair.errors import ConfigError, DataError
 from tabfair.fair_projection import (ORTHOGONALITY_TOL, FairProjectionConfig,
                                      build_sensitive_matrix, debias)
 from tabfair.linalg import load_matrix, save_matrix
@@ -46,7 +46,7 @@ PIPELINE_ARTIFACTS = [
     "sensitive_names.txt", "prepare.provenance.txt",
     "Z.npy", "model_num_cat.npz", "model_cat_num.npz",
     "loss_num_cat.csv", "loss_cat_num.csv", "train_embed.provenance.txt",
-    "Z_hat.txt", "debias.provenance.txt",
+    "Z_hat.txt", "C.npy", "debias.provenance.txt",
     "report_biased.txt", "roc_biased.csv", "report_debiased.txt",
     "roc_debiased.csv", "evaluate.provenance.txt",
 ]
@@ -66,13 +66,13 @@ def make_workspace(tmp_path: Path, **config_overrides) -> Path:
     return path
 
 
-def debiased_coordinates(out: Path, attributes: list[str], projection) -> np.ndarray:
-    """The k coordinates C that evaluate probes, recomputed by the library
-    from the Z.npy, S.npy and sensitive_names.txt in `out`."""
+def library_debias(out: Path, attributes: list[str], projection):
+    """The projection of the Z.npy in `out`, made by the library from
+    the S.npy and sensitive_names.txt there."""
     S = load_matrix(out / "S.npy")
     names = (out / "sensitive_names.txt").read_text(encoding="utf-8").split()
     return debias(load_matrix(out / "Z.npy"), build_sensitive_matrix(S, names, attributes),
-                  projection).C
+                  projection)
 
 
 def manifest_without_clock(path: Path) -> dict:
@@ -119,8 +119,8 @@ class TestStages:
         assert main(["train-embed", "--config", str(config)]) == 0
 
     def test_pipeline_equals_stage_by_stage(self, tmp_path):
-        # pipeline runs the four stages in one process, projecting once;
-        # run alone, each is its own process. Both must write the same bytes.
+        # pipeline runs the four stages in one process; run alone, each
+        # is its own process. Both must write the same bytes.
         config = make_workspace(tmp_path)
         assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
         for verb in ("prepare", "train-embed", "debias", "evaluate"):
@@ -142,36 +142,31 @@ class TestStages:
         assert main(["prepare", "--config", str(config)]) == 0
         assert (tmp_path / "out" / "S.npy").exists() and not (work / "out").exists()
 
-    def test_stage_alone_evaluate_reads_no_z_hat(self, tmp_path):
-        # evaluate run on its own projects Z.npy under its own config:
-        # without debias, and beside a Z_hat.txt that debias wrote at
-        # another k, it writes what pipeline writes.
+    def test_stage_alone_evaluate_reads_no_z_hat(self, tmp_path, monkeypatch):
+        # evaluate run on its own scores the C.npy debias wrote: it
+        # neither projects nor reads Z_hat.txt, and writes what pipeline
+        # writes.
         config = make_workspace(tmp_path)
         assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
-        cfg = json.loads(config.read_text(encoding="utf-8"))
-        cfg["projection"]["k"] = 2
-        other_k = tmp_path / "other_k.json"
-        other_k.write_text(json.dumps(cfg), encoding="utf-8")
         a, b = tmp_path / "a", tmp_path / "b"
-        scored = ["report_biased.txt", "roc_biased.csv", "report_debiased.txt",
-                  "roc_debiased.csv", "evaluate.provenance.txt"]
-        for verb in ("prepare", "train-embed", "evaluate"):
+        for verb in ("prepare", "train-embed", "debias"):
             assert main([verb, "--config", str(config), "--out", str(b)]) == 0, verb
-        assert not (b / "Z_hat.txt").exists()
-        for name in scored:
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
-        assert main(["debias", "--config", str(other_k), "--out", str(b)]) == 0
-        assert (a / "Z_hat.txt").read_bytes() != (b / "Z_hat.txt").read_bytes()
-        for name in scored:
-            (b / name).unlink()
+        (b / "Z_hat.txt").unlink()
+
+        def no_projection(*args):
+            raise AssertionError("evaluate projected")
+
+        monkeypatch.setattr(tabfair.cli, "debias", no_projection)
         assert main(["evaluate", "--config", str(config), "--out", str(b)]) == 0
-        for name in scored:
+        for name in ["report_biased.txt", "roc_biased.csv", "report_debiased.txt",
+                     "roc_debiased.csv", "evaluate.provenance.txt"]:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_evaluate_projection_equals_debias_export(self, tmp_path):
-        # The three Adult-shaped settings the benchmark sweeps: the
-        # projection evaluate makes from Z.npy and S.npy is, bit for bit,
-        # the Z_hat.txt that debias writes.
+        # The three Adult-shaped settings the benchmark sweeps: the C.npy
+        # that debias writes, and evaluate scores, is bit for bit the
+        # library's projection of Z.npy and S.npy, and Z_hat.txt is
+        # C @ N_k.T.
         import importlib.util
 
         root = Path(__file__).resolve().parents[1]
@@ -193,21 +188,27 @@ class TestStages:
             config.write_text(json.dumps({**cfg, "projection": projection}), encoding="utf-8")
             for verb in ("prepare", "train-embed", "debias")[0 if i == 0 else 2:]:
                 assert main([verb, "--config", str(config)]) == 0, (verb, projection)
-            result, attributes = tabfair.cli._debiased(Run(load_config(config)))
+            names = (tmp_path / "out" / "sensitive_names.txt").read_text().split()
+            attributes = projection["attributes"]
+            result = library_debias(tmp_path / "out", attributes,
+                                    FairProjectionConfig(**{k: v for k, v in projection.items()
+                                                            if k != "attributes"}))
+            C = load_matrix(tmp_path / "out" / "C.npy")
+            assert np.array_equal(result.C.view(np.uint64), C.view(np.uint64)), projection
             Z_hat = text_matrix(tmp_path / "out" / "Z_hat.txt")
-            assert np.array_equal(result.Z_hat.view(np.uint64), Z_hat.view(np.uint64)), projection
+            assert np.array_equal((C @ result.N_k.T).view(np.uint64),
+                                  Z_hat.view(np.uint64)), projection
             prov = read_provenance(tmp_path / "out" / "debias.provenance.txt")
             assert (str(result.k), ",".join(attributes)) == (prov["k"], prov["attributes"])
             # The factors evaluate probes: an orthonormal basis, and
             # coordinates orthogonal to S (with the intercept, when set).
-            S = build_sensitive_matrix(
-                load_matrix(tmp_path / "out" / "S.npy"),
-                (tmp_path / "out" / "sensitive_names.txt").read_text().split(), attributes)
+            S = build_sensitive_matrix(load_matrix(tmp_path / "out" / "S.npy"), names,
+                                       attributes)
             if projection["include_intercept"]:
                 S = np.hstack([S, np.ones((len(S), 1))])
             gram = result.N_k.T @ result.N_k
             assert np.max(np.abs(gram - np.eye(result.k))) < 1e-12, projection
-            tol, C = ORTHOGONALITY_TOL * np.linalg.norm(S), result.C
+            tol = ORTHOGONALITY_TOL * np.linalg.norm(S)
             assert np.max(np.abs(C.T @ S)) < tol * np.linalg.norm(C), projection
             # The residual from the factors and from the written Z_hat are
             # both rounding noise; they differ by a negligible share of the gate.
@@ -228,7 +229,7 @@ class TestStages:
         assert prov["attributes"] == "group"
         y = load_matrix(out / "y.npy").ravel()
         train = load_split(out / "split.txt").train
-        C = debiased_coordinates(out, ["group"], FairProjectionConfig(variance_target=0.9))
+        C = library_debias(out, ["group"], FairProjectionConfig(variance_target=0.9)).C
         for tag, Z in (("biased", load_matrix(out / "Z.npy")), ("debiased", C)):
             Z = Z[train]
             model = train_probe(Z, y[train])
@@ -392,6 +393,10 @@ class TestExitCodes:
         ("seed", True), ("seed", 1.0), ("seed", "0"), ("test_fraction", "0.5"),
         ("test_fraction", False), ("encoder", 5), ("probe", None),  # probe: no longer a key
         ("attributes", 5), ("attributes", "group"), ("attributes", ["group", 1]), ("seed", -1),
+        # Out of range: test_fraction must leave rows on both sides, and
+        # the dataset name is one word of each report.
+        ("test_fraction", 1.5), ("test_fraction", 0), ("test_fraction", float("nan")),
+        ("dataset", ""), ("dataset", "syn\naccuracy 7"), ("dataset", "adult census"),
     ])
     def test_wrong_typed_top_level_value_is_config_error(self, tmp_path, capsys, key, value):
         override = {"projection": {key: value}} if key == "attributes" else {key: value}
@@ -496,8 +501,10 @@ class TestExitCodes:
                                                           "schema_sha256")
 
     def test_top_level_value_types_accepted(self, tmp_path):
-        # An int fits test_fraction; attributes may be null or absent.
-        assert load_config(make_workspace(tmp_path, test_fraction=1))["test_fraction"] == 1
+        # An int fits test_fraction's type (1 then fails its range, not
+        # its type); attributes may be null or absent.
+        with pytest.raises(ConfigError, match=r"'test_fraction' must be in \(0, 1\), got 1$"):
+            load_config(make_workspace(tmp_path, test_fraction=1))
         config = make_workspace(tmp_path, projection={"attributes": None})
         assert load_config(config)["projection"]["attributes"] is None
         cfg = json.loads(config.read_text(encoding="utf-8"))
@@ -589,12 +596,13 @@ class TestExitCodes:
         "debias": {"Z.npy": "train-embed", "S.npy": "prepare",
                    "sensitive_names.txt": "prepare"},
         "evaluate": {"S.npy": "prepare", "y.npy": "prepare", "split.txt": "prepare",
-                     "sensitive_names.txt": "prepare", "Z.npy": "train-embed"},
+                     "sensitive_names.txt": "prepare", "Z.npy": "train-embed",
+                     "debias.provenance.txt": "debias", "C.npy": "debias"},
     }
 
     def test_each_missing_input_names_its_producer(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
-        for verb in ("prepare", "train-embed"):
+        for verb in ("prepare", "train-embed", "debias"):
             assert main([verb, "--config", str(config)]) == 0, verb
         out = tmp_path / "out"
         capsys.readouterr()
@@ -965,6 +973,13 @@ class TestTooling:
         assert json.loads(text) == shipped
         assert run.projection.k == shipped["projection"]["k"]
 
+    def test_stage_inputs_are_the_producers(self):
+        # A stage input cli.PRODUCERS names, and so run.read() accepts,
+        # is one the missing-input test deletes.
+        listed = {name: producer for inputs in TestExitCodes.STAGE_INPUTS.values()
+                  for name, producer in inputs.items()}
+        assert listed == PRODUCERS
+
     def test_every_loader_has_a_caller(self):
         # A top-level load_*/read_* function is public (in
         # tabfair.__all__) or used by another function in the package,
@@ -1064,8 +1079,7 @@ class TestReports:
         names = (out / "sensitive_names.txt").read_text().split()
         prov = read_provenance(out / "evaluate.provenance.txt")
         for tag, Z in (("biased", load_matrix(out / "Z.npy")),
-                       ("debiased", debiased_coordinates(out, ["group"],
-                                                         FairProjectionConfig(k=4)))):
+                       ("debiased", library_debias(out, ["group"], FairProjectionConfig(k=4)).C)):
             report = evaluate_representation(Z, y, S, split, names)
             assert float(prov[f"{tag}_accuracy"]) == report.accuracy
             assert float(prov[f"{tag}_roc_auc"]) == report.roc_auc
@@ -1086,8 +1100,7 @@ class TestReports:
         train = load_split(out / "split.txt").train
         prov = read_provenance(out / "evaluate.provenance.txt")
         for tag, Z in (("biased", load_matrix(out / "Z.npy")),
-                       ("debiased", debiased_coordinates(out, ["group"],
-                                                         FairProjectionConfig(k=4)))):
+                       ("debiased", library_debias(out, ["group"], FairProjectionConfig(k=4)).C)):
             Z, y_train = Z[train], y[train]
             model = train_probe(Z, y_train)
             delta = (predict_proba(model, Z) - y_train) / y_train.size

@@ -1,7 +1,8 @@
 """The BLAS thread pin and run_both(): a fresh import pins one BLAS
 thread, and the two networks give the same bits and the same errors
-whether run_both() runs them in two processes or in one. evaluate runs
-in one process; its errors are checked in both modes all the same."""
+whether run_both() runs them in two processes or in one. evaluate, which
+runs in one process, must fail on a bad input before it writes a
+report, whichever mode train-embed made its inputs in."""
 
 import json
 import os
@@ -170,7 +171,8 @@ class TestSameErrors:
 
     @pytest.mark.parametrize("fault, code", [("corrupt", 2), ("missing", 1)])
     def test_bad_z_in_evaluate_writes_no_report(self, tmp_path, capsys, mode, fault, code):
-        # Both scorings read Z.npy; the Z_hat.txt beside it is not read.
+        # The biased scoring reads Z.npy; debias's C.npy and Z_hat.txt
+        # do not stand in for it.
         config = make_workspace(tmp_path)
         for verb in ("prepare", "train-embed", "debias"):
             assert main([verb, "--config", str(config)]) == 0, verb
@@ -185,22 +187,26 @@ class TestSameErrors:
         assert len(err.splitlines()) == 1 and "Z.npy" in err, err
         self.assert_no_report(tmp_path / "out")
 
-    @pytest.mark.parametrize("edit, code, message", [
-        ({"attributes": ["group", "group2"]}, 3, "numerical failure: "),
-        ({"k": 999}, 1, "config error: k=999 out of range"),
-    ], ids=["collinear", "k-out-of-range"])
+    @pytest.mark.parametrize("edit, message", [
+        ({"attributes": ["group", "group2"]}, "C.npy was made under another config"),
+        ({"k": 999}, "config error: k=999 out of range"),
+        (None, "debias.provenance.txt; run debias first"),
+    ], ids=["collinear", "k-out-of-range", "no-debias"])
     def test_projection_error_in_evaluate_writes_no_report(self, tmp_path, capsys, mode,
-                                                           edit, code, message):
-        # evaluate projects under its own config: a Z_hat.txt that debias
-        # wrote under another does not stand in for a failed projection.
+                                                           edit, message):
+        # evaluate does not project: it scores only the C.npy debias made
+        # under its own config. A config under which the projection would
+        # fail is refused as a stale C.npy (exit 1, not 3), a k out of
+        # range as a config error before C.npy is read.
         config = test_cli.TestExitCodes.collinear_workspace(tmp_path, ["group"])
-        for verb in ("prepare", "train-embed", "debias"):
+        for verb in ("prepare", "train-embed") + (("debias",) if edit else ()):
             assert main([verb, "--config", str(config)]) == 0, verb
         cfg = json.loads(config.read_text(encoding="utf-8"))
-        cfg["projection"].update(edit)
+        cfg["projection"].update(edit or {})
         config.write_text(json.dumps(cfg), encoding="utf-8")
         capsys.readouterr()
-        assert main(["evaluate", "--config", str(config)]) == code
+        assert main(["evaluate", "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith(message), err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+        assert message in err, err
         self.assert_no_report(tmp_path / "out")
