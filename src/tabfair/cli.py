@@ -37,7 +37,7 @@ from .fair_projection import (FairProjectionConfig, build_sensitive_matrix,
                               check_sensitive_rank, debias)
 from .linalg import load_matrix, save_matrix
 from .mixed_encoder import MixedEncoderConfig, encode_dataset
-from .neuralnet import save_mlp
+from .neuralnet import save_mlp, train_rows
 
 PROVENANCE_FORMAT = "tabfair-provenance 1"
 
@@ -238,6 +238,12 @@ def cmd_prepare(run: Run) -> None:
     # debias repeats this rank test; here it names the column, before training.
     attributes = run.cfg["projection"].get("attributes") or encoded.sensitive_names
     check_sensitive_rank(encoded.S, encoded.sensitive_names, attributes, run.projection)
+    # train-embed repeats this test; here it comes before any file is written.
+    rows = train_rows(encoded.n, run.encoder.val_fraction)
+    if run.encoder.batch_size > rows:
+        raise ConfigError(f"encoder 'batch_size' {run.encoder.batch_size} exceeds the {rows} "
+                          f"training rows: {encoded.n} rows less the validation share "
+                          f"{run.encoder.val_fraction}")
     # Checked now, not when the level map is written: a refused level
     # leaves no file behind.
     ds.check_level_tokens(encoded.level_map)
@@ -282,6 +288,9 @@ def cmd_train_embed(run: Run) -> None:
             "final_val_bce": _fmt_last(hist_nc.val_loss),
             "final_train_mse": _fmt_last(hist_cn.train_loss),
             "final_val_mse": _fmt_last(hist_cn.val_loss),
+            # Latent units that are zero on every row, on each side of Z.
+            "dead_units_num": np.count_nonzero(~Z[:, :run.encoder.latent_num].any(axis=0)),
+            "dead_units_cat": np.count_nonzero(~Z[:, run.encoder.latent_num:].any(axis=0)),
         },
     )
 

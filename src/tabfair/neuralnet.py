@@ -315,6 +315,12 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
     return params, state
 
 
+def train_rows(n: int, val_fraction: float) -> int:
+    """How many of n rows train() trains on; the other
+    round(val_fraction * n) validate."""
+    return n - int(round(val_fraction * n))
+
+
 def train(
     config: MlpConfig,
     X,
@@ -356,7 +362,7 @@ def train(
     params = init_params(config, seed)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_val = int(round(val_fraction * n))
+    n_val = n - train_rows(n, val_fraction)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if batch_size > train_idx.size:
         raise ConfigError(

@@ -239,6 +239,20 @@ class TestStages:
             assert float(prov[f"{tag}_probe_grad_norm"]) == grad_norm < PROBE_TOL
             assert prov[f"{tag}_probe_iterations"] == str(model.iterations) != "0"
 
+    def test_train_embed_provenance_counts_dead_units(self, tmp_path):
+        # A latent unit is dead when it is 0 on every row. 16 units per
+        # side on 240 rows leave some of them dead.
+        config = make_workspace(tmp_path, encoder={"latent_num": 16, "latent_cat": 16})
+        for verb in ("prepare", "train-embed"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        out = tmp_path / "out"
+        dead = ~load_matrix(out / "Z.npy").any(axis=0)
+        prov = read_provenance(out / "train_embed.provenance.txt",
+                               "dead_units_num", "dead_units_cat")
+        assert int(prov["dead_units_num"]) == np.count_nonzero(dead[:16])
+        assert int(prov["dead_units_cat"]) == np.count_nonzero(dead[16:])
+        assert np.count_nonzero(dead) > 0
+
     def test_debias_provenance_records_rank_and_residual(self, tmp_path):
         config = make_workspace(tmp_path)
         main(["pipeline", "--config", str(config)])
@@ -445,6 +459,19 @@ class TestExitCodes:
         assert err.startswith(f"config error: {config}: unknown config key {key!r}"), err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    def test_batch_size_above_training_rows_stops_prepare_writing_nothing(self, tmp_path,
+                                                                          capsys):
+        # 240 rows less round(0.1 * 240) validation rows leave 216.
+        config = make_workspace(tmp_path, encoder={"batch_size": 217})
+        assert main(["pipeline", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: stage 'prepare' failed: encoder 'batch_size' "
+                              "217 exceeds the 216 training rows"), err
+        assert list((tmp_path / "out").iterdir()) == []
+        config = make_workspace(tmp_path, encoder={"batch_size": 216})
+        for verb in ("prepare", "train-embed"):
+            assert main([verb, "--config", str(config)]) == 0, verb
 
     def test_k_above_p_stops_before_prepare(self, tmp_path, capsys):
         # p = latent_num + latent_cat = 12 is known from the config.
@@ -1013,6 +1040,20 @@ class TestTooling:
         code = (
             f"import sys; sys.path.insert(0, {str(src)!r}); import tabfair.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_fractions_or_decimal(self):
+        # The text writer's powers of ten are built from ints: fractions
+        # would pull in decimal, about 0.4 MB more in every process.
+        src = Path(tabfair.cli.__file__).resolve().parents[1]
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import tabfair.cli, io, numpy; "
+            "tabfair.linalg.write_rows(io.BytesIO(), numpy.ones((2, 2))); "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120

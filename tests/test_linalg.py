@@ -1,6 +1,8 @@
 """Linear-algebra layer, checked against an independent one-sided
-Jacobi SVD written out below and against hand-reduced small cases."""
+Jacobi SVD written out below and against hand-reduced small cases; the
+matrix text writer, against per-value %.17g (conftest.per_value_text)."""
 
+import io
 import os
 import tracemalloc
 
@@ -439,3 +441,112 @@ class TestMatrixPersistence:
         assert not list(tmp_path.glob("*.part"))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def written_rows(M) -> str:
+    fh = io.BytesIO()
+    linalg.write_rows(fh, M)
+    return fh.getvalue().decode("ascii")
+
+
+def differing_values(got: str, want: str) -> list[tuple[str, str]]:
+    """Up to three (got, want) pairs of values that differ, or the two
+    texts' ends when only separators do; [] when the texts are equal.
+    Keeps a failure's report short where pytest would diff megabytes."""
+    if got == want:
+        return []
+    pairs = [(g, w) for g, w in zip(got.split(), want.split()) if g != w]
+    return pairs[:3] or [(got[-40:], want[-40:])]
+
+
+def steps_from(v, steps: int) -> list[float]:
+    """v and the `steps` float64 values on either side of it."""
+    out, down, up = [v], v, v
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return out
+
+
+def text_corpus(name: str) -> np.ndarray:
+    """Values that exercise the vectorized path of write_rows at its
+    edges, as one row, both signs."""
+    rng = np.random.default_rng(len(name))
+    if name == "powers-of-ten":  # where log10 can miss E by one
+        values = [x for s in range(-199, 200) for x in steps_from(10.0 ** s, 2)]
+    elif name == "notation-switch":  # E = -5, -4, 16, 17 and their edges
+        values = [x for e in (-5, -4, 16, 17) for x in
+                  [*rng.uniform(1, 10, 50) * 10.0**e, *steps_from(10.0**e, 2),
+                   *steps_from(9.999999999999999e-6 * 10.0 ** (e + 5), 2)]]
+    elif name == "short-decimals":  # 17 digits with trailing zeros
+        values = [round(float(x), int(d)) for x, d in
+                  zip(rng.normal(size=2000) * 10.0 ** rng.integers(-3, 12, 2000),
+                      rng.integers(0, 8, 2000))]
+        values += [0.5, 0.25, 1.5, 100.0, 1e15, 123456789.0, 0.001, 1e-4, 1e-5]
+    elif name == "integers":  # up to 2**63, where D has trailing zeros
+        values = [float(int(x)) for x in rng.integers(0, 2**63, 1000, dtype=np.uint64)]
+        values += [float(2**e + d) for e in range(64) for d in (-1, 0, 1)]
+    elif name == "ties":  # 17th digit at or near a rounding tie, and 1e-28
+        values = [float(f"{m}5e{e}") for m, e in
+                  zip(rng.integers(10**15, 10**16, 500), rng.integers(-40, 40, 500))]
+        values += [float(k) + f for k in rng.integers(2**43, 2**53, 200, dtype=np.int64)
+                   for f in (0.25, 0.5, 0.75, 0.125, 0.375)]
+        values += [1e-28, 5e-324, 1e-200, 1e200, 1.7976931348623157e308]
+    else:
+        raise ValueError(name)
+    values = np.array(values + [0.0])
+    return np.concatenate([values, -values])[None, :]
+
+
+class TestTextKernel:
+    """write_rows formats blocks of values with numpy; its bytes must be
+    those of per-value %.17g, on the values its fast path takes."""
+
+    @pytest.mark.parametrize("name", ["powers-of-ten", "notation-switch", "short-decimals",
+                                      "integers", "ties"])
+    def test_corpus_matches_per_value_oracle(self, name):
+        M = text_corpus(name)
+        assert differing_values(written_rows(M), per_value_text(M)) == []
+
+    @pytest.mark.parametrize("cols", [1, 7, 200])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_block_edges_match_per_value_oracle(self, tmp_path, cols, extra):
+        # Value counts just below, at and just above one and two blocks;
+        # rows cross the block boundaries.
+        rng = np.random.default_rng(cols)
+        for size in (linalg._BLOCK + extra, 2 * linalg._BLOCK + extra):
+            values = rng.normal(size=size) * 10.0 ** rng.integers(-8, 20, size)
+            values[::13] = 0.0
+            M = np.resize(values, (-(-size // cols), cols))
+            assert differing_values(written_rows(M), per_value_text(M)) == []
+        path = tmp_path / "m.txt"
+        save_matrix(path, M)
+        text = path.read_text(encoding="ascii")
+        assert differing_values(text, f"{M.shape[0]} {cols}\n" + per_value_text(M)) == []
+
+    def test_fast_path_formats_nearly_every_value(self, monkeypatch):
+        # A fast path silently turned off would still write the right
+        # bytes, through the per-value fallback; count its calls.
+        rng = np.random.default_rng(17)
+        M = rng.normal(size=(2000, 200)) * 10.0 ** rng.uniform(-30, 30, (2000, 200))
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return b"%.17g" % v
+
+        monkeypatch.setattr(linalg, "_format_one", counted)
+        assert differing_values(written_rows(M), per_value_text(M)) == []
+        assert len(calls) < M.size / 10**4, len(calls)
+
+    def test_save_matrix_formats_in_blocks(self, tmp_path):
+        # numpy reports its allocations to tracemalloc. Formatting half
+        # of this matrix at once would take tens of MB.
+        M = np.random.default_rng(3).normal(size=(5555, 200))
+        tracemalloc.start()
+        try:
+            save_matrix(tmp_path / "m.txt", M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
