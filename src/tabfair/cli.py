@@ -319,6 +319,7 @@ def cmd_debias(run: Run) -> None:
             "attributes": ",".join(attributes),
             "orthogonality_residual": f"{result.residual:.17g}",
             "relative_residual": f"{result.relative_residual:.17g}",
+            "sensitive_condition": f"{result.sensitive_condition:.17g}",
             "variance_kept": ev.format_or_undefined(result.variance_kept),
             "information_loss": ev.format_or_undefined(result.information_loss),
         },

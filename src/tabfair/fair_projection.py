@@ -53,16 +53,19 @@ class DebiasedRepresentation:
     """The debiased representation as its n x k coordinates C in the
     orthonormal basis N_k (p x k), the rank k, and the achieved
     orthogonality residual (max |Z_hat^T S| entry, absolute and
-    relative to ||Z_hat||_F ||S||_F). variance_kept is the fraction of
-    the squared singular values of Z within rank k, and
-    information_loss is ||Z_k - Z_hat||_F / ||Z_k||_F; both are None
-    (undefined) for an all-zero Z."""
+    relative to ||Z_hat||_F ||S||_F), and the 2-norm condition number of
+    the S residualized against (with the intercept column, when
+    configured). variance_kept is the fraction of the squared singular
+    values of Z within rank k, and information_loss is
+    ||Z_k - Z_hat||_F / ||Z_k||_F; both are None (undefined) for an
+    all-zero Z."""
 
     C: np.ndarray
     N_k: np.ndarray
     k: int
     residual: float
     relative_residual: float
+    sensitive_condition: float
     variance_kept: float | None
     information_loss: float | None
 
@@ -170,7 +173,7 @@ def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
         k = config.k
     N_k = svd.N[:, :k]
     ZN = Z @ N_k
-    C = residualize(S, ZN)
+    C, sensitive_condition = residualize(S, ZN)
     residual, relative = _orthogonality_residual(C, N_k, S)
     if relative >= ORTHOGONALITY_TOL:
         raise NumericalError(
@@ -184,5 +187,6 @@ def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
         information_loss = float(np.linalg.norm(ZN - C)) / norm_k
     return DebiasedRepresentation(
         C=C, N_k=N_k, k=k, residual=residual, relative_residual=relative,
-        variance_kept=variance_kept, information_loss=information_loss,
+        sensitive_condition=sensitive_condition, variance_kept=variance_kept,
+        information_loss=information_loss,
     )

@@ -119,15 +119,18 @@ def explained_variance(D) -> np.ndarray:
     return cum
 
 
-def _orthonormal_basis(S: np.ndarray) -> np.ndarray:
-    """Thin-QR basis Q of col(S), refusing rank-deficient S."""
+def _orthonormal_basis(S: np.ndarray) -> tuple[np.ndarray, float]:
+    """Thin-QR basis Q of col(S) and the 2-norm condition number of S,
+    refusing rank-deficient S. S = QR with Q orthonormal, so S and its
+    triangular factor R share their singular values."""
     Q, R = np.linalg.qr(S)
     if first_collinear_column(R) is not None:
         raise NumericalError(
             "S^T S is rank-deficient (reciprocal condition number below "
             f"{RCOND_LIMIT:g}); drop collinear sensitive columns"
         )
-    return Q
+    sv = np.linalg.svd(R, compute_uv=False)
+    return Q, float(sv[0] / sv[-1])
 
 
 def first_collinear_column(R: np.ndarray) -> int | None:
@@ -154,21 +157,22 @@ def projector(S) -> np.ndarray:
     columns of S. Materializes an n x n matrix: intended for modest n;
     use residualize() for tall inputs.
     """
-    Q = _orthonormal_basis(_as_matrix(S, "S"))
+    Q, _ = _orthonormal_basis(_as_matrix(S, "S"))
     return Q @ Q.T
 
 
-def residualize(S, M) -> np.ndarray:
+def residualize(S, M) -> tuple[np.ndarray, float]:
     """(I - P_S) @ M = M - Q (Q^T M) without materializing any n x n
-    matrix; Q is the thin-QR basis of S."""
+    matrix, Q the thin-QR basis of S; and the 2-norm condition number
+    of S, from the same factorization."""
     S = _as_matrix(S, "S")
     M = _as_matrix(M, "M")
     if S.shape[0] != M.shape[0]:
         raise ConfigError(
             f"row mismatch: S has {S.shape[0]} rows, M has {M.shape[0]}"
         )
-    Q = _orthonormal_basis(S)
-    return M - Q @ (Q.T @ M)
+    Q, condition = _orthonormal_basis(S)
+    return M - Q @ (Q.T @ M), condition
 
 
 def write_rows(fh, M: np.ndarray) -> None:

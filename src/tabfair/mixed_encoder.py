@@ -125,21 +125,35 @@ def train_mixed(X_num, X_cat, config: MixedEncoderConfig) -> MixedTrainResult:
     return MixedTrainResult(params_nc, MlpParams(cat_num, flat_cn), hist_nc, hist_cn)
 
 
-def extract_latent(params: MlpParams, X) -> np.ndarray:
+def extract_latent(params: MlpParams, X, out: np.ndarray | None = None) -> np.ndarray:
     """Post-activation values at the network's latent layer, the same
-    bits as forward(params, X).activations[latent_index].
+    bits as forward(params, X).activations[latent_index]. Given `out`,
+    a rows x latent-width array (a column slice of Z, say), they are
+    written into it and it is returned; otherwise into a new array.
 
     It stops at the latent layer: the layers after it, which only the
     reconstruction needs, are never evaluated. The layers before it are
-    hidden layers, so each is a ReLU, applied in place.
+    hidden layers, so each is the GEMM [a, 1] @ [W; b] and a ReLU
+    applied in place; below the latent layer the GEMM writes beside a
+    ones column that the next layer reads.
     """
-    a = _check_input(params.config, X)
-    k = params.config.latent_index
-    for W, b in zip(params.weights[:k], params.biases[:k]):
-        a = a @ W
-        a += b
-        np.maximum(a, 0.0, out=a)
-    return a
+    X = _check_input(params.config, X)
+    rows, k = X.shape[0], params.config.latent_index
+    if out is None:
+        out = np.empty((rows, params.config.layer_widths[k]))
+    a = np.empty((rows, X.shape[1] + 1))
+    a[:, :-1] = X
+    a[:, -1] = 1.0
+    *below, latent = params.blocks[:k]
+    for block in below:
+        h = np.empty((rows, block.shape[1] + 1))
+        h[:, -1] = 1.0
+        np.matmul(a, block, out=h[:, :-1])
+        np.maximum(h[:, :-1], 0.0, out=h[:, :-1])
+        a = h
+    np.matmul(a, latent, out=out)
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def encode_dataset(X_num, X_cat, config: MixedEncoderConfig):
@@ -147,6 +161,7 @@ def encode_dataset(X_num, X_cat, config: MixedEncoderConfig):
     (Z, train result). Z is the n x p mixed-space representation: the
     two latent codes side by side, the numerical side's first."""
     result = train_mixed(X_num, X_cat, config)
-    Z = np.hstack([extract_latent(result.params_num_cat, X_num),
-                   extract_latent(result.params_cat_num, X_cat)])
+    Z = np.empty((X_num.shape[0], config.p))
+    extract_latent(result.params_num_cat, X_num, out=Z[:, : config.latent_num])
+    extract_latent(result.params_cat_num, X_cat, out=Z[:, config.latent_num :])
     return Z, result

@@ -4,11 +4,18 @@ Configurable MLPs with ReLU hidden layers and a sigmoid or linear
 output, exact analytic backpropagation for BCE/MSE, Adam updates, and a
 deterministic mini-batch training loop with a held-out validation
 split. Parameters, gradients and Adam moments share one flat layout
-(MlpParams.flat), so an Adam step is one vectorized pass. A training
-run allocates its gradient buffer and Adam scratch once and reuses them
-on every step, with the same operations in the same order as a fresh
-computation, so results are bit-identical to it. Everything is a pure
-function of its inputs and seed; training never mutates your data.
+(MlpParams.flat), so an Adam step is one vectorized pass. That layout
+stores each layer as its weights, row-major, then its bias: a
+(fan_in + 1) x fan_out block [W; b]. A layer is one GEMM over it: each
+layer's input is kept with a trailing ones column, the pre-activations
+are z = [a, 1] @ [W; b], and backward() writes [dW; db] = [a, 1]^T delta
+into the gradient's block with one product. The BCE of the sigmoid
+network is taken from its logits z, exact without a clamp. A training
+run allocates its buffers (layer inputs and pre-activations, gradient,
+Adam scratch) once and reuses them on every step, with the same
+operations in the same order as a fresh computation, so results are
+bit-identical to it. Everything is a pure function of its inputs and
+seed; training never mutates your data.
 """
 
 from __future__ import annotations
@@ -24,9 +31,6 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericalError
 
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
-
-# Clamp for BCE so log(0) can never occur.
-BCE_CLAMP = 1e-12
 
 # Adam defaults; the learning rate follows the training setup, the
 # moment decays and epsilon are the optimizer's canonical constants.
@@ -73,10 +77,12 @@ class MlpConfig:
 
 @dataclass
 class MlpParams:
-    """Per-layer weight matrices (in x out) and bias vectors.
+    """Per-layer blocks [W; b] ((in + 1) x out), weight matrices
+    (in x out) and bias vectors.
 
-    Every weight and bias is a view into `flat`, one contiguous float64
-    buffer laid out layer by layer (row-major weights, then bias).
+    Every block, weight and bias is a view into `flat`, one contiguous
+    float64 buffer laid out layer by layer (row-major weights, then
+    bias), so blocks[l] is weights[l] with biases[l] as its last row.
     backward() returns gradients in this same layout, so an Adam step
     updates all parameters in one vectorized pass. Writing into a view
     writes into `flat`; rebinding a list entry does not.
@@ -84,6 +90,7 @@ class MlpParams:
 
     config: MlpConfig
     flat: np.ndarray
+    blocks: list[np.ndarray] = field(init=False, repr=False)
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
 
@@ -93,14 +100,15 @@ class MlpParams:
                 f"parameter buffer must be float64 of shape ({self.config.n_params},), "
                 f"got {self.flat.dtype} {self.flat.shape}"
             )
-        self.weights, self.biases = [], []
+        self.blocks = []
         at = 0
         widths = self.config.layer_widths
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            self.weights.append(self.flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
-            at += fan_in * fan_out
-            self.biases.append(self.flat[at : at + fan_out])
-            at += fan_out
+            size = (fan_in + 1) * fan_out
+            self.blocks.append(self.flat[at : at + size].reshape(fan_in + 1, fan_out))
+            at += size
+        self.weights = [block[:-1] for block in self.blocks]
+        self.biases = [block[-1] for block in self.blocks]
 
 
 @dataclass
@@ -128,15 +136,21 @@ class AdamState:
 
 @dataclass
 class ForwardCache:
-    """Pre-activations z[l] and post-activations a[l] per layer;
-    activations[0] is the input batch."""
+    """Per layer l, its input [a[l], 1] (the activations with a
+    trailing ones column; a[0] is the input batch) and its
+    pre-activations z[l] = [a[l], 1] @ [W; b]; and the network's output.
+    For a sigmoid output, exp_neg_abs is exp(-|z|) of the output
+    layer's z, from which both the sigmoid and the BCE are taken."""
 
+    inputs: list[np.ndarray]
     pre: list[np.ndarray]
-    activations: list[np.ndarray]
+    output: np.ndarray
+    exp_neg_abs: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def output(self) -> np.ndarray:
-        return self.activations[-1]
+    def activations(self) -> list[np.ndarray]:
+        """a[l] per layer, the input batch first and the output last."""
+        return [x[:, :-1] for x in self.inputs] + [self.output]
 
 
 @dataclass
@@ -166,11 +180,18 @@ def init_params(config: MlpConfig, seed: int) -> MlpParams:
     return params
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # min(z, -z) = -|z|, so exp cannot overflow: e is exp(-z) where
-    # z >= 0 and exp(z) elsewhere, the stable form for each sign. min
-    # returns a NaN z itself, keeping its sign bit (-abs would flip it).
-    e = np.exp(np.minimum(z, -z))
+def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
+    # min(z, -z) = -|z|, so exp cannot overflow. min returns a NaN z
+    # itself, keeping its sign bit (-abs would flip it).
+    return np.exp(np.minimum(z, -z))
+
+
+def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function of z, given or computing e = exp(-|z|)."""
+    if e is None:
+        e = _exp_neg_abs(z)
+    # e is exp(-z) where z >= 0 and exp(z) elsewhere, the stable form
+    # for each sign.
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
@@ -191,27 +212,45 @@ def _check_input(config: MlpConfig, X) -> np.ndarray:
 def forward(params: MlpParams, X) -> ForwardCache:
     """Run the network on a batch, keeping every layer's values for
     backpropagation."""
-    return _forward(params, _check_input(params.config, X))
+    X = _check_input(params.config, X)
+    inputs, pre = _forward_buffers(params.config, X.shape[0])
+    inputs[0][:, :-1] = X
+    return _forward(params, inputs, pre)
 
 
-def _forward(params: MlpParams, X: np.ndarray) -> ForwardCache:
-    """forward() on a batch already checked by _check_input()."""
-    cfg = params.config
-    pre, acts = [], [X]
-    a = X
-    last = cfg.n_layers - 1
-    for l, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ W
-        z += b
-        pre.append(z)
+def _forward_buffers(config: MlpConfig, rows: int) -> tuple[list, list]:
+    """Arrays for a forward pass over `rows` rows, carved from one
+    allocation: per layer, its input (rows x (fan_in + 1), the ones
+    column set here) and its pre-activations (rows x fan_out). A pass
+    over the first m rows uses each array's first m rows."""
+    widths = config.layer_widths
+    shapes = [(rows, w + 1) for w in widths[:-1]] + [(rows, w) for w in widths[1:]]
+    flat = np.empty(sum(r * c for r, c in shapes))
+    arrays, at = [], 0
+    for r, c in shapes:
+        arrays.append(flat[at : at + r * c].reshape(r, c))
+        at += r * c
+    inputs, pre = arrays[: config.n_layers], arrays[config.n_layers :]
+    for x in inputs:
+        x[:, -1] = 1.0
+    return inputs, pre
+
+
+def _forward(params: MlpParams, inputs: list, pre: list) -> ForwardCache:
+    """forward() into buffers of _forward_buffers(), of which inputs[0]
+    holds the checked batch [X, 1]. Each layer is one GEMM into its
+    pre-activations; a hidden layer's ReLU is written into the next
+    layer's input beside its ones column."""
+    last = params.config.n_layers - 1
+    for l, block in enumerate(params.blocks):
+        np.matmul(inputs[l], block, out=pre[l])
         if l < last:
-            a = np.maximum(z, 0.0)
-        elif cfg.output_activation == "sigmoid":
-            a = _sigmoid(z)
-        else:
-            a = z
-        acts.append(a)
-    return ForwardCache(pre=pre, activations=acts)
+            np.maximum(pre[l], 0.0, out=inputs[l + 1][:, :-1])
+    z = pre[-1]
+    if params.config.output_activation == "linear":
+        return ForwardCache(inputs=inputs, pre=pre, output=z)
+    e = _exp_neg_abs(z)
+    return ForwardCache(inputs=inputs, pre=pre, output=_sigmoid(z, e), exp_neg_abs=e)
 
 
 def _check_shapes(pred: np.ndarray, target: np.ndarray) -> None:
@@ -219,18 +258,28 @@ def _check_shapes(pred: np.ndarray, target: np.ndarray) -> None:
         raise ConfigError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
 
 
-def bce_loss(pred, target) -> float:
-    """Mean binary cross-entropy over all entries, with predictions
-    clamped to [BCE_CLAMP, 1 - BCE_CLAMP]."""
-    pred = np.asarray(pred, dtype=np.float64)
+def bce_loss(logits, target) -> float:
+    """Mean binary cross-entropy of sigmoid(logits) against target over
+    all entries, taken from the logits z: max(z, 0) - t z + log1p(e)
+    with e = exp(-|z|), exact for every finite z without a clamp."""
+    logits = np.asarray(logits, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    _check_shapes(pred, target)
-    return _bce(pred, target)
+    _check_shapes(logits, target)
+    return _bce(logits, target, _exp_neg_abs(logits))
 
 
-def _bce(pred: np.ndarray, target: np.ndarray) -> float:
-    p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log1p(-p)))
+def _bce(z: np.ndarray, target: np.ndarray, e: np.ndarray) -> float:
+    # -log(sigmoid(z)) = max(-z, 0) + log1p(e) and -log(1 - sigmoid(z))
+    # = max(z, 0) + log1p(e), for e = exp(-|z|).
+    return float(np.mean(np.maximum(z, 0.0) - target * z + np.log1p(e)))
+
+
+def _loss(config: MlpConfig, cache: ForwardCache, target: np.ndarray) -> float:
+    """The loss of a forward pass that train() reports: the BCE on the
+    logits for a sigmoid output, the MSE for a linear one."""
+    if config.output_activation == "sigmoid":
+        return _bce(cache.pre[-1], target, cache.exp_neg_abs)
+    return _mse(cache.output, target)
 
 
 def mse_loss(pred, target) -> float:
@@ -249,7 +298,8 @@ def backward(
     params: MlpParams, cache: ForwardCache, target, out: MlpParams | None = None
 ) -> MlpParams:
     """Exact gradients of the scalar loss w.r.t. every weight and bias,
-    in the parameters' layout: grads.weights[l] is dL/dW[l].
+    in the parameters' layout: grads.weights[l] is dL/dW[l], and
+    grads.blocks[l] = [a[l], 1]^T delta[l] is one product.
 
     The loss follows the output activation: BCE for sigmoid, MSE for
     linear. Given `out`, an MlpParams of the same network, the gradients
@@ -273,8 +323,7 @@ def backward(
     if out is None:
         out = MlpParams(config=cfg, flat=np.empty(cfg.n_params))
     for l in range(cfg.n_layers - 1, -1, -1):
-        np.matmul(cache.activations[l].T, delta, out=out.weights[l])
-        np.add.reduce(delta, axis=0, out=out.biases[l])
+        np.matmul(cache.inputs[l].T, delta, out=out.blocks[l])
         if l > 0:
             delta = delta @ params.weights[l].T
             delta *= cache.pre[l - 1] > 0
@@ -357,7 +406,6 @@ def train(
     # loop runs the unchecked forward pass and loss.
     X = _check_input(config, X)
     n = X.shape[0]
-    loss_fn = _bce if config.output_activation == "sigmoid" else _mse
 
     params = init_params(config, seed)
     rng = np.random.default_rng(seed)
@@ -368,31 +416,44 @@ def train(
         raise ConfigError(
             f"batch_size {batch_size} exceeds the {train_idx.size} training rows"
         )
-    X_val, Y_val = X[val_idx], Y[val_idx]
+    # The validation rows' buffers hold [X_val, 1] for the whole run.
+    val_inputs, val_pre = _forward_buffers(config, n_val)
+    val_inputs[0][:, :-1] = X[val_idx]
+    Y_val = Y[val_idx]
 
     history = TrainHistory()
     state = AdamState.for_params(params, lr=lr)
     grads = MlpParams(config=config, flat=np.empty(config.n_params))
+    n_batches = math.ceil(train_idx.size / batch_size)
+    # The step buffers' views for a full batch and for the last one,
+    # which has fewer rows when batch_size does not divide the rows.
+    step_inputs, step_pre = _forward_buffers(config, batch_size)
+    last = train_idx.size - (n_batches - 1) * batch_size
+    views = {m: ([x[:m] for x in step_inputs], [z[:m] for z in step_pre])
+             for m in (batch_size, last)}
     for epoch in range(epochs):
         order = train_idx[rng.permutation(train_idx.size)]
         total, seen = 0.0, 0
-        for lo in range(0, order.size, batch_size):
-            batch = order[lo : lo + batch_size]
+        for i in range(n_batches):
+            batch = order[i * batch_size : (i + 1) * batch_size]
+            m = batch.size
+            inputs, pre = views[m]
+            inputs[0][:, :-1] = X[batch]
             Y_batch = Y[batch]
-            cache = _forward(params, X[batch])
-            loss = loss_fn(cache.output, Y_batch)
+            cache = _forward(params, inputs, pre)
+            loss = _loss(config, cache, Y_batch)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"training diverged: non-finite loss at epoch {epoch + 1}, "
-                    f"batch starting at row {lo}"
+                    f"batch {i + 1} of {n_batches}"
                 )
-            total += loss * batch.size
-            seen += batch.size
+            total += loss * m
+            seen += m
             backward(params, cache, Y_batch, out=grads)
             adam_step(params, grads, state)
         history.train_loss.append(total / seen)
         if n_val > 0:
-            val = loss_fn(_forward(params, X_val).output, Y_val)
+            val = _loss(config, _forward(params, val_inputs, val_pre), Y_val)
             if not np.isfinite(val):
                 raise NumericalError(
                     f"training diverged: non-finite validation loss at epoch {epoch + 1}"

@@ -165,8 +165,8 @@ class TestStages:
     def test_evaluate_projection_equals_debias_export(self, tmp_path):
         # The three Adult-shaped settings the benchmark sweeps: the C.npy
         # that debias writes, and evaluate scores, is bit for bit the
-        # library's projection of Z.npy and S.npy, and Z_hat.txt is
-        # C @ N_k.T.
+        # library's projection of Z.npy and S.npy, Z_hat.txt is
+        # C @ N_k.T, and the recorded sensitive_condition is that of S.
         import importlib.util
 
         root = Path(__file__).resolve().parents[1]
@@ -215,6 +215,9 @@ class TestStages:
             dense = np.max(np.abs(Z_hat.T @ S)) / (np.linalg.norm(Z_hat) * np.linalg.norm(S))
             assert dense < ORTHOGONALITY_TOL
             assert abs(float(prov["relative_residual"]) - dense) < 1e-3 * ORTHOGONALITY_TOL
+            # The condition number of the S just built, intercept included.
+            assert float(prov["sensitive_condition"]) == pytest.approx(np.linalg.cond(S),
+                                                                       rel=1e-10), projection
 
     def test_evaluate_provenance_records_projection_and_probe_losses(self, tmp_path):
         from tabfair.evaluation import PROBE_TOL, probe_loss_and_grad_norm, train_probe

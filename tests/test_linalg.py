@@ -267,7 +267,24 @@ class TestResidualize:
             M = rng.normal(size=(n, int(rng.integers(1, 9))))
             # Oracle from the normal equations, not the QR path.
             dense = (np.eye(n) - S @ np.linalg.solve(S.T @ S, S.T)) @ M
-            assert np.allclose(residualize(S, M), dense, atol=1e-10)
+            assert np.allclose(residualize(S, M)[0], dense, atol=1e-10)
+
+    def test_condition_number_is_that_of_s(self):
+        # Columns scaled over up to 4 decades, and 0/1 indicator columns
+        # with and without a ones column, as debias passes them.
+        rng = np.random.default_rng(14)
+        for trial in range(30):
+            n, s = int(rng.integers(8, 60)), int(rng.integers(1, 5))
+            if trial % 2:
+                S = (rng.random((n, s)) < 0.4).astype(np.float64)
+                if trial % 4 == 1:
+                    S = np.hstack([S, np.ones((n, 1))])
+                if first_collinear_column(np.linalg.qr(S, mode="r")) is not None:
+                    continue
+            else:
+                S = rng.normal(size=(n, s)) * 10.0 ** rng.uniform(-2, 2, size=s)
+            _, condition = residualize(S, rng.normal(size=(n, 3)))
+            assert condition == pytest.approx(np.linalg.cond(S), rel=1e-10)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(NumericalError, match="collinear"):

@@ -16,7 +16,7 @@ from tabfair.mixed_encoder import (
     interpolated_widths,
     train_mixed,
 )
-from tabfair.neuralnet import bce_loss, forward, init_params, mse_loss
+from tabfair.neuralnet import MlpConfig, bce_loss, forward, init_params, mse_loss
 
 
 def small_config(**overrides):
@@ -129,8 +129,8 @@ class TestTrainMixed:
         # baseline is 1.0 under z-scored targets.
         cfg = small_config(epochs=40)
         result = train_mixed(encoded.X_num, encoded.X_cat, cfg)
-        pred_cat = forward(result.params_num_cat, encoded.X_num).output
-        assert bce_loss(pred_cat, encoded.X_cat) < np.log(2.0)
+        logits_cat = forward(result.params_num_cat, encoded.X_num).pre[-1]
+        assert bce_loss(logits_cat, encoded.X_cat) < np.log(2.0)
         pred_num = forward(result.params_cat_num, encoded.X_cat).output
         assert mse_loss(pred_num, encoded.X_num) < 1.0
 
@@ -170,6 +170,24 @@ class TestLatent:
             extract_latent(params, encoded.X_num),
             cache.activations[net.latent_index],
         )
+
+    @pytest.mark.parametrize("widths, latent_index", [((2, 7, 3, 5), 1), ((2, 9, 1, 4, 5), 2),
+                                                       ((2, 6, 8, 3, 5), 3)])
+    def test_writes_into_a_column_slice(self, encoded, widths, latent_index):
+        # The latent as the first, a middle or the last hidden layer, of
+        # width 1 among them, written into a column slice of a wider
+        # array as encode_dataset() writes Z: the bits of forward().
+        net = MlpConfig(widths, "sigmoid", latent_index)
+        params = init_params(net, seed=4)
+        for b in params.biases:
+            b[:] = np.random.default_rng(4).normal(size=b.shape)
+        want = forward(params, encoded.X_num).activations[latent_index]
+        Z = np.full((encoded.n, widths[latent_index] + 3), np.nan)
+        got = extract_latent(params, encoded.X_num, out=Z[:, 2:-1])
+        assert got.base is Z
+        assert np.array_equal(Z[:, 2:-1], want)
+        assert np.isnan(Z[:, :2]).all() and np.isnan(Z[:, -1]).all()
+        assert np.array_equal(extract_latent(params, encoded.X_num), want)
 
     def test_evaluates_no_layer_past_the_latent(self, encoded):
         net = build_num_cat(encoded.d1, encoded.d2, small_config())

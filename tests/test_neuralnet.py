@@ -37,10 +37,10 @@ from tabfair.neuralnet import (
 
 
 def loss_at(params, X, Y):
-    """The loss train() pairs with the output activation: BCE for
-    sigmoid, MSE for linear."""
+    """The loss train() pairs with the output activation: BCE on the
+    logits for sigmoid, MSE for linear."""
     loss_fn = bce_loss if params.config.output_activation == "sigmoid" else mse_loss
-    return loss_fn(forward(params, X).output, Y)
+    return loss_fn(forward(params, X).pre[-1], Y)
 
 
 def fd_gradients(params, X, Y, h=1e-5):
@@ -177,17 +177,29 @@ class TestForward:
 
 
 class TestLosses:
+    # bce_loss takes the logits z; the prediction is sigmoid(z).
     def test_bce_perfect_prediction(self):
-        assert bce_loss(np.ones((2, 2)), np.ones((2, 2))) < 1e-10
+        # Logits of +-80 against their own sign's target: the loss is
+        # log1p(exp(-80)), about 1.8e-35, not a clamp's 1e-12.
+        z = np.array([[80.0, -80.0], [-80.0, 80.0]])
+        loss = bce_loss(z, (z > 0).astype(np.float64))
+        assert 0.0 <= loss <= 1e-34
+
+    def test_bce_saturated_wrong_prediction_is_exact(self):
+        # Against the wrong target, every entry costs |z| = 80 exactly;
+        # clamping the prediction to 1e-12 scored it -log(1e-12) = 27.63.
+        z = np.array([[80.0, -80.0], [-80.0, 80.0]])
+        assert bce_loss(z, (z < 0).astype(np.float64)) == 80.0
 
     def test_bce_half_is_ln2(self):
         target = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert bce_loss(np.full((2, 2), 0.5), target) == pytest.approx(
+        assert bce_loss(np.zeros((2, 2)), target) == pytest.approx(
             0.6931471805599453, abs=1e-15
         )
 
     def test_bce_hand_case(self):
-        got = bce_loss(np.array([[0.9, 0.2]]), np.array([[1.0, 0.0]]))
+        # sigmoid(ln 9) = 0.9 against 1, sigmoid(ln(1/4)) = 0.2 against 0.
+        got = bce_loss(np.array([[math.log(9.0), math.log(0.25)]]), np.array([[1.0, 0.0]]))
         assert got == pytest.approx(0.164252033486018, abs=1e-12)
 
     def test_mse_cases(self):
@@ -264,9 +276,9 @@ class TestBackward:
         assert worst < 1e-5
 
     def test_bits_match_per_tensor_products(self):
-        # backward() writes each gradient into its slice of one buffer;
-        # the values must be those of a fresh a.T @ delta and
-        # delta.sum(axis=0) per tensor, bit for bit.
+        # backward() writes each layer's gradient block [dW; db] into its
+        # slice of one buffer; the values must be those of a fresh
+        # [a, 1].T @ delta per block, bit for bit.
         rng = np.random.default_rng(7)
         for trial in range(60):
             depth = int(rng.integers(3, 6))
@@ -287,10 +299,43 @@ class TestBackward:
             diff, scale = cache.output - Y, 1.0 / (batch * widths[-1])
             delta = diff * scale if output == "sigmoid" else 2.0 * diff * scale
             for l in range(cfg.n_layers - 1, -1, -1):
-                ref_w = cache.activations[l].T @ delta
-                ref_b = delta.sum(axis=0)
+                a1 = np.hstack([cache.activations[l], np.ones((batch, 1))])
+                ref = a1.T @ delta
+                assert np.array_equal(grads.blocks[l].view(np.uint64), ref.view(np.uint64))
+                if l > 0:
+                    delta = (delta @ params.weights[l].T) * (cache.pre[l - 1] > 0)
+
+    def test_one_gemm_per_layer_keeps_the_weight_bits(self):
+        # forward's pre-activations are [a, 1] @ [W; b], bit for bit. Of
+        # backward's [a, 1].T @ delta, the weight rows are a.T @ delta
+        # bit for bit; only the bias row's sum is a GEMM's, not
+        # delta.sum(axis=0)'s, and may differ from it in the last bits.
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            depth = int(rng.integers(3, 7))
+            widths = [int(rng.integers(1, 110)) for _ in range(depth)]
+            output = "sigmoid" if trial % 2 == 0 else "linear"
+            cfg = MlpConfig(layer_widths=widths, output_activation=output, latent_index=1)
+            params = init_params(cfg, seed=trial)
+            for b in params.biases:
+                b[:] = rng.normal(scale=0.3, size=b.shape)
+            batch = (1, 64, 37, 555)[trial % 4]
+            X = rng.normal(size=(batch, widths[0]))
+            Y = rng.integers(0, 2, size=(batch, widths[-1])).astype(float)
+            cache = forward(params, X)
+            ones = np.ones((batch, 1))
+            for l, block in enumerate(params.blocks):
+                a = np.ascontiguousarray(cache.activations[l])
+                ref = np.hstack([a, ones]) @ np.vstack([params.weights[l], params.biases[l]])
+                assert np.array_equal(cache.pre[l].view(np.uint64), ref.view(np.uint64))
+                assert cache.activations[l].shape == (batch, widths[l])
+            grads = backward(params, cache, Y)
+            diff, scale = cache.output - Y, 1.0 / (batch * widths[-1])
+            delta = diff * scale if output == "sigmoid" else 2.0 * diff * scale
+            for l in range(cfg.n_layers - 1, -1, -1):
+                ref_w = np.ascontiguousarray(cache.activations[l]).T @ delta
                 assert np.array_equal(grads.weights[l].view(np.uint64), ref_w.view(np.uint64))
-                assert np.array_equal(grads.biases[l].view(np.uint64), ref_b.view(np.uint64))
+                assert np.allclose(grads.biases[l], delta.sum(axis=0), rtol=1e-12, atol=1e-300)
                 if l > 0:
                     delta = (delta @ params.weights[l].T) * (cache.pre[l - 1] > 0)
 
@@ -369,7 +414,8 @@ class TestAdam:
 
 def reference_train(config, X, Y, *, epochs, batch_size, val_fraction, seed, lr=ADAM_LR):
     """train() written out with the public, checked forward, backward
-    and losses, and Adam applied one tensor at a time."""
+    and losses (on the output pre-activations), and Adam applied one
+    tensor at a time."""
     loss_fn = bce_loss if config.output_activation == "sigmoid" else mse_loss
     params = init_params(config, seed)
     rng = np.random.default_rng(seed)
@@ -388,7 +434,7 @@ def reference_train(config, X, Y, *, epochs, batch_size, val_fraction, seed, lr=
         for lo in range(0, order.size, batch_size):
             batch = order[lo : lo + batch_size]
             cache = forward(params, X[batch])
-            total += loss_fn(cache.output, Y[batch]) * batch.size
+            total += loss_fn(cache.pre[-1], Y[batch]) * batch.size
             grads = backward(params, cache, Y[batch])
             t += 1
             c1 = 1.0 - b1**t
@@ -400,7 +446,7 @@ def reference_train(config, X, Y, *, epochs, batch_size, val_fraction, seed, lr=
                 v += (1.0 - b2) * g * g
                 p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         train_loss.append(total / order.size)
-        val_loss.append(loss_fn(forward(params, X[val_idx]).output, Y[val_idx]))
+        val_loss.append(loss_fn(forward(params, X[val_idx]).pre[-1], Y[val_idx]))
     return params, train_loss, val_loss
 
 
@@ -506,6 +552,19 @@ class TestTrain:
         X = np.full((8, 1), 1e200)
         with np.errstate(over="ignore"), pytest.raises((NumericalError, DataError)):
             train(cfg, X, X * 1e200, epochs=3, batch_size=4, val_fraction=0.0, seed=0)
+
+    def test_divergence_names_the_batch(self):
+        # The message counts batches within the epoch; it names no row,
+        # since a batch is drawn from the epoch's shuffled order.
+        cfg = MlpConfig(layer_widths=(1, 2, 1), output_activation="linear", latent_index=1)
+        X = np.ones((10, 1))
+        Y = X.copy()
+        Y[np.random.default_rng(0).permutation(10)[:1]] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(NumericalError) as info:
+            train(cfg, X, Y, epochs=1, batch_size=4, val_fraction=0.0, seed=0)
+        message = str(info.value)
+        assert message.startswith("training diverged: non-finite loss at epoch 1, batch ")
+        assert message.endswith(" of 3") and "row" not in message
 
     def test_history_csv(self, tmp_path):
         cfg = MlpConfig(layer_widths=(3, 4, 3), output_activation="linear", latent_index=1)
