@@ -232,7 +232,7 @@ def cmd_prepare(run: Run) -> None:
     # evaluate scores every S column on the test rows and needs both of
     # its groups there; refuse now rather than after training.
     for name, s in zip(encoded.sensitive_names, encoded.S[split.test].T):
-        if np.unique(s).size < 2:
+        if s.min() == s.max():
             raise DataError(f"sensitive column {name!r}: one of its two groups has "
                             f"none of the {s.size} test rows")
     # debias repeats this rank test; here it names the column, before training.
@@ -356,9 +356,9 @@ def cmd_evaluate(run: Run) -> None:
         run.write(f"roc_{tag}.csv", ev.save_roc_csv, points)
         summary[f"{tag}_accuracy"] = f"{report.accuracy:.17g}"
         summary[f"{tag}_roc_auc"] = f"{report.roc_auc:.17g}"
-        summary[f"{tag}_probe_loss"] = f"{report.train_loss:.17g}"
-        summary[f"{tag}_probe_grad_norm"] = f"{report.train_grad_norm:.17g}"
-        summary[f"{tag}_probe_iterations"] = report.probe_iterations
+        summary[f"{tag}_probe_loss"] = f"{report.probe.loss:.17g}"
+        summary[f"{tag}_probe_grad_norm"] = f"{report.probe.grad_norm:.17g}"
+        summary[f"{tag}_probe_iterations"] = report.probe.iterations
         for a in report.attributes:
             summary[f"{tag}_di_x100_{a.name}"] = ev.format_or_undefined(a.di_x100)
             summary[f"{tag}_spd_{a.name}"] = f"{a.spd:.17g}"

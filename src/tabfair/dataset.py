@@ -482,7 +482,9 @@ def stratified_split(y, test_fraction: float, seed: int) -> SplitIndices:
     y = np.asarray(y)
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    classes = np.unique(y)
+    # Sorted distinct labels, by hand: np.unique imports numpy.ma.
+    y_sorted = np.sort(y, axis=None)
+    classes = np.concatenate([y_sorted[:1], y_sorted[1:][y_sorted[1:] != y_sorted[:-1]]])
     if classes.size != 2:
         raise DataError(f"need exactly 2 classes, got {classes.size}")
     rng = np.random.default_rng(seed)

@@ -5,8 +5,11 @@ accuracy and ROC-AUC; disparate impact and statistical parity
 difference are computed per sensitive attribute from the probe's test
 predictions. The probe is a ridge logistic regression fit to
 convergence by Newton's method, so it is the same function of the
-representation under any rotation of its columns. Group-rate metrics
-use exact integer counting before the single final division.
+representation under any rotation of its columns. Its loss is the BCE
+the networks train on, taken from the logits (neuralnet._bce), and the
+fit reports the objective and gradient norm at the weights where it
+stopped. Group-rate metrics use exact integer counting before the
+single final division.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .dataset import SplitIndices
 from .errors import ConfigError, DataError, NumericalError, UndefinedMetricError
-from .neuralnet import _sigmoid
+from .neuralnet import _bce, _exp_neg_abs, _sigmoid
 
 DI_PASS_THRESHOLD = 80.0  # DI x 100 must exceed this (strict) to pass
 
@@ -40,25 +43,32 @@ _MIN_STEP = 2.0**-40
 
 @dataclass
 class LogisticModel:
-    """weights (p,) and bias for sigmoid(Z @ w + b); iterations is the
-    number of Newton steps train_probe took to reach them."""
+    """weights (p,) and bias for sigmoid(Z @ w + b). train_probe sets
+    the rest at the weights where it stopped: iterations, its Newton
+    step count; loss, the ridge objective on the training rows; and
+    grad_norm, the Euclidean norm of that objective's gradient in
+    [weights, bias], below PROBE_TOL."""
 
     weights: np.ndarray
     bias: float
     iterations: int = 0
+    loss: float | None = None
+    grad_norm: float | None = None
 
 
 def _ridge_objective(theta: np.ndarray, Z: np.ndarray, y: np.ndarray):
     """(f, gradient, probabilities) at theta = [weights, bias], where f
     is the mean BCE of sigmoid(Z w + b) against y plus lambda/2 ||w||^2,
-    lambda = PROBE_RIDGE / n. The loss is taken from the logits
-    (log(1 + e^u) - y u), so it is exact where the sigmoid saturates."""
+    lambda = PROBE_RIDGE / n. The BCE is the networks' _bce, taken from
+    the logits u, so it is exact where the sigmoid saturates; it and the
+    probabilities share e = exp(-|u|)."""
     n, p = Z.shape
     lam = PROBE_RIDGE / n
     w = theta[:p]
     u = Z @ w + theta[p]
-    f = float(np.mean(np.logaddexp(0.0, u) - y * u)) + 0.5 * lam * float(w @ w)
-    pred = _sigmoid(u)
+    e = _exp_neg_abs(u)
+    f = _bce(u, y, e) + 0.5 * lam * float(w @ w)
+    pred = _sigmoid(u, e)
     r = (pred - y) / n
     return f, np.append(Z.T @ r + lam * w, r.sum()), pred
 
@@ -85,7 +95,8 @@ def train_probe(Z, y) -> LogisticModel:
     weights, halving a step until it decreases the objective enough
     (Armijo), until the gradient norm is below PROBE_TOL. The objective
     is strictly convex, so the optimum is unique and the fit
-    deterministic. A single-class label vector is a DataError; not
+    deterministic. The model carries the objective and gradient norm
+    at its weights. A single-class label vector is a DataError; not
     converging within PROBE_MAX_ITER steps, or a line search that finds
     no decrease, is a NumericalError.
     """
@@ -93,7 +104,7 @@ def train_probe(Z, y) -> LogisticModel:
     y = np.asarray(y, dtype=np.float64).ravel()
     if Z.ndim != 2 or Z.shape[0] != y.size:
         raise ConfigError("Z must be 2-D with one row per label")
-    if np.unique(y).size < 2:
+    if y.size == 0 or y.min() == y.max():
         raise DataError("probe training labels contain a single class")
     p = Z.shape[1]
     theta = np.zeros(p + 1)
@@ -101,7 +112,8 @@ def train_probe(Z, y) -> LogisticModel:
     for it in range(PROBE_MAX_ITER + 1):
         grad_norm = float(np.linalg.norm(g))
         if grad_norm < PROBE_TOL:
-            return LogisticModel(weights=theta[:p], bias=float(theta[p]), iterations=it)
+            return LogisticModel(weights=theta[:p], bias=float(theta[p]), iterations=it,
+                                 loss=f, grad_norm=grad_norm)
         if it == PROBE_MAX_ITER:
             break
         try:
@@ -124,28 +136,14 @@ def train_probe(Z, y) -> LogisticModel:
                          f"gradient norm {grad_norm:.3e}, tolerance {PROBE_TOL:g}")
 
 
-def _check_width(model: LogisticModel, Z) -> np.ndarray:
+def predict_proba(model: LogisticModel, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != model.weights.size:
         raise ConfigError(
             f"Z width {Z.shape[1] if Z.ndim == 2 else '?'} != model width "
             f"{model.weights.size}"
         )
-    return Z
-
-
-def predict_proba(model: LogisticModel, Z) -> np.ndarray:
-    return _sigmoid(_check_width(model, Z) @ model.weights + model.bias)
-
-
-def probe_loss_and_grad_norm(model: LogisticModel, Z, y) -> tuple[float, float]:
-    """The ridge objective train_probe minimizes, on (Z, y) at the
-    model's weights, and the Euclidean norm of its gradient in [weights,
-    bias]: the quantity train_probe's stopping test reads."""
-    Z = _check_width(model, Z)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    f, g, _ = _ridge_objective(np.append(model.weights, model.bias), Z, y)
-    return f, float(np.linalg.norm(g))
+    return _sigmoid(Z @ model.weights + model.bias)
 
 
 def _binary(v, name: str) -> np.ndarray:
@@ -268,20 +266,16 @@ class FairnessReport:
     """One probe evaluation: accuracy/ROC-AUC plus DI x 100 and SPD per
     sensitive attribute, mirroring one table row per attribute.
 
-    test_scores holds the probe's test-row probabilities, train_loss
-    the ridge objective it minimized on the train rows, train_grad_norm
-    the Euclidean norm of that objective's gradient in [weights, bias]
-    at the final weights (below PROBE_TOL), and probe_iterations its
-    Newton step count; report files store none of them.
+    test_scores holds the probe's test-row probabilities and probe the
+    fitted probe, with its fit on the train rows (see LogisticModel);
+    report files store neither.
     """
 
     accuracy: float
     roc_auc: float
     attributes: list[AttributeFairness]
     test_scores: np.ndarray | None = field(default=None, repr=False, compare=False)
-    train_loss: float | None = field(default=None, compare=False)
-    train_grad_norm: float | None = field(default=None, compare=False)
-    probe_iterations: int | None = field(default=None, compare=False)
+    probe: LogisticModel | None = field(default=None, repr=False, compare=False)
 
 
 def evaluate_representation(
@@ -310,9 +304,7 @@ def evaluate_representation(
     # Checked as floats: a cast to int would truncate 0.5 to 0.
     y_test = _binary(y, "y")[split.test]
     S = _binary(S, "S").reshape(S.shape)
-    Z_train, y_train = Z[split.train], y[split.train]
-    model = train_probe(Z_train, y_train)
-    train_loss, train_grad_norm = probe_loss_and_grad_norm(model, Z_train, y_train)
+    model = train_probe(Z[split.train], y[split.train])
     scores = predict_proba(model, Z[split.test])
     y_pred = (scores >= 0.5).astype(np.int64)
     attrs = []
@@ -336,9 +328,7 @@ def evaluate_representation(
         roc_auc=roc_auc(scores, y_test),
         attributes=attrs,
         test_scores=scores,
-        train_loss=train_loss,
-        train_grad_norm=train_grad_norm,
-        probe_iterations=model.iterations,
+        probe=model,
     )
 
 

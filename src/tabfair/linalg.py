@@ -1,5 +1,6 @@
 """Dense real-matrix utilities: truncated SVD, explained variance,
-projectors onto sensitive-attribute column spaces, and matrix files.
+projectors onto sensitive-attribute column spaces, which test S's rank
+and condition number with one SVD, and matrix files.
 
 load_matrix() reads numpy's `.npy` format only: a C-order float64 array
 of two dimensions. save_matrix() also writes text, for a path not ending
@@ -121,16 +122,23 @@ def explained_variance(D) -> np.ndarray:
 
 def _orthonormal_basis(S: np.ndarray) -> tuple[np.ndarray, float]:
     """Thin-QR basis Q of col(S) and the 2-norm condition number of S,
-    refusing rank-deficient S. S = QR with Q orthonormal, so S and its
-    triangular factor R share their singular values."""
+    refusing rank-deficient S. S = QR with Q orthonormal, so one SVD of
+    the triangular factor R gives S's singular values for both."""
     Q, R = np.linalg.qr(S)
-    if first_collinear_column(R) is not None:
+    sv = np.linalg.svd(R, compute_uv=False)
+    if _rank_deficient(sv, S.shape[1]):
         raise NumericalError(
             "S^T S is rank-deficient (reciprocal condition number below "
             f"{RCOND_LIMIT:g}); drop collinear sensitive columns"
         )
-    sv = np.linalg.svd(R, compute_uv=False)
     return Q, float(sv[0] / sv[-1])
+
+
+def _rank_deficient(sv: np.ndarray, cols: int) -> bool:
+    """Whether singular values sv show a matrix of `cols` columns rank-
+    deficient: fewer than cols (fewer rows than columns), all zero, or
+    (sv[-1] / sv[0])**2, its Gram matrix's rcond, below RCOND_LIMIT."""
+    return sv.size < cols or sv[0] == 0.0 or (sv[-1] / sv[0]) ** 2 < RCOND_LIMIT
 
 
 def first_collinear_column(R: np.ndarray) -> int | None:
@@ -138,14 +146,12 @@ def first_collinear_column(R: np.ndarray) -> int | None:
     collinear with the columns before it, or None when there is none.
 
     R[:j, :j] is the R factor of S's first j columns and shares their
-    singular values, so testing its reciprocal condition number squared
-    against RCOND_LIMIT is the same condition as testing that of their
-    Gram matrix. Past the row count of S there are fewer singular values
-    than columns: the first such column is collinear.
+    singular values. Their condition number never falls as j grows, so
+    some block is refused exactly when the whole R is, which is all
+    _orthonormal_basis() tests; this loop serves to name the column.
     """
     for j in range(1, R.shape[1] + 1):
-        sv = np.linalg.svd(R[:j, :j], compute_uv=False)
-        if sv.size < j or sv[0] == 0.0 or (sv[-1] / sv[0]) ** 2 < RCOND_LIMIT:
+        if _rank_deficient(np.linalg.svd(R[:j, :j], compute_uv=False), j):
             return j - 1
     return None
 

@@ -220,7 +220,8 @@ class TestStages:
                                                                        rel=1e-10), projection
 
     def test_evaluate_provenance_records_projection_and_probe_losses(self, tmp_path):
-        from tabfair.evaluation import PROBE_TOL, probe_loss_and_grad_norm, train_probe
+        from tabfair.evaluation import PROBE_TOL, train_probe
+        from test_evaluation import ridge_fit
 
         config = make_workspace(tmp_path, projection={"k": None, "variance_target": 0.9,
                                                       "attributes": None})
@@ -236,7 +237,7 @@ class TestStages:
         for tag, Z in (("biased", load_matrix(out / "Z.npy")), ("debiased", C)):
             Z = Z[train]
             model = train_probe(Z, y[train])
-            loss, grad_norm = probe_loss_and_grad_norm(model, Z, y[train])
+            loss, grad_norm = ridge_fit(model, Z, y[train])
             assert float(prov[f"{tag}_probe_loss"]) == loss
             assert 0.0 < loss < np.log(2.0)  # below the loss of the all-zero start
             assert float(prov[f"{tag}_probe_grad_norm"]) == grad_norm < PROBE_TOL
@@ -1048,6 +1049,21 @@ class TestTooling:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
         )
         assert out.stdout.strip() == "[]"
+
+    def test_pipeline_loads_no_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on first use (numpy 2.4), about
+        # 2 MB more peak memory in each stage that calls it.
+        config = make_workspace(tmp_path)
+        src = Path(tabfair.cli.__file__).resolve().parents[1]
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import tabfair.cli; "
+            f"code = tabfair.cli.main(['pipeline', '--config', {str(config)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.split()[-2:] == ["0", "False"]
 
     def test_cli_import_loads_no_fractions_or_decimal(self):
         # The text writer's powers of ten are built from ints: fractions

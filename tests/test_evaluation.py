@@ -23,7 +23,6 @@ from tabfair.evaluation import (
     eighty_percent_rule,
     evaluate_representation,
     predict_proba,
-    probe_loss_and_grad_norm,
     roc_auc,
     roc_curve_points,
     save_report,
@@ -31,6 +30,18 @@ from tabfair.evaluation import (
     statistical_parity_difference,
     train_probe,
 )
+from tabfair.neuralnet import bce_loss
+
+
+def ridge_fit(model, Z, y) -> tuple[float, float]:
+    """The ridge objective and its gradient norm at the model's weights,
+    computed afresh by _ridge_objective, not read from the model."""
+    Z = np.asarray(Z, dtype=np.float64)
+    assert Z.shape[1] == model.weights.size
+    f, g, _ = _ridge_objective(np.append(model.weights, model.bias), Z,
+                               np.asarray(y, dtype=np.float64).ravel())
+    return f, float(np.linalg.norm(g))
+
 
 # --- exact-rational oracles -------------------------------------------------
 
@@ -277,16 +288,16 @@ class TestProbe:
 
     def test_width_mismatch(self):
         model = LogisticModel(weights=np.array([1.0, 2.0]), bias=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="Z width 3 != model width 2"):
             predict_proba(model, np.zeros((3, 3)))
-        with pytest.raises(ConfigError):
-            probe_loss_and_grad_norm(model, np.zeros((3, 3)), np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(ConfigError, match=r"Z width \? != model width 2"):
+            predict_proba(model, np.zeros(2))
 
     def test_probe_loss_at_half_is_ln2(self):
         # At zero weights the ridge term is 0 and every probability 1/2.
         Z, y = self.separable()
         model = LogisticModel(weights=np.zeros(2), bias=0.0)
-        assert probe_loss_and_grad_norm(model, Z, y)[0] == pytest.approx(np.log(2.0), abs=1e-15)
+        assert ridge_fit(model, Z, y)[0] == pytest.approx(np.log(2.0), abs=1e-15)
 
     def test_objective_hand_value(self):
         # One row z = 2, y = 1 and one row z = 0, y = 0, at w = 1, b = -1:
@@ -294,10 +305,36 @@ class TestProbe:
         # term (1/2)(1/2) 1^2, and the gradient ((s(1) - 1) 2 / 2 + 1/2,
         # (s(1) - 1 + s(-1)) / 2) = (1/2 - s(-1), 0) with s the sigmoid.
         model = LogisticModel(weights=np.array([1.0]), bias=-1.0)
-        loss, grad_norm = probe_loss_and_grad_norm(model, np.array([[2.0], [0.0]]),
-                                                   np.array([1.0, 0.0]))
+        loss, grad_norm = ridge_fit(model, np.array([[2.0], [0.0]]), np.array([1.0, 0.0]))
         assert loss == pytest.approx(np.log1p(np.exp(-1.0)) + 0.25, abs=1e-15)
         assert grad_norm == pytest.approx(0.5 - 1.0 / (1.0 + np.e), abs=1e-15)
+
+    @pytest.mark.parametrize("logits", ["ordinary", "800"])
+    def test_objective_bce_is_the_networks(self, logits):
+        # The objective is bce_loss on the logits plus the ridge term,
+        # bit for bit; at logits of +-800 the BCE is exactly 0 or 800.
+        # At the ordinary theta, mean(logaddexp(0, u) - y u) is one ulp off.
+        if logits == "ordinary":
+            Z, y = self.bench_shaped(n=60, p=20)
+            theta = 0.25 * np.linspace(-0.7, 0.9, 21)
+        else:
+            Z, y = np.array([[800.0], [-800.0], [800.0], [-800.0]]), np.array([1.0, 1.0, 0.0, 0.0])
+            theta = np.array([1.0, 0.0])
+        w = theta[:-1]
+        f, _, pred = _ridge_objective(theta, Z, y)
+        u = Z @ w + theta[-1]
+        assert f == bce_loss(u, y) + 0.5 * (evaluation.PROBE_RIDGE / y.size) * float(w @ w)
+        assert np.array_equal(pred, evaluation._sigmoid(u))
+        if logits == "800":
+            assert f == 400.125
+
+    def test_model_carries_its_fit(self):
+        # loss and grad_norm are the objective and its gradient norm at
+        # the returned weights, bit for bit, also when no step is taken.
+        Z, y = self.separable()
+        for Z, y in ((Z, y), (np.zeros_like(Z), y), self.bench_shaped()):
+            model = train_probe(Z, y)
+            assert (model.loss, model.grad_norm) == ridge_fit(model, Z, y)
 
     def newton_step_change(self, model, Z, y):
         """|f(theta - H^-1 g) - f(theta)| at the model's weights."""
@@ -312,7 +349,7 @@ class TestProbe:
         for Z, y in (self.separable(), self.bench_shaped()):
             model = train_probe(Z, y)
             assert 0 < model.iterations <= PROBE_MAX_ITER
-            assert probe_loss_and_grad_norm(model, Z, y)[1] < PROBE_TOL
+            assert ridge_fit(model, Z, y)[1] < PROBE_TOL
             assert self.newton_step_change(model, Z, y) < 1e-12
 
     def test_hessian_matches_gradient_differences(self):
@@ -332,7 +369,7 @@ class TestProbe:
     def test_converges_at_every_scale(self, scale):
         Z, y = self.bench_shaped()
         model = train_probe(Z * scale, y)
-        assert probe_loss_and_grad_norm(model, Z * scale, y)[1] < PROBE_TOL
+        assert ridge_fit(model, Z * scale, y)[1] < PROBE_TOL
         # Dead columns get no weight; duplicated columns share theirs.
         assert np.all(model.weights[:6] == 0.0)
         assert np.allclose(model.weights[6:10], model.weights[10:14], rtol=1e-6, atol=0.0)
@@ -344,7 +381,7 @@ class TestProbe:
         Z, y = self.separable()
         y = 1.0 - y if flip else y
         model = train_probe(Z, y)
-        assert probe_loss_and_grad_norm(model, Z, y)[1] < PROBE_TOL
+        assert ridge_fit(model, Z, y)[1] < PROBE_TOL
         assert np.all(np.isfinite(model.weights)) and np.linalg.norm(model.weights) < 100.0
 
     def test_rotation_invariant(self):
@@ -453,16 +490,15 @@ class TestEvaluateRepresentation:
     def test_train_grad_norm_falls_with_training(self):
         # The norm of the ridge objective's gradient: that of the mean
         # of [z, 1] (1/2 - y) at the all-zero start, and below the
-        # tolerance at the final weights. Reports compare without it.
+        # tolerance at the probe's weights. Reports compare without the probe.
         Z, y, S, split = self.make_setup()
         report = evaluate_representation(Z, y, S, split, ["group"])
         Zt, yt = Z[split.train], y[split.train]
         start = (0.5 - yt) / yt.size
-        assert report.train_grad_norm < PROBE_TOL < np.linalg.norm(
+        assert ridge_fit(report.probe, Zt, yt)[1] < PROBE_TOL < np.linalg.norm(
             np.append(Zt.T @ start, start.sum()))
-        assert 0 < report.probe_iterations <= PROBE_MAX_ITER
-        assert report == dataclasses.replace(report, train_grad_norm=None,
-                                             probe_iterations=None)
+        assert 0 < report.probe.iterations <= PROBE_MAX_ITER
+        assert report == dataclasses.replace(report, probe=None)
 
     def test_informative_features_beat_chance(self):
         Z, y, S, split = self.make_setup()

@@ -290,6 +290,32 @@ class TestResidualize:
         with pytest.raises(NumericalError, match="collinear"):
             residualize(np.ones((5, 2)), np.ones((5, 3)))
 
+    def test_refuses_exactly_the_s_first_collinear_column_flags(self):
+        # residualize tests the whole R with one SVD, first_collinear_column
+        # each leading block: cond(S[:, :j]) never falls as j grows, so
+        # they agree. Random 0/1 S of 2-11 rows and 1-6 columns, also with
+        # a ones column, a duplicated column or a near-duplicated one
+        # (either side of the limit), inserted anywhere.
+        rng = np.random.default_rng(28)
+        refused = []
+        for trial in range(10_000):
+            n, s = int(rng.integers(2, 12)), int(rng.integers(1, 7))
+            S = (rng.random((n, s)) < 0.5).astype(np.float64)
+            extra = [None, np.ones(n), S[:, rng.integers(s)], S[:, rng.integers(s)].copy()][trial % 4]
+            if trial % 4 == 3:
+                extra[rng.integers(n)] += 10.0 ** rng.uniform(-8, -4)
+            if extra is not None:
+                S = np.insert(S, rng.integers(s + 1), extra, axis=1)
+            flagged = first_collinear_column(np.linalg.qr(S, mode="r")) is not None
+            try:
+                residualize(S, np.ones((n, 1)))
+            except NumericalError:
+                refused.append(True)
+            else:
+                refused.append(False)
+            assert refused[-1] == flagged, (trial, S)
+        assert 1_000 < sum(refused) < 9_000
+
     def test_row_mismatch(self):
         with pytest.raises(ConfigError):
             residualize(np.ones((4, 1)), np.ones((5, 2)))
