@@ -4,8 +4,9 @@ sensitive-attribute removal, and group-fairness evaluation.
 Importing the package pins BLAS to one thread per process, unless the
 caller set a thread variable. The pin must come before numpy's first
 import, which starts the BLAS thread pool. BLAS_PINNED records whether
-it took effect: only then are the two networks each trained in their
-own process (see linalg.run_both).
+it took effect: only then do the two networks' training and the two
+halves of a text matrix export each run in their own process (see
+linalg.run_both).
 """
 
 import os as _os

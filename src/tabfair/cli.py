@@ -380,7 +380,8 @@ def _save_json(path: Path, data: dict) -> None:
 
 def cmd_pipeline(run: Run) -> None:
     """Run all stages in order and write a manifest tying every artifact
-    to the config hash. A stage failure halts with the stage name."""
+    to the config hash. A stage failure, a TabfairError or an OSError,
+    halts with the stage name, keeping the error's class."""
     stages = [
         ("prepare", cmd_prepare),
         ("train-embed", cmd_train_embed),
@@ -392,7 +393,7 @@ def cmd_pipeline(run: Run) -> None:
         start = time.perf_counter()
         try:
             fn(run)
-        except TabfairError as exc:
+        except (TabfairError, OSError) as exc:
             raise type(exc)(f"stage {name!r} failed: {exc}") from exc
         timings[name] = time.perf_counter() - start
     losses = read_provenance(run.out / "train_embed.provenance.txt")

@@ -9,15 +9,16 @@ in `.npy`: a 'rows cols' line, then one line of space-separated
 round-trips exactly. Each value's bytes are those of `"%.17g" % v`;
 write_rows() forms them with numpy, a block of values at a time
 (_format_block()), and hands to `%.17g` only the few values whose
-digits it cannot round with certainty. Two processes write it at once,
-split at a row boundary, with the bytes one process writes. No tabfair
-code reads text back; `np.loadtxt(path, skiprows=1, ndmin=2)` does, bit
-for bit.
+digits it cannot round with certainty. It is written in two halves,
+split at a row boundary, through run_both(), with the bytes one process
+writes. No tabfair code reads text back; `np.loadtxt(path, skiprows=1,
+ndmin=2)` does, bit for bit.
 
-_in_two() is the one fork primitive. run_both() builds on it to run two
-independent jobs, the two networks' training, in two processes when
-BLAS is pinned to one thread per process (see tabfair.BLAS_PINNED), so
-that each job's BLAS calls are the ones a single process makes.
+run_both() is the one fork primitive. It runs two independent jobs, the
+two networks' training or the two halves of a text matrix, in two
+processes when BLAS is pinned to one thread per process (see
+tabfair.BLAS_PINNED), so that each job's BLAS calls are the ones a
+single process makes; otherwise in one process, in order.
 
 All operations are pure and work on float64 ``numpy`` arrays. Matrices
 are required to be finite; violations raise early rather than letting
@@ -122,8 +123,10 @@ def explained_variance(D) -> np.ndarray:
 
 def _orthonormal_basis(S: np.ndarray) -> tuple[np.ndarray, float]:
     """Thin-QR basis Q of col(S) and the 2-norm condition number of S,
-    refusing rank-deficient S. S = QR with Q orthonormal, so one SVD of
+    refusing an S with no columns or a rank-deficient one. S = QR with Q orthonormal, so one SVD of
     the triangular factor R gives S's singular values for both."""
+    if S.shape[1] == 0:
+        raise ConfigError("S has no columns: there is no sensitive attribute to remove")
     Q, R = np.linalg.qr(S)
     sv = np.linalg.svd(R, compute_uv=False)
     if _rank_deficient(sv, S.shape[1]):
@@ -360,10 +363,10 @@ def save_matrix(path, M) -> None:
     """Write a matrix in the format its file name asks for. A `.npy`
     path gets numpy's format, C-order float64. Any other path gets text:
     a 'rows cols' header line, then one line per row (see write_rows).
-    A forked process writes the second half of the rows to a part file
-    beside `path` while this one writes the header and the first half;
-    the part is then appended and removed. The text is an export:
-    load_matrix() does not read it."""
+    run_both() writes the header and the first half of the rows to
+    `path`, and the second half to a part file beside it, which is then
+    appended and removed. The text is an export: load_matrix() does not
+    read it."""
     M = _as_matrix(M, "matrix")
     path = Path(path)
     if path.suffix == ".npy":
@@ -373,11 +376,8 @@ def save_matrix(path, M) -> None:
     h = rows // 2
     part = path.with_name(path.name + ".part")
     try:
-        code = _in_two(lambda: _write_text(path, M[:h], b"%d %d\n" % (rows, cols)),
-                       lambda: _write_text(part, M[h:]))
-        if code:
-            raise OSError(f"{part}: the process writing rows {h} to {rows - 1} failed "
-                          f"(exit code {code})")
+        run_both(lambda: _write_text(path, M[:h], b"%d %d\n" % (rows, cols)),
+                 lambda: _write_text(part, M[h:]))
         with open(part, "rb") as src, open(path, "ab") as dst:
             shutil.copyfileobj(src, dst)
     finally:
@@ -423,53 +423,37 @@ def load_matrix(path) -> np.ndarray:
     return out
 
 
-def _in_two(first, second) -> int:
-    """Run second() in a forked child while this process runs first(),
-    and return the child's exit code (0 if second() returned) once it is
-    reaped, also when first() raises. The child ends in os._exit: it
-    never returns into the rest of the caller's program or flushes the
-    buffers it inherited."""
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            second()
-            code = 0
-        finally:
-            os._exit(code)
-    try:
-        first()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    return os.waitstatus_to_exitcode(status)
-
-
 def run_both(first, second):
     """(first(), second()). When tabfair.BLAS_PINNED holds, second() runs
     in a forked child, which sends its result back pickled, while this
     process runs first(); otherwise both run here, in order. If the
-    child fails, this process runs second() itself, so its error is the
-    one a single process meets.
+    child fails or is killed, this process runs second() itself, so its
+    error is the one a single process meets. The child ends in
+    os._exit: it never returns into the rest of the caller's program or
+    flushes the buffers it inherited.
 
     This process drains the pipe, or closes it when first() raises,
     before it reaps the child: a result larger than the pipe buffer
     blocks the child until then."""
     if not tabfair.BLAS_PINNED:
         return first(), second()
-    results = []
     r, w = os.pipe()
     with open(r, "rb") as receive, open(w, "wb") as send:
-
-        def here():
-            send.close()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                receive.close()
+                with send:
+                    pickle.dump(second(), send, pickle.HIGHEST_PROTOCOL)
+                code = 0
+            finally:
+                os._exit(code)
+        send.close()
+        try:
             with receive:
-                results.append(first())
-                results.append(receive.read())
-
-        def child():
-            receive.close()
-            with send:
-                pickle.dump(second(), send, pickle.HIGHEST_PROTOCOL)
-
-        code = _in_two(here, child)
-    return results[0], pickle.loads(results[1]) if code == 0 else second()
+                here = first()
+                sent = receive.read()
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return here, pickle.loads(sent) if code == 0 else second()

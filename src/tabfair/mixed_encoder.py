@@ -105,8 +105,9 @@ def train_mixed(X_num, X_cat, config: MixedEncoderConfig) -> MixedTrainResult:
     The sensitive matrix S and the labels y are never part of either
     network's inputs or targets. The two trainings are independent;
     their seeds derive from config.seed (seed and seed + 1). The
-    cat->num network trains in a second process when run_both() allows;
-    it sends back its flat buffer, from which MlpParams rebuilds the
+    cat->num network trains in a forked child when BLAS is pinned (see
+    run_both(), which retrains it here if the child fails); the child
+    sends back its flat buffer, from which MlpParams rebuilds the
     per-layer views.
     """
     d1, d2 = X_num.shape[1], X_cat.shape[1]

@@ -11,8 +11,11 @@ written, a whole-file reader built on the latter (the package itself
 reads only `.npy` matrices), and random float64 bit patterns with the
 values that format and parse at the edges.
 
-Every test is checked for what the forked halves of matrix I/O could
-leave behind: a child not reaped, or a part file in its tmp_path.
+Every test is checked for what run_both()'s forked child could leave
+behind: a child not reaped, or a part file of a text matrix in its
+tmp_path. The `mode` fixture runs a test with run_both() in each of its
+two modes; the test process imports numpy before tabfair, so BLAS is
+not pinned there unless a test says so.
 """
 
 import os
@@ -21,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tabfair
 from tabfair import dataset as ds
 
 SCHEMA_TEXT = """tabfair-schema 1
@@ -88,6 +92,13 @@ def text_matrix(path) -> np.ndarray:
     header, *lines = Path(path).read_text(encoding="utf-8").splitlines()
     rows, cols = (int(v) for v in header.split())
     return np.array(per_token_values(lines), dtype=np.float64).reshape(rows, cols)
+
+
+@pytest.fixture(params=["two-processes", "one-process"])
+def mode(request, monkeypatch):
+    """Run the test with run_both() in each of its two modes."""
+    monkeypatch.setattr(tabfair, "BLAS_PINNED", request.param == "two-processes")
+    return request.param
 
 
 @pytest.fixture(autouse=True)

@@ -587,6 +587,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "a_file" in err, err
 
+    def test_pipeline_names_the_stage_of_an_os_error(self, tmp_path, capsys):
+        # A directory where debias writes Z_hat.txt: the OSError keeps
+        # its exit code and gains the stage name, as a TabfairError does.
+        config = make_workspace(tmp_path)
+        (tmp_path / "out" / "Z_hat.txt").mkdir(parents=True)
+        # An uncaught exception (a traceback) would fail the test here.
+        assert main(["pipeline", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: stage 'debias' failed: ") and "Z_hat.txt" in err, err
+
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_closed_stdout_is_an_error_line(self, tmp_path, unbuffered):
         # Listing the written files into a pipe whose reader has gone

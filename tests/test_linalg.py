@@ -4,11 +4,13 @@ matrix text writer, against per-value %.17g (conftest.per_value_text)."""
 
 import io
 import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import tabfair
 from conftest import per_token_values, per_value_text, random_finite_floats, text_matrix
 from tabfair import linalg
 from tabfair.errors import ConfigError, DataError, NumericalError
@@ -218,6 +220,10 @@ class TestProjector:
         with pytest.raises(NumericalError, match="collinear"):
             projector(S)
 
+    def test_s_without_columns_is_config_error(self):
+        with pytest.raises(ConfigError, match="S has no columns"):
+            projector(np.zeros((3, 0)))
+
     def test_rank_threshold_is_gram_rcond(self):
         # S^T S has reciprocal condition (s_min / s_max)^2: accepted
         # at 1e-6 * (1 + 1e-3), rejected at 1e-6 * (1 - 1e-3).
@@ -320,6 +326,10 @@ class TestResidualize:
         with pytest.raises(ConfigError):
             residualize(np.ones((4, 1)), np.ones((5, 2)))
 
+    def test_s_without_columns_is_config_error(self):
+        with pytest.raises(ConfigError, match="S has no columns"):
+            residualize(np.zeros((3, 0)), np.ones((3, 2)))
+
 
 class TestMatrixPersistence:
     def test_round_trip_bitwise(self, tmp_path):
@@ -351,30 +361,46 @@ class TestMatrixPersistence:
     @pytest.mark.parametrize("rows, cols", [
         (1, 50), (2, 50), (3, 50), (63, 50), (64, 50), (65, 50), (2000, 50), (65, 0), (0, 3),
     ])
-    def test_matches_per_value_oracles(self, tmp_path, rows, cols):
+    def test_matches_per_value_oracles(self, tmp_path, monkeypatch, rows, cols):
         M = random_finite_floats(np.random.default_rng(rows + cols), (rows, cols))
         path = tmp_path / "m.txt"
-        save_matrix(path, M)
-        text = path.read_text(encoding="utf-8")
-        assert text == f"{rows} {cols}\n" + per_value_text(M)
-        oracle = np.array(per_token_values(text.splitlines()[1:])).reshape(rows, cols)
-        assert np.array_equal(oracle.view(np.uint64), M.view(np.uint64))
-        if rows and cols:
-            # np.loadtxt skips blank lines, so it reads only matrices with values.
-            back = np.loadtxt(path, skiprows=1, ndmin=2)
-            assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
+        for pinned in (True, False):  # the two halves in two processes, then in one
+            monkeypatch.setattr(tabfair, "BLAS_PINNED", pinned)
+            save_matrix(path, M)
+            text = path.read_text(encoding="utf-8")
+            assert text == f"{rows} {cols}\n" + per_value_text(M)
+            oracle = np.array(per_token_values(text.splitlines()[1:])).reshape(rows, cols)
+            assert np.array_equal(oracle.view(np.uint64), M.view(np.uint64))
+            if rows and cols:
+                # np.loadtxt skips blank lines, so it reads only matrices with values.
+                back = np.loadtxt(path, skiprows=1, ndmin=2)
+                assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
 
-    def test_split_far_from_row_midpoint(self, tmp_path):
-        # Rows of "0" and rows of 17-digit values: the second process
-        # writes from the row midpoint, far from the byte midpoint of
-        # the rows, on either side.
+    def test_split_far_from_row_midpoint(self, tmp_path, monkeypatch):
+        # Rows of "0" and rows of 17-digit values: the second half starts
+        # at the row midpoint, far from the byte midpoint of the rows, on
+        # either side; written in two processes, then in one.
         rng = np.random.default_rng(5)
         full = random_finite_floats(rng, (150, 20))
         path = tmp_path / "m.txt"
-        for M in (np.vstack([np.zeros((150, 20)), full]), np.vstack([full, np.zeros((150, 20))])):
-            save_matrix(path, M)
-            assert path.read_text(encoding="utf-8") == "300 20\n" + per_value_text(M)
-            assert np.array_equal(text_matrix(path).view(np.uint64), M.view(np.uint64))
+        for pinned in (True, False):
+            monkeypatch.setattr(tabfair, "BLAS_PINNED", pinned)
+            for M in (np.vstack([np.zeros((150, 20)), full]),
+                      np.vstack([full, np.zeros((150, 20))])):
+                save_matrix(path, M)
+                assert path.read_text(encoding="utf-8") == "300 20\n" + per_value_text(M)
+                assert np.array_equal(text_matrix(path).view(np.uint64), M.view(np.uint64))
+
+    def test_forks_only_when_pinned(self, tmp_path, monkeypatch, mode):
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        save_matrix(tmp_path / "m.txt", np.ones((4, 2)))
+        assert len(forks) == (mode == "two-processes")
 
     @pytest.mark.parametrize("shape", [(7, 5), (0, 3), (3, 0), (0, 0)])
     def test_npy_round_trip_bitwise(self, tmp_path, shape):
@@ -470,20 +496,49 @@ class TestMatrixPersistence:
             with pytest.raises(ConfigError, match=f"{name}: load_matrix reads only .npy"):
                 load_matrix(tmp_path / name)
 
-    def test_child_write_failure_leaves_no_part_file(self, tmp_path, monkeypatch):
+    @staticmethod
+    def save_with_rows_writer(path, M, monkeypatch, writer) -> str:
+        """save_matrix(path, M) with write_rows wrapped by writer(fh, M,
+        write_rows, child), child whether it runs in a forked process;
+        the text written."""
         parent, write_rows = os.getpid(), linalg.write_rows
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "write_rows", lambda fh, M: writer(
+                fh, M, write_rows, os.getpid() != parent))
+            save_matrix(path, M)
+        return path.read_text(encoding="utf-8")
 
-        def fail_in_child(fh, M):
-            if os.getpid() != parent:
+    def test_child_write_failure_leaves_no_part_file(self, tmp_path, monkeypatch):
+        # The parent writes the failed child's half itself: the bytes of
+        # one process, in either mode, and no part file (conftest).
+        def fail_in_child(fh, M, write_rows, child):
+            if child:
                 raise OSError("no space left on device")
             write_rows(fh, M)
 
-        monkeypatch.setattr(linalg, "write_rows", fail_in_child)
-        with pytest.raises(OSError, match="rows 2 to 3"):
-            save_matrix(tmp_path / "m.txt", np.ones((4, 2)))
-        assert not list(tmp_path.glob("*.part"))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        M = random_finite_floats(np.random.default_rng(6), (5, 3))
+        for pinned in (True, False):
+            monkeypatch.setattr(tabfair, "BLAS_PINNED", pinned)
+            text = self.save_with_rows_writer(tmp_path / "m.txt", M, monkeypatch, fail_in_child)
+            assert text == "5 3\n" + per_value_text(M)
+
+    def test_killed_child_gives_one_process_bytes(self, tmp_path, monkeypatch, mode):
+        def killed_in_child(fh, M, write_rows, child):
+            if child:
+                os.kill(os.getpid(), signal.SIGKILL)
+            write_rows(fh, M)
+
+        M = random_finite_floats(np.random.default_rng(7), (5, 3))
+        text = self.save_with_rows_writer(tmp_path / "m.txt", M, monkeypatch, killed_in_child)
+        assert text == "5 3\n" + per_value_text(M)
+
+    def test_write_failure_everywhere_is_raised(self, tmp_path, monkeypatch, mode):
+        def full_disk(fh, M, write_rows, child):
+            raise OSError("no space left on device")
+
+        with pytest.raises(OSError, match="^no space left on device$"):
+            self.save_with_rows_writer(tmp_path / "m.txt", np.ones((4, 2)), monkeypatch,
+                                       full_disk)
 
 
 def written_rows(M) -> str:

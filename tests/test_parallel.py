@@ -35,13 +35,6 @@ def fresh_interpreter(code: str, **env_vars) -> list[str]:
     return out.stdout.split()
 
 
-@pytest.fixture(params=["two-processes", "one-process"])
-def mode(request, monkeypatch):
-    """Run the test with run_both() in each of its two modes."""
-    monkeypatch.setattr(tabfair, "BLAS_PINNED", request.param == "two-processes")
-    return request.param
-
-
 class TestPin:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts /proc/self/task")
     def test_cli_import_pins_one_blas_thread(self):
