@@ -63,9 +63,9 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
     """Read a pipeline config, apply command-line overrides, and make
     every path absolute: a path from the config file is relative to that
     file, an `out_dir` override to the working directory. Only the
-    top-level keys are checked here, and one CONFIG_KEYS does not name
-    is refused; the encoder and projection sections are checked when a
-    Run is built from the result."""
+    top-level keys are checked here: all of CONFIG_KEYS and no other,
+    each of its type and in range. The encoder and projection sections
+    are checked when a Run is built from the result."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -78,19 +78,11 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
     for key in CONFIG_KEYS:
         if key not in cfg:
             raise ConfigError(f"{path}: missing config key {key!r}")
-    for key in cfg:
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}: unknown config key {key!r}; the keys are "
-                              f"{', '.join(CONFIG_KEYS)}")
     if seed is not None:
         cfg["seed"] = seed
     if out_dir is not None:
         cfg["out_dir"] = out_dir
-    for key, hint in CONFIG_KEYS.items():
-        if not _fits(cfg[key], hint):
-            raise ConfigError(
-                f"{path}: config key {key!r} must be {hint.__name__}, got {cfg[key]!r}"
-            )
+    _check_keys(f"{path}: ", cfg, CONFIG_KEYS)
     if cfg["seed"] < 0:
         raise ConfigError(f"{path}: config key 'seed' must be >= 0, got {cfg['seed']}")
     # The name is written as the `dataset <name>` line of each report.
@@ -100,13 +92,6 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
     if not 0.0 < cfg["test_fraction"] < 1.0:
         raise ConfigError(f"{path}: config key 'test_fraction' must be in (0, 1), "
                           f"got {cfg['test_fraction']!r}")
-    attributes = cfg["projection"].get("attributes")
-    if not _fits(attributes, list | None) or not all(_fits(a, str) for a in attributes or ()):
-        raise ConfigError(f"{path}: projection 'attributes' must be a list of str, "
-                          f"got {attributes!r}")
-    if attributes == []:
-        raise ConfigError(f"{path}: projection 'attributes' is empty; name at least one, "
-                          "or give null for all")
     for key in ("csv", "schema", "out_dir"):
         base = Path.cwd() if key == "out_dir" and out_dir is not None else path.parent
         if not Path(cfg[key]).is_absolute():
@@ -124,31 +109,36 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _section(cfg: dict, name: str, cls, cli_keys=(), **given):
+def _section(cfg: dict, name: str, cls, **given):
     """cfg[name] as a cls: omitted keys take the library defaults, and a
-    key cls does not declare, or a value that does not fit its field's
-    type, is a ConfigError. cli_keys are read by the CLI itself; `given`
-    fills fields the section may not set."""
-    section = {k: v for k, v in cfg[name].items() if k not in cli_keys}
-    declared = typing.get_type_hints(cls)
-    for key, value in section.items():
-        if key not in declared:
-            raise ConfigError(f"config section {name!r}: unknown key {key!r}")
-        if not _fits(value, declared[key]):
-            raise ConfigError(
-                f"config section {name!r}: {key!r} must be "
-                f"{getattr(declared[key], '__name__', declared[key])}, got {value!r}"
-            )
+    key cls does not declare, a value that does not fit its field's
+    type, or one cls refuses, is a ConfigError. `given` fills fields the
+    section may not set, so the section naming one is an unknown key."""
+    hints = {k: v for k, v in typing.get_type_hints(cls).items() if k not in given}
+    _check_keys(f"config section {name!r}: ", cfg[name], hints)
     try:
-        return cls(**section, **given)
-    except TypeError as exc:  # a required key is missing, or a `given` one set
+        return cls(**cfg[name], **given)
+    except TypeError as exc:  # a required key is missing
         raise ConfigError(f"config section {name!r}: {exc}") from exc
+
+
+def _check_keys(where: str, values: dict, hints: dict) -> None:
+    """Refuse a key of `values` that `hints` does not name, and a value
+    that does not fit its key's type hint; `where` starts each message."""
+    for key, value in values.items():
+        if key not in hints:
+            raise ConfigError(f"{where}unknown config key {key!r}; the keys are "
+                              f"{', '.join(hints)}")
+        if not _fits(value, hints[key]):
+            raise ConfigError(f"{where}config key {key!r} must be "
+                              f"{getattr(hints[key], '__name__', hints[key])}, got {value!r}")
 
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value suits a field annotated `hint`: bool is not
-    an int, an int is a float, and None only fits `X | None`."""
-    allowed = typing.get_args(hint) or (hint,)
+    an int, an int is a float, None only fits `X | None`, and a generic
+    such as `list[str]` is matched by its origin, `list`."""
+    allowed = tuple(typing.get_origin(t) or t for t in typing.get_args(hint) or (hint,))
     if isinstance(value, bool):
         return bool in allowed
     return isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
@@ -164,10 +154,9 @@ class Run:
         self.cfg = cfg
         # Built before the output directory exists: a bad section leaves none.
         self.encoder = _section(cfg, "encoder", MixedEncoderConfig, seed=cfg["seed"])
-        self.projection = _section(cfg, "projection", FairProjectionConfig,
-                                   cli_keys=("attributes",))
+        self.projection = _section(cfg, "projection", FairProjectionConfig)
         p = self.encoder.latent_num + self.encoder.latent_cat
-        if self.projection.variance_target is None and self.projection.k > p:
+        if self.projection.k is not None and self.projection.k > p:
             # debias checks k again against the Z it is given, for a stage run alone.
             raise ConfigError(f"k={self.projection.k} out of range [1, {p}]: Z will have "
                               f"latent_num + latent_cat = {p} columns")
@@ -236,8 +225,7 @@ def cmd_prepare(run: Run) -> None:
             raise DataError(f"sensitive column {name!r}: one of its two groups has "
                             f"none of the {s.size} test rows")
     # debias repeats this rank test; here it names the column, before training.
-    attributes = run.cfg["projection"].get("attributes") or encoded.sensitive_names
-    check_sensitive_rank(encoded.S, encoded.sensitive_names, attributes, run.projection)
+    check_sensitive_rank(encoded.S, encoded.sensitive_names, run.projection)
     # train-embed repeats this test; here it comes before any file is written.
     rows = train_rows(encoded.n, run.encoder.val_fraction)
     if run.encoder.batch_size > rows:
@@ -296,7 +284,7 @@ def cmd_train_embed(run: Run) -> None:
 
 
 def _fmt_last(values: list[float]) -> str:
-    return f"{values[-1]:.17g}" if values else "none"
+    return ev.format_or_undefined(values[-1] if values else None)
 
 
 def cmd_debias(run: Run) -> None:
@@ -307,8 +295,7 @@ def cmd_debias(run: Run) -> None:
     Z = run.read("Z.npy", load_matrix)
     S_full = run.read("S.npy", load_matrix)
     names = _read_names(run, S_full)
-    attributes = run.cfg["projection"].get("attributes") or names
-    result = debias(Z, build_sensitive_matrix(S_full, names, attributes), run.projection)
+    result = debias(Z, build_sensitive_matrix(S_full, names, run.projection), run.projection)
     run.write("Z_hat.txt", save_matrix, result.Z_hat)
     run.write("C.npy", save_matrix, result.C)
     run.write_provenance(
@@ -316,7 +303,7 @@ def cmd_debias(run: Run) -> None:
         {
             "k": result.k,
             "include_intercept": str(run.projection.include_intercept).lower(),
-            "attributes": ",".join(attributes),
+            "attributes": ",".join(run.projection.attributes or names),
             "orthogonality_residual": f"{result.residual:.17g}",
             "relative_residual": f"{result.relative_residual:.17g}",
             "sensitive_condition": f"{result.sensitive_condition:.17g}",
@@ -378,21 +365,29 @@ def _save_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+# The stages in the order pipeline runs them, with each one's help line.
+STAGES = {
+    "prepare": "encode the CSV and write the split",
+    "train-embed": "train both networks and write the representation",
+    "debias": "project the representation orthogonal to S",
+    "evaluate": "probe and fairness-score both representations",
+}
+
+
+def _command(verb: str):
+    """cmd_<verb>, looked up when asked for: a wrapper bound to the name runs."""
+    return globals()[f"cmd_{verb.replace('-', '_')}"]
+
+
 def cmd_pipeline(run: Run) -> None:
     """Run all stages in order and write a manifest tying every artifact
     to the config hash. A stage failure, a TabfairError or an OSError,
     halts with the stage name, keeping the error's class."""
-    stages = [
-        ("prepare", cmd_prepare),
-        ("train-embed", cmd_train_embed),
-        ("debias", cmd_debias),
-        ("evaluate", cmd_evaluate),
-    ]
     timings = {}
-    for name, fn in stages:
+    for name in STAGES:
         start = time.perf_counter()
         try:
-            fn(run)
+            _command(name)(run)
         except (TabfairError, OSError) as exc:
             raise type(exc)(f"stage {name!r} failed: {exc}") from exc
         timings[name] = time.perf_counter() - start
@@ -410,7 +405,8 @@ def cmd_pipeline(run: Run) -> None:
         "report_summary": {
             k: v for k, v in scores.items() if k not in ("config_hash", "seed")
         },
-        "timings_seconds": {k: round(v, 3) for k, v in timings.items()},
+        # Always three decimals, so the file's size barely moves with the clock.
+        "timings_seconds": {k: f"{v:.3f}" for k, v in timings.items()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     run.write("manifest.json", _save_json, manifest)
@@ -432,15 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
         "debiasing and fairness evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb, help_text, command in (
-        ("prepare", "encode the CSV and write the split", cmd_prepare),
-        ("train-embed", "train both networks and write the representation", cmd_train_embed),
-        ("debias", "project the representation orthogonal to S", cmd_debias),
-        ("evaluate", "probe and fairness-score both representations", cmd_evaluate),
-        ("pipeline", "run all stages and write a manifest", cmd_pipeline),
-    ):
+    for verb, help_text in {**STAGES, "pipeline": "run all stages and write a manifest"}.items():
         p = sub.add_parser(verb, help=help_text)
-        p.set_defaults(func=command)
+        p.set_defaults(func=_command(verb))
         p.add_argument("--config", required=True, help="pipeline config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")

@@ -30,12 +30,14 @@ ORTHOGONALITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FairProjectionConfig:
-    """Rank to keep, optional intercept column for S, and an optional
-    explained-variance target that overrides k when present."""
+    """Rank to keep, as exactly one of k and an explained-variance
+    target; an optional intercept column for S; and the sensitive
+    attributes S holds, a non-empty list of names or None for all."""
 
     k: int | None = None
     include_intercept: bool = False
     variance_target: float | None = None
+    attributes: list[str] | None = None
 
     def __post_init__(self):
         if self.k is not None and self.k < 1:
@@ -44,8 +46,15 @@ class FairProjectionConfig:
             raise ConfigError(
                 f"variance_target must be in (0, 1], got {self.variance_target}"
             )
-        if self.k is None and self.variance_target is None:
-            raise ConfigError("either k or variance_target is required")
+        if (self.k is None) == (self.variance_target is None):
+            raise ConfigError("exactly one of k and variance_target is required")
+        names = self.attributes
+        if names is not None and not (isinstance(names, list)
+                                      and all(isinstance(a, str) for a in names)):
+            raise ConfigError(f"projection 'attributes' must be a list of str, got {names!r}")
+        if names == []:
+            raise ConfigError("projection 'attributes' is empty; name at least one, "
+                              "or give null for all")
 
 
 @dataclass
@@ -85,19 +94,20 @@ def select_k(D, variance_target: float) -> int:
     return int(np.searchsorted(cum, variance_target) + 1)
 
 
-def build_sensitive_matrix(S, names: list[str], attributes: list[str]) -> np.ndarray:
-    """The columns of S belonging to the named sensitive attributes, in
-    attribute order (multiple attributes are removed simultaneously).
+def build_sensitive_matrix(S, names: list[str], config: FairProjectionConfig) -> np.ndarray:
+    """The columns of S belonging to config's sensitive attributes, in
+    attribute order (multiple attributes are removed simultaneously),
+    or every column when it names none.
 
     An attribute matches the column of that name and every
     reference-dropped indicator column "<attribute>=<level>".
     """
-    return np.asarray(S, dtype=np.float64)[:, _attribute_columns(names, attributes)]
+    return np.asarray(S, dtype=np.float64)[:, _attribute_columns(names, config)]
 
 
-def _attribute_columns(names: list[str], attributes: list[str]) -> list[int]:
+def _attribute_columns(names: list[str], config: FairProjectionConfig) -> list[int]:
     columns = []
-    for attr in attributes:
+    for attr in config.attributes or names:
         hits = [j for j, n in enumerate(names) if n == attr or n.startswith(f"{attr}=")]
         if not hits:
             raise ConfigError(f"unknown sensitive attribute {attr!r}; dataset has {names}")
@@ -109,12 +119,11 @@ def _with_intercept(S: np.ndarray, config: FairProjectionConfig) -> np.ndarray:
     return np.hstack([S, np.ones((S.shape[0], 1))]) if config.include_intercept else S
 
 
-def check_sensitive_rank(S, names: list[str], attributes: list[str],
-                         config: FairProjectionConfig) -> None:
+def check_sensitive_rank(S, names: list[str], config: FairProjectionConfig) -> None:
     """Refuse, as a DataError naming it, the first column of the S that
-    debias() would be given (the attributes' columns, then the intercept
-    when configured) that is collinear with the columns before it."""
-    columns = _attribute_columns(names, attributes)
+    debias() would be given (build_sensitive_matrix's columns, then the
+    intercept if set) that is collinear with the columns before it."""
+    columns = _attribute_columns(names, config)
     S = _with_intercept(np.asarray(S, dtype=np.float64)[:, columns], config)
     j = first_collinear_column(np.linalg.qr(S, mode="r"))
     if j is not None:
@@ -164,13 +173,10 @@ def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
             f"{' with the intercept' if config.include_intercept else ''} for {n} rows; "
             "debias needs more rows than S has columns"
         )
-    if config.variance_target is None and not 1 <= config.k <= min(n, p):
+    if config.k is not None and not 1 <= config.k <= min(n, p):
         raise ConfigError(f"k={config.k} out of range [1, {min(n, p)}] for a {n}x{p} matrix")
     svd = rank_k_svd(np.linalg.qr(Z, mode="r"), min(n, p))
-    if config.variance_target is not None:
-        k = select_k(svd.D, config.variance_target)
-    else:
-        k = config.k
+    k = config.k if config.k is not None else select_k(svd.D, config.variance_target)
     N_k = svd.N[:, :k]
     ZN = Z @ N_k
     C, sensitive_condition = residualize(S, ZN)

@@ -103,8 +103,8 @@ def rank_k_svd(Z, k: int) -> SvdResult:
 def explained_variance(D) -> np.ndarray:
     """Cumulative fraction of squared singular values.
 
-    Entry j is sum(D[:j+1]**2) / sum(D**2); the last entry is exactly 1.
-    D must be non-increasing, non-negative, and not all zero.
+    Entry j is min(1, sum(D[:j+1]**2) / sum(D**2)); the last entry is
+    exactly 1. D must be non-increasing, non-negative, and not all zero.
     """
     D = np.asarray(D, dtype=np.float64)
     if D.ndim != 1 or D.size == 0:
@@ -116,7 +116,7 @@ def explained_variance(D) -> np.ndarray:
     total = float(np.sum(D**2))
     if total == 0.0:
         raise DataError("all singular values are zero")
-    cum = np.cumsum(D**2) / total
+    cum = np.minimum(np.cumsum(D**2) / total, 1.0)  # the two sums round apart
     cum[-1] = 1.0
     return cum
 

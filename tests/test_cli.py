@@ -66,12 +66,12 @@ def make_workspace(tmp_path: Path, **config_overrides) -> Path:
     return path
 
 
-def library_debias(out: Path, attributes: list[str], projection):
+def library_debias(out: Path, projection):
     """The projection of the Z.npy in `out`, made by the library from
     the S.npy and sensitive_names.txt there."""
     S = load_matrix(out / "S.npy")
     names = (out / "sensitive_names.txt").read_text(encoding="utf-8").split()
-    return debias(load_matrix(out / "Z.npy"), build_sensitive_matrix(S, names, attributes),
+    return debias(load_matrix(out / "Z.npy"), build_sensitive_matrix(S, names, projection),
                   projection)
 
 
@@ -190,9 +190,8 @@ class TestStages:
                 assert main([verb, "--config", str(config)]) == 0, (verb, projection)
             names = (tmp_path / "out" / "sensitive_names.txt").read_text().split()
             attributes = projection["attributes"]
-            result = library_debias(tmp_path / "out", attributes,
-                                    FairProjectionConfig(**{k: v for k, v in projection.items()
-                                                            if k != "attributes"}))
+            library = FairProjectionConfig(**projection)
+            result = library_debias(tmp_path / "out", library)
             C = load_matrix(tmp_path / "out" / "C.npy")
             assert np.array_equal(result.C.view(np.uint64), C.view(np.uint64)), projection
             Z_hat = text_matrix(tmp_path / "out" / "Z_hat.txt")
@@ -202,8 +201,7 @@ class TestStages:
             assert (str(result.k), ",".join(attributes)) == (prov["k"], prov["attributes"])
             # The factors evaluate probes: an orthonormal basis, and
             # coordinates orthogonal to S (with the intercept, when set).
-            S = build_sensitive_matrix(load_matrix(tmp_path / "out" / "S.npy"), names,
-                                       attributes)
+            S = build_sensitive_matrix(load_matrix(tmp_path / "out" / "S.npy"), names, library)
             if projection["include_intercept"]:
                 S = np.hstack([S, np.ones((len(S), 1))])
             gram = result.N_k.T @ result.N_k
@@ -233,7 +231,7 @@ class TestStages:
         assert prov["attributes"] == "group"
         y = load_matrix(out / "y.npy").ravel()
         train = load_split(out / "split.txt").train
-        C = library_debias(out, ["group"], FairProjectionConfig(variance_target=0.9)).C
+        C = library_debias(out, FairProjectionConfig(variance_target=0.9)).C
         for tag, Z in (("biased", load_matrix(out / "Z.npy")), ("debiased", C)):
             Z = Z[train]
             model = train_probe(Z, y[train])
@@ -357,6 +355,27 @@ class TestManifest:
         assert "biased_accuracy" in manifest["report_summary"]
         assert "debiased_di_x100_group" in manifest["report_summary"]
 
+    def test_stage_times_have_a_fixed_width(self, tmp_path):
+        # Seconds as strings with three decimals, so the manifest's size
+        # moves with the clock only when a stage's whole seconds gain a digit.
+        config = make_workspace(tmp_path)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        for name, seconds in manifest["timings_seconds"].items():
+            assert re.fullmatch(r"\d+\.\d{3}", seconds), (name, seconds)
+
+    def test_untrained_losses_read_undefined(self, tmp_path):
+        # Zero epochs leave no loss to report, spelled as every other
+        # missing diagnostic is.
+        config = make_workspace(tmp_path, encoder={"epochs": 0})
+        assert main(["pipeline", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        losses = json.loads((out / "manifest.json").read_text())["loss_summary"]
+        assert losses == dict.fromkeys(("final_train_bce", "final_val_bce",
+                                        "final_train_mse", "final_val_mse"), "undefined")
+        prov = read_provenance(out / "train_embed.provenance.txt")
+        assert {k: v for k, v in prov.items() if k.startswith("final_")} == losses
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
@@ -382,14 +401,25 @@ class TestExitCodes:
         assert main(["prepare", "--config", str(path)]) == 1
 
     def test_unknown_section_key_is_config_error(self, tmp_path, capsys):
-        typos = {"encoder": "epoch", "projection": "include_intercep"}
-        for section, key in typos.items():
+        # The seed is the top level's; the encoder section may not set it.
+        typos = [("encoder", "epoch"), ("projection", "include_intercep"), ("encoder", "seed")]
+        for section, key in typos:
             config = make_workspace(tmp_path, **{section: {key: 1}})
             # An uncaught exception (a traceback) would fail the test here.
             assert main(["pipeline", "--config", str(config)]) == 1, section
             err = capsys.readouterr().err
-            assert "config error" in err and repr(key) in err and section in err, err
+            assert err.startswith(f"config error: config section {section!r}: unknown config "
+                                  f"key {key!r}; the keys are "), err
+            assert len(err.splitlines()) == 1
             assert not (tmp_path / "out").exists()
+
+    def test_k_and_variance_target_together_is_config_error(self, tmp_path, capsys):
+        config = make_workspace(tmp_path, projection={"k": 4, "variance_target": 0.5})
+        assert main(["pipeline", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: exactly one of k and variance_target"), err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_wrong_typed_value_is_config_error(self, tmp_path, capsys):
         wrong = {"encoder": ("epochs", "2"), "projection": ("k", True)}
@@ -1150,7 +1180,7 @@ class TestReports:
         names = (out / "sensitive_names.txt").read_text().split()
         prov = read_provenance(out / "evaluate.provenance.txt")
         for tag, Z in (("biased", load_matrix(out / "Z.npy")),
-                       ("debiased", library_debias(out, ["group"], FairProjectionConfig(k=4)).C)):
+                       ("debiased", library_debias(out, FairProjectionConfig(k=4)).C)):
             report = evaluate_representation(Z, y, S, split, names)
             assert float(prov[f"{tag}_accuracy"]) == report.accuracy
             assert float(prov[f"{tag}_roc_auc"]) == report.roc_auc
@@ -1171,7 +1201,7 @@ class TestReports:
         train = load_split(out / "split.txt").train
         prov = read_provenance(out / "evaluate.provenance.txt")
         for tag, Z in (("biased", load_matrix(out / "Z.npy")),
-                       ("debiased", library_debias(out, ["group"], FairProjectionConfig(k=4)).C)):
+                       ("debiased", library_debias(out, FairProjectionConfig(k=4)).C)):
             Z, y_train = Z[train], y[train]
             model = train_probe(Z, y_train)
             delta = (predict_proba(model, Z) - y_train) / y_train.size

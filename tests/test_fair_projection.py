@@ -35,10 +35,27 @@ def random_instance(rng, n=None, p=None, s_cols=1):
     return Z, S
 
 
+# The sensitive columns of the shared `encoded` fixture's "group" attribute.
+GROUP = FairProjectionConfig(k=1, attributes=["group"])
+
+
 class TestConfig:
     def test_requires_k_or_target(self):
         with pytest.raises(ConfigError):
             FairProjectionConfig()
+
+    @pytest.mark.parametrize("attributes, match", [
+        ("group", "must be a list of str"), (["group", 1], "must be a list of str"),
+        ([], "'attributes' is empty"),
+    ])
+    def test_bad_attributes(self, attributes, match):
+        with pytest.raises(ConfigError, match=match):
+            FairProjectionConfig(k=1, attributes=attributes)
+
+    def test_no_attributes_selects_every_column(self):
+        S = np.arange(6.0).reshape(2, 3)
+        got = build_sensitive_matrix(S, ["a", "b=x", "b=y"], FairProjectionConfig(k=1))
+        assert np.array_equal(got, S)
 
     def test_bad_values(self):
         with pytest.raises(ConfigError):
@@ -194,11 +211,13 @@ class TestDebias:
         assert np.allclose(result.Z_hat.T @ ones, 0.0, atol=1e-8)
 
     def test_variance_target_overrides_k(self):
+        # A variance target and a k are two ranks; the config takes one.
+        with pytest.raises(ConfigError, match="exactly one of k and variance_target"):
+            FairProjectionConfig(k=1, variance_target=1.0)
         Z = np.diag([4.0, 2.0, 1.0, 0.5])
         Z = np.vstack([Z, np.zeros((2, 4))])
         S = np.array([[1, 0, 1, 0, 1, 0]], dtype=float).T
-        result = debias(Z, S, FairProjectionConfig(k=1, variance_target=1.0))
-        assert result.k == 4
+        assert debias(Z, S, FairProjectionConfig(variance_target=1.0)).k == 4
 
 
 def relative_residual(M, S):
@@ -296,13 +315,13 @@ class TestSelectK:
 
 class TestBuildSensitiveMatrix:
     def test_single_attribute(self, encoded):
-        S = build_sensitive_matrix(encoded.S, encoded.sensitive_names, ["group"])
+        S = build_sensitive_matrix(encoded.S, encoded.sensitive_names, GROUP)
         assert S.shape == (encoded.n, 1)
         assert np.array_equal(S[:, 0], encoded.S[:, 0])
 
     def test_intercept_appended(self, encoded):
         # debias appends the intercept: the result has zero column means.
-        S = build_sensitive_matrix(encoded.S, encoded.sensitive_names, ["group"])
+        S = build_sensitive_matrix(encoded.S, encoded.sensitive_names, GROUP)
         assert S.shape == (encoded.n, 1)
         Z = np.hstack([encoded.X_num, encoded.X_cat]) + 3.0
         config = FairProjectionConfig(k=3, include_intercept=True)
@@ -312,11 +331,13 @@ class TestBuildSensitiveMatrix:
 
     def test_unknown_attribute(self, encoded):
         with pytest.raises(ConfigError, match="unknown sensitive attribute"):
-            build_sensitive_matrix(encoded.S, encoded.sensitive_names, ["nope"])
+            build_sensitive_matrix(encoded.S, encoded.sensitive_names,
+                                   FairProjectionConfig(k=1, attributes=["nope"]))
 
     def test_duplicate_attribute_rank_deficient(self, encoded):
         # The slice keeps the duplicate; debias rejects it.
-        S = build_sensitive_matrix(encoded.S, encoded.sensitive_names, ["group", "group"])
+        S = build_sensitive_matrix(encoded.S, encoded.sensitive_names,
+                                   FairProjectionConfig(k=1, attributes=["group", "group"]))
         assert S.shape == (encoded.n, 2)
         Z = np.hstack([encoded.X_num, encoded.X_cat])
         with pytest.raises(NumericalError, match="collinear"):
@@ -327,24 +348,27 @@ class TestBuildSensitiveMatrix:
         S = rng.integers(0, 2, size=(12, 3)).astype(float)
         S[:2] = [[0, 0, 0], [1, 1, 1]]
         names = ["a", "b=x", "b=y"]
-        plain = FairProjectionConfig(k=1)
-        centered = FairProjectionConfig(k=1, include_intercept=True)
-        check_sensitive_rank(S, names, ["a", "b"], centered)
+        def config(attributes, include_intercept=False):
+            return FairProjectionConfig(k=1, attributes=attributes,
+                                        include_intercept=include_intercept)
+
+        check_sensitive_rank(S, names, config(["a", "b"], True))
         # b=y repeats a, in attribute order a, b=x, b=y ...
         S[:, 2] = S[:, 0]
         with pytest.raises(DataError, match=r"'b=y' of S is collinear .* \['a', 'b=x'\]"):
-            check_sensitive_rank(S, names, ["a", "b"], plain)
+            check_sensitive_rank(S, names, config(["a", "b"]))
         # ... and a repeats b=y in order b=x, b=y, a.
         with pytest.raises(DataError, match=r"'a' of S is collinear .* \['b=x', 'b=y'\]"):
-            check_sensitive_rank(S, names, ["b", "a"], plain)
+            check_sensitive_rank(S, names, config(["b", "a"]))
         # b=x + b=y = 1 on every row: the intercept is named.
         S[:, 2] = 1.0 - S[:, 1]
-        check_sensitive_rank(S, names, ["b"], plain)
+        check_sensitive_rank(S, names, config(["b"]))
+        centered = config(["b"], True)
         with pytest.raises(DataError, match=r"'intercept' of S is collinear"):
-            check_sensitive_rank(S, names, ["b"], centered)
+            check_sensitive_rank(S, names, centered)
         # debias refuses what the check refuses, as a NumericalError.
         with pytest.raises(NumericalError):
-            debias(rng.normal(size=(12, 3)), build_sensitive_matrix(S, names, ["b"]), centered)
+            debias(rng.normal(size=(12, 3)), build_sensitive_matrix(S, names, centered), centered)
 
     def test_prefix_matching_for_multi_level(self, tmp_path):
         # A 3-level sensitive column contributes both indicator columns.
@@ -365,6 +389,6 @@ class TestBuildSensitiveMatrix:
         ]
         raw = ds.load_csv(write_csv(tmp_path / "d.csv", rows), schema2)
         enc = ds.encode(raw, schema2)
-        S = build_sensitive_matrix(enc.S, enc.sensitive_names, ["group"])
+        S = build_sensitive_matrix(enc.S, enc.sensitive_names, GROUP)
         assert S.shape == (4, 2)
         assert np.array_equal(S, enc.S)

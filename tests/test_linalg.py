@@ -177,6 +177,15 @@ class TestExplainedVariance:
         D = np.sort(rng.uniform(0.1, 5.0, size=9))[::-1]
         assert explained_variance(D)[-1] == 1.0
 
+    def test_fractions_never_exceed_one(self):
+        # The running sum reaches the total at 0.1, before the zero tail,
+        # and rounds above np.sum's pairwise total: 1 + 2**-52 unclipped.
+        D = [3.8, 3.2, 2.7, 2.3, 2.3, 1.8, 1.4, 0.7, 0.1, 0.0, 0.0]
+        got = explained_variance(D)
+        assert np.max(got) == 1.0
+        assert np.array_equal(got[8:], [1.0, 1.0, 1.0])
+        assert np.all(np.diff(got) >= 0)
+
     def test_increasing_rejected(self):
         with pytest.raises(ConfigError):
             explained_variance([3.0, 4.0])
