@@ -155,11 +155,10 @@ class Run:
         # Built before the output directory exists: a bad section leaves none.
         self.encoder = _section(cfg, "encoder", MixedEncoderConfig, seed=cfg["seed"])
         self.projection = _section(cfg, "projection", FairProjectionConfig)
-        p = self.encoder.latent_num + self.encoder.latent_cat
-        if self.projection.k is not None and self.projection.k > p:
+        if self.projection.k is not None and self.projection.k > self.encoder.p:
             # debias checks k again against the Z it is given, for a stage run alone.
-            raise ConfigError(f"k={self.projection.k} out of range [1, {p}]: Z will have "
-                              f"latent_num + latent_cat = {p} columns")
+            raise ConfigError(f"k={self.projection.k} out of range [1, {self.encoder.p}]: Z "
+                              f"will have latent_num + latent_cat = {self.encoder.p} columns")
         self.out = Path(cfg["out_dir"])
         self.out.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
@@ -171,8 +170,10 @@ class Run:
         self.written.append(path)
 
     def write_provenance(self, name: str, entries: dict) -> None:
+        """The key-value file `name` (see ds.write_key_values): config_hash,
+        seed, then `entries` in order, each value as it is: the writer spells it."""
         body = {"config_hash": config_hash(self.cfg), "seed": self.cfg["seed"], **entries}
-        self.write(name, _save_provenance, {k: str(v) for k, v in body.items()})
+        self.write(name, ds.write_key_values, PROVENANCE_FORMAT, body.items())
 
     def read(self, name: str, load):
         """load(path) of the artifact `name`; a missing one is a
@@ -181,11 +182,6 @@ class Run:
         if not path.exists():
             raise ConfigError(f"missing {path}; run {PRODUCERS[name]} first")
         return load(path)
-
-
-def _save_provenance(path: Path, body: dict) -> None:
-    lines = [PROVENANCE_FORMAT] + [f"{key} {value}" for key, value in body.items()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_provenance(path, *keys: str) -> dict:
@@ -272,19 +268,16 @@ def cmd_train_embed(run: Run) -> None:
         "train_embed.provenance.txt",
         {
             "p": Z.shape[1],
-            "final_train_bce": _fmt_last(hist_nc.train_loss),
-            "final_val_bce": _fmt_last(hist_nc.val_loss),
-            "final_train_mse": _fmt_last(hist_cn.train_loss),
-            "final_val_mse": _fmt_last(hist_cn.val_loss),
+            # The last epoch's losses; None (undefined) after zero epochs.
+            "final_train_bce": (hist_nc.train_loss or [None])[-1],
+            "final_val_bce": (hist_nc.val_loss or [None])[-1],
+            "final_train_mse": (hist_cn.train_loss or [None])[-1],
+            "final_val_mse": (hist_cn.val_loss or [None])[-1],
             # Latent units that are zero on every row, on each side of Z.
             "dead_units_num": np.count_nonzero(~Z[:, :run.encoder.latent_num].any(axis=0)),
             "dead_units_cat": np.count_nonzero(~Z[:, run.encoder.latent_num:].any(axis=0)),
         },
     )
-
-
-def _fmt_last(values: list[float]) -> str:
-    return ev.format_or_undefined(values[-1] if values else None)
 
 
 def cmd_debias(run: Run) -> None:
@@ -302,13 +295,13 @@ def cmd_debias(run: Run) -> None:
         "debias.provenance.txt",
         {
             "k": result.k,
-            "include_intercept": str(run.projection.include_intercept).lower(),
+            "include_intercept": run.projection.include_intercept,
             "attributes": ",".join(run.projection.attributes or names),
-            "orthogonality_residual": f"{result.residual:.17g}",
-            "relative_residual": f"{result.relative_residual:.17g}",
-            "sensitive_condition": f"{result.sensitive_condition:.17g}",
-            "variance_kept": ev.format_or_undefined(result.variance_kept),
-            "information_loss": ev.format_or_undefined(result.information_loss),
+            "orthogonality_residual": result.residual,
+            "relative_residual": result.relative_residual,
+            "sensitive_condition": result.sensitive_condition,
+            "variance_kept": result.variance_kept,
+            "information_loss": result.information_loss,
         },
     )
 
@@ -341,14 +334,14 @@ def cmd_evaluate(run: Run) -> None:
     for tag, (report, points) in zip(("biased", "debiased"), (biased, debiased)):
         run.write(f"report_{tag}.txt", ev.save_report, report, run.cfg["dataset"], tag)
         run.write(f"roc_{tag}.csv", ev.save_roc_csv, points)
-        summary[f"{tag}_accuracy"] = f"{report.accuracy:.17g}"
-        summary[f"{tag}_roc_auc"] = f"{report.roc_auc:.17g}"
-        summary[f"{tag}_probe_loss"] = f"{report.probe.loss:.17g}"
-        summary[f"{tag}_probe_grad_norm"] = f"{report.probe.grad_norm:.17g}"
+        summary[f"{tag}_accuracy"] = report.accuracy
+        summary[f"{tag}_roc_auc"] = report.roc_auc
+        summary[f"{tag}_probe_loss"] = report.probe.loss
+        summary[f"{tag}_probe_grad_norm"] = report.probe.grad_norm
         summary[f"{tag}_probe_iterations"] = report.probe.iterations
         for a in report.attributes:
-            summary[f"{tag}_di_x100_{a.name}"] = ev.format_or_undefined(a.di_x100)
-            summary[f"{tag}_spd_{a.name}"] = f"{a.spd:.17g}"
+            summary[f"{tag}_di_x100_{a.name}"] = a.di_x100
+            summary[f"{tag}_spd_{a.name}"] = a.spd
     run.write_provenance("evaluate.provenance.txt", summary)
 
 

@@ -508,12 +508,31 @@ def stratified_split(y, test_fraction: float, seed: int) -> SplitIndices:
 
 
 def save_split(path, split: SplitIndices) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SPLIT_FORMAT + "\n")
-        fh.write(f"seed {split.seed}\n")
-        fh.write(f"test_fraction {split.test_fraction:.17g}\n")
-        fh.write("train " + " ".join(str(i) for i in split.train) + "\n")
-        fh.write("test " + " ".join(str(i) for i in split.test) + "\n")
+    """The key-value file (see write_key_values) load_split() reads."""
+    write_key_values(path, SPLIT_FORMAT, [
+        ("seed", split.seed), ("test_fraction", split.test_fraction),
+        ("train", " ".join(str(i) for i in split.train)),
+        ("test", " ".join(str(i) for i in split.test)),
+    ])
+
+
+def spell(value) -> str:
+    """A value as every text artifact writes it: None as 'undefined', a
+    bool as 'true' or 'false', a float (numpy's float64 included) at 17
+    significant digits, which float() reads back to the same bits, and
+    anything else as str()."""
+    if value is None:
+        return "undefined"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def write_key_values(path, header: str, pairs) -> None:
+    """The format line `header`, then a 'key value' line per pair of
+    `pairs` in order, the value spelled by spell(). A key may repeat."""
+    lines = [header] + [f"{key} {spell(value)}" for key, value in pairs]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_text_artifact(path, header: str | None = None) -> str:
@@ -575,18 +594,14 @@ def check_level_tokens(lm: LevelMap) -> None:
 
 
 def save_level_map(path, lm: LevelMap) -> None:
-    """Persist the encoding recipe: one line per column, means and stds
-    at 17 significant digits (enough for float() to give the same bits),
-    and the label line last. A level check_level_tokens() refuses is a
-    DataError, raised before the file is opened."""
+    """Persist the encoding recipe (see write_key_values): a line per
+    column, keyed by its kind, then the label line. A level that
+    check_level_tokens() refuses is a DataError; no file is written."""
     check_level_tokens(lm)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(LEVELMAP_FORMAT + "\n")
-        for e in lm.numerical:
-            fh.write(f"numerical {e.name} {e.mean:.17g} {e.std:.17g}\n")
-        for e in lm.categorical:
-            fh.write(f"categorical {e.name} {'|'.join(e.levels)}\n")
-        for e in lm.sensitive:
-            fh.write(f"sensitive {e.name} {e.mode} {'|'.join(e.detail)}\n")
-        pos = "" if lm.label_positive is None else f" positive={lm.label_positive}"
-        fh.write(f"label {lm.label_name}{pos}\n")
+    pos = "" if lm.label_positive is None else f" positive={lm.label_positive}"
+    write_key_values(path, LEVELMAP_FORMAT, [
+        *(("numerical", f"{e.name} {spell(e.mean)} {spell(e.std)}") for e in lm.numerical),
+        *(("categorical", f"{e.name} {'|'.join(e.levels)}") for e in lm.categorical),
+        *(("sensitive", f"{e.name} {e.mode} {'|'.join(e.detail)}") for e in lm.sensitive),
+        ("label", lm.label_name + pos),
+    ])

@@ -15,10 +15,11 @@ single final division.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .dataset import SplitIndices
+from .dataset import SplitIndices, spell, write_key_values
 from .errors import ConfigError, DataError, NumericalError, UndefinedMetricError
 from .neuralnet import _bce, _exp_neg_abs, _sigmoid
 
@@ -148,7 +149,7 @@ def predict_proba(model: LogisticModel, Z) -> np.ndarray:
 
 def _binary(v, name: str) -> np.ndarray:
     v = np.asarray(v).ravel()
-    if not np.isin(v, (0, 1)).all():
+    if not ((v == 0) | (v == 1)).all():
         raise DataError(f"{name} must contain only 0/1")
     return v.astype(np.int64)
 
@@ -335,31 +336,19 @@ def evaluate_representation(
 REPORT_FORMAT = "tabfair-report 2"
 
 
-def format_or_undefined(value: float | None) -> str:
-    """A value as written to reports and provenance: 17 significant
-    digits, or 'undefined' for None."""
-    return "undefined" if value is None else f"{value:.17g}"
-
-
 def save_report(path, report: FairnessReport, dataset: str, representation: str) -> None:
-    """Plain-text report: dataset, representation tag, probe metrics,
-    the attribute count, then one line per sensitive attribute."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(REPORT_FORMAT + "\n")
-        fh.write(f"dataset {dataset}\n")
-        fh.write(f"representation {representation}\n")
-        fh.write(f"accuracy {report.accuracy:.17g}\n")
-        fh.write(f"roc_auc {report.roc_auc:.17g}\n")
-        fh.write(f"attributes {len(report.attributes)}\n")
-        for a in report.attributes:
-            fh.write(
-                f"sensitive {a.name} di_x100 {format_or_undefined(a.di_x100)} spd {a.spd:.17g} "
-                f"passes_80 {'true' if a.passes_80_rule else 'false'}\n"
-            )
+    """Plain-text report, a key-value file (see write_key_values):
+    dataset, representation tag, probe metrics, the attribute count,
+    then one `sensitive` line per sensitive attribute."""
+    write_key_values(path, REPORT_FORMAT, [
+        ("dataset", dataset), ("representation", representation),
+        ("accuracy", report.accuracy), ("roc_auc", report.roc_auc),
+        ("attributes", len(report.attributes)),
+        *(("sensitive", f"{a.name} di_x100 {spell(a.di_x100)} spd {spell(a.spd)} "
+                        f"passes_80 {spell(a.passes_80_rule)}") for a in report.attributes),
+    ])
 
 
 def save_roc_csv(path, points: list[tuple[float, float, float]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("threshold,tpr,fpr\n")
-        for thr, tpr, fpr in points:
-            fh.write(f"{thr:.17g},{tpr:.17g},{fpr:.17g}\n")
+    rows = ["threshold,tpr,fpr"] + [",".join(map(spell, point)) for point in points]
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")

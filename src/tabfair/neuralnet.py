@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import spell
 from .errors import ConfigError, DataError, NumericalError
 
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
@@ -165,8 +166,8 @@ class TrainHistory:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("epoch,train_loss,val_loss\n")
             for i, tr in enumerate(self.train_loss):
-                val = f"{self.val_loss[i]:.17g}" if i < len(self.val_loss) else ""
-                fh.write(f"{i + 1},{tr:.17g},{val}\n")
+                val = spell(self.val_loss[i]) if i < len(self.val_loss) else ""
+                fh.write(f"{i + 1},{spell(tr)},{val}\n")
 
 
 def init_params(config: MlpConfig, seed: int) -> MlpParams:

@@ -14,8 +14,9 @@ import pytest
 
 import tabfair.cli
 from conftest import SCHEMA_TEXT, synthetic_rows, text_matrix, write_csv
-from tabfair.cli import PRODUCERS, Run, config_hash, load_config, main, read_provenance
-from tabfair.dataset import load_split, stratified_split
+from tabfair.cli import (PROVENANCE_FORMAT, PRODUCERS, Run, config_hash, load_config, main,
+                         read_provenance)
+from tabfair.dataset import load_split, stratified_split, write_key_values
 from tabfair.errors import ConfigError, DataError
 from tabfair.fair_projection import (ORTHOGONALITY_TOL, FairProjectionConfig,
                                      build_sensitive_matrix, debias)
@@ -918,8 +919,9 @@ class TestExitCodes:
 
     def test_truncated_artifacts_are_data_errors(self, tmp_path):
         formats = {
-            "provenance": (tabfair.cli._save_provenance, read_provenance,
-                           {"config_hash": "ab12", "seed": "1234"}),
+            "provenance": (lambda path, body: write_key_values(path, PROVENANCE_FORMAT,
+                                                               body.items()),
+                           read_provenance, {"config_hash": "ab12", "seed": "1234"}),
         }
         for fmt, (save, load, value) in formats.items():
             path = tmp_path / fmt
@@ -1077,6 +1079,22 @@ class TestTooling:
         orphans = {name: module for name, module in defined.items()
                    if name not in tabfair.__all__ and name not in used}
         assert orphans == {}
+
+    def test_one_spelling_for_text_artifacts(self):
+        # dataset.spell alone decides how a value is written to a text
+        # artifact. linalg.py is exempt: its matrix text kernel reproduces
+        # `%.17g` for whole matrices, and ROADMAP item 4 deletes it.
+        import ast
+
+        for path in sorted((self.ROOT / "src" / "tabfair").glob("*.py")):
+            if path.name == "linalg.py":
+                continue
+            text = path.read_text(encoding="utf-8")
+            for node in ast.parse(text).body:
+                if isinstance(node, ast.FunctionDef) and node.name == "spell":
+                    text = text.replace(ast.get_source_segment(text, node), "")
+            assert ".17g" not in text, path.name
+            assert re.search(r"""["']undefined["']""", text) is None, path.name
 
     def test_cli_import_loads_no_scipy(self):
         # Every stage is a fresh process, so what `import tabfair.cli`

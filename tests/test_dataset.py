@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import COLUMNS, SCHEMA_TEXT, synthetic_rows, write_csv
+from conftest import COLUMNS, EDGE_FLOATS, SCHEMA_TEXT, synthetic_rows, write_csv
 from tabfair import dataset as ds
 from tabfair.errors import ConfigError, DataError
 
@@ -411,6 +411,28 @@ class TestLevelMapRoundTrip:
         )
         with pytest.raises(DataError):
             ds.save_level_map(tmp_path / "levels.txt", lm)
+
+
+class TestKeyValues:
+    def test_written_values_read_back(self, tmp_path):
+        # Every edge float comes back bit for bit through float(), -0.0
+        # and the subnormals included; None and bools are one word each.
+        floats = [(f"f{i}", v) for i, v in enumerate(EDGE_FLOATS)]
+        path = tmp_path / "kv.txt"
+        ds.write_key_values(path, "tabfair-test 1", [
+            *floats, ("none", None), ("yes", True), ("no", False), ("count", 7)])
+        back = ds.read_key_values(path, "tabfair-test 1")
+        for key, value in floats:
+            assert np.float64(float(back[key])).tobytes() == np.float64(value).tobytes(), key
+            assert ds.spell(np.float64(value)) == ds.spell(value)
+        assert (back["none"], back["yes"], back["no"], back["count"]) == (
+            "undefined", "true", "false", "7")
+        assert ds.spell(np.True_) == "true" and ds.spell(np.False_) == "false"
+
+    def test_a_key_may_repeat(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        ds.write_key_values(path, "tabfair-test 1", [("a", 1), ("s", "x 0.5"), ("s", "y")])
+        assert path.read_text(encoding="utf-8") == "tabfair-test 1\na 1\ns x 0.5\ns y\n"
 
 
 class TestStratifiedSplit:

@@ -222,6 +222,11 @@ class TestMetricCases:
             accuracy([2, 0], [1, 0])
         with pytest.raises(DataError):
             disparate_impact([1, 0], [0, 2])
+        for bad in ([0.5, 1.0], [np.nan, 0.0], np.array(["1", 0], dtype=object),
+                    np.array([None, 1], dtype=object)):
+            with pytest.raises(DataError, match="y_pred must contain only 0/1"):
+                accuracy(bad, [1, 0])
+        assert accuracy(np.array([True, False]), [1, 0]) == 1.0
 
 
 class TestProbe:
