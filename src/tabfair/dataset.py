@@ -19,7 +19,17 @@ import numpy as np
 
 from .errors import ConfigError, DataError, undecodable_is_data_error
 
-KINDS = ("numerical", "categorical", "sensitive", "label", "ignored")
+# The options a column of each kind (and transform) takes: those its
+# encoding reads. An age_band column is read as ages, not levels.
+_OPTIONS = {
+    ("numerical", None): (),
+    ("categorical", None): ("levels",),
+    ("sensitive", None): ("levels", "privileged"),
+    ("sensitive", "age_band"): (),
+    ("label", None): ("positive",),
+    ("ignored", None): (),
+}
+KINDS = tuple(dict.fromkeys(kind for kind, _ in _OPTIONS))
 
 # Cells equal to one of these (after stripping) count as missing; rows
 # with a missing value in any schema-used column are dropped.
@@ -57,16 +67,14 @@ class ColumnSchema:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"column {self.name!r}: unknown kind {self.kind!r}")
-        if self.transform not in (None, "age_band"):
-            raise ConfigError(
-                f"column {self.name!r}: unknown transform {self.transform!r}"
-            )
-        if self.transform and self.kind != "sensitive":
-            raise ConfigError(f"column {self.name!r}: transform= requires kind sensitive")
-        if self.privileged and self.kind != "sensitive":
-            raise ConfigError(f"column {self.name!r}: privileged= requires kind sensitive")
-        if self.positive and self.kind != "label":
-            raise ConfigError(f"column {self.name!r}: positive= requires kind label")
+        takes = _OPTIONS.get((self.kind, self.transform))
+        if takes is None:
+            raise ConfigError(f"column {self.name!r}: transform={self.transform} does not "
+                              f"apply to kind {self.kind}")
+        role = self.kind + ("" if self.transform is None else f" with transform={self.transform}")
+        for option in ("levels", "privileged", "positive"):
+            if getattr(self, option) is not None and option not in takes:
+                raise ConfigError(f"column {self.name!r}: {option}= does not apply to kind {role}")
 
 
 def validate_schema(columns: list[ColumnSchema]) -> None:
@@ -111,44 +119,41 @@ def load_schema(path) -> list[ColumnSchema]:
         parts = line.split()
         if parts[0] != "column" or len(parts) < 3:
             raise ConfigError(f"{path}:{ln}: expected 'column <name> <kind> [opts]'")
-        name, kind = parts[1], parts[2]
-        opts: dict[str, str] = {}
+        opts: dict[str, object] = {}
         for opt in parts[3:]:
             if "=" not in opt:
                 raise ConfigError(f"{path}:{ln}: malformed option {opt!r}")
             key, value = opt.split("=", 1)
-            opts[key] = value
-        levels = tuple(opts.pop("levels").split("|")) if "levels" in opts else None
-        col = ColumnSchema(
-            name=name,
-            kind=kind,
-            levels=levels,
-            privileged=opts.pop("privileged", None),
-            transform=opts.pop("transform", None),
-            positive=opts.pop("positive", None),
-        )
-        if opts:
-            raise ConfigError(f"{path}:{ln}: unknown options {sorted(opts)}")
-        columns.append(col)
+            if key in opts:
+                raise ConfigError(f"{path}:{ln}: option {key}= given twice")
+            opts[key] = tuple(value.split("|")) if key == "levels" else value
+        try:
+            columns.append(ColumnSchema(parts[1], parts[2], **opts))
+        except TypeError:  # a key that is not a ColumnSchema option
+            raise ConfigError(f"{path}:{ln}: unknown option among {sorted(opts)}") from None
     validate_schema(columns)
     return columns
 
 
 @dataclass
 class RawTable:
-    """A rectangular block of string cells with a header row."""
+    """A CSV file's kept rows as {header name: stripped cells}, in header order."""
 
-    header: list[str]
-    rows: list[list[str]]
+    columns: dict[str, list[str]]
     dropped_rows: int = 0
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(next(iter(self.columns.values()), ()))
 
-    def column(self, name: str) -> list[str]:
-        i = self.header.index(name)
-        return [row[i] for row in self.rows]
+
+def _csv_records(fh, path):
+    """csv.reader(fh)'s records; a csv.Error is a DataError naming the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def load_csv(path, schema: list[ColumnSchema]) -> RawTable:
@@ -158,16 +163,17 @@ def load_csv(path, schema: list[ColumnSchema]) -> RawTable:
     The header must contain exactly the schema's column names (any
     order). Cells are whitespace-stripped. Rows with a missing value
     (see MISSING_TOKENS) in a non-ignored column are dropped and
-    counted in dropped_rows. Ragged rows are an error naming the line.
+    counted in dropped_rows. Ragged rows, and text the csv module
+    cannot parse, are errors naming the line.
     """
     validate_schema(schema)
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"data file not found: {path}")
     with undecodable_is_data_error(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        records = _csv_records(fh, path)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(records)]
         except StopIteration:
             raise DataError(f"{path}: file is empty, expected a header row") from None
         if len(set(header)) != len(header):
@@ -180,10 +186,11 @@ def load_csv(path, schema: list[ColumnSchema]) -> RawTable:
                 + (f"; missing {sorted(missing)}" if missing else "")
                 + (f"; not in schema {sorted(extra)}" if extra else "")
             )
-        used = [i for i, h in enumerate(header) if _kind_of(h, schema) != "ignored"]
-        rows: list[list[str]] = []
+        ignored = {c.name for c in schema if c.kind == "ignored"}
+        used = [i for i, h in enumerate(header) if h not in ignored]
+        columns: dict[str, list[str]] = {h: [] for h in header}
         dropped = 0
-        for ln, raw in enumerate(reader, start=2):
+        for ln, raw in enumerate(records, start=2):
             if not raw:
                 continue  # blank line
             if len(raw) != len(header):
@@ -194,15 +201,9 @@ def load_csv(path, schema: list[ColumnSchema]) -> RawTable:
             if any(cells[i] in MISSING_TOKENS for i in used):
                 dropped += 1
                 continue
-            rows.append(cells)
-    return RawTable(header=header, rows=rows, dropped_rows=dropped)
-
-
-def _kind_of(name: str, schema: list[ColumnSchema]) -> str:
-    for c in schema:
-        if c.name == name:
-            return c.kind
-    raise ConfigError(f"column {name!r} absent from schema")
+            for column, cell in zip(columns.values(), cells):
+                column.append(cell)
+    return RawTable(columns=columns, dropped_rows=dropped)
 
 
 def discretize_german_age(age: float) -> int:
@@ -365,9 +366,7 @@ def encode(raw: RawTable, schema: list[ColumnSchema]) -> EncodedDataset:
     label_name, label_positive, y = None, None, None
 
     for col in schema:
-        if col.kind == "ignored":
-            continue
-        values = raw.column(col.name)
+        values = raw.columns[col.name]
         if col.kind == "numerical":
             mean, std, z = _standardize(_parse_numeric(values, col.name), col.name)
             num_encs.append(NumericalEncoding(col.name, mean, std))

@@ -587,6 +587,40 @@ class TestExitCodes:
         assert main(["prepare", "--config", str(config)]) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_cell_over_the_csv_field_limit_is_a_data_error(self, tmp_path, capsys):
+        # The csv module refuses a field over 131,072 characters.
+        config = make_workspace(tmp_path)
+        rows = synthetic_rows(6)
+        rows[2][2] = '"' + "r" * 200_000 + '"'
+        write_csv(tmp_path / "synthetic.csv", rows)
+        # An uncaught exception (a traceback) would fail the test here.
+        assert main(["prepare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / 'synthetic.csv'}: line 4: field larger "
+                              "than field limit"), err
+        assert len(err.splitlines()) == 1
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("line, message", [
+        ("column x1 numerical levels=1|2", "levels= does not apply to kind numerical"),
+        ("column group sensitive transform=age_band privileged=B",
+         "privileged= does not apply to kind sensitive with transform=age_band"),
+        ("column group sensitive privileged=B privileged=B", ":6: option privileged= given twice"),
+        ("column x1 numerical colour=red", ":2: unknown option among ['colour']"),
+    ])
+    def test_refused_schema_option_is_a_config_error_line(self, tmp_path, capsys, line, message):
+        config = make_workspace(tmp_path)
+        name = line.split()[1]
+        schema = "".join(line + "\n" if old.split()[1:2] == [name] else old + "\n"
+                         for old in SCHEMA_TEXT.splitlines())
+        (tmp_path / "synthetic.schema").write_text(schema, encoding="utf-8")
+        # An uncaught exception (a traceback) would fail the test here.
+        assert main(["prepare", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
+        assert len(err.splitlines()) == 1
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize("name, word, code, kind", [
         ("synthetic.csv", b"red", 2, "data error"),  # in a row, not the header
         ("synthetic.schema", b"numerical", 1, "config error"),
@@ -1013,6 +1047,24 @@ class TestTooling:
             module = importlib.import_module(module_name)
             for fn_name in functions:
                 assert callable(getattr(module, fn_name, None)), (module_name, fn_name)
+
+    def test_traced_prepare_counts_the_kept_rows(self, tmp_path):
+        # The benchmark's dataset.rows counter reads load_csv's result;
+        # a change to RawTable's shape could zero it silently.
+        config = make_workspace(tmp_path)
+        rows = synthetic_rows()
+        rows[5][0] = "?"
+        write_csv(tmp_path / "synthetic.csv", rows)
+        spans = tmp_path / "spans.json"
+        subprocess.run(
+            [sys.executable, str(self.ROOT / "perfbench" / "traced_cli.py"), str(spans),
+             "prepare", "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": str(self.ROOT / "src")},
+            capture_output=True, text=True, check=True, timeout=120)
+        kept = read_provenance(tmp_path / "out" / "prepare.provenance.txt", "rows")["rows"]
+        assert kept == str(len(rows) - 1)
+        counters = json.loads(spans.read_text(encoding="utf-8"))["counters"]
+        assert counters["dataset.rows"] == int(kept)
 
     def test_readme_library_example_runs(self, tmp_path, capsys):
         # The README's "Library use" block, run on a German-shaped CSV

@@ -96,6 +96,53 @@ class TestSchema:
         with pytest.raises(ConfigError):
             ds.ColumnSchema("a", "sensitive", positive="1")
 
+    # The (kind, option) pairs a column takes; any other would be ignored.
+    TAKES = {("categorical", "levels"), ("sensitive", "levels"), ("sensitive", "privileged"),
+             ("sensitive", "transform"), ("label", "positive")}
+    VALUES = {"levels": ("a", "b"), "privileged": "a", "transform": "age_band", "positive": "a"}
+
+    @pytest.mark.parametrize("option", list(VALUES))
+    @pytest.mark.parametrize("kind", ds.KINDS)
+    def test_each_kind_takes_only_its_options(self, kind, option):
+        def make():
+            return ds.ColumnSchema("c", kind, **{option: self.VALUES[option]})
+
+        if (kind, option) in self.TAKES:
+            assert getattr(make(), option) == self.VALUES[option]
+        else:
+            with pytest.raises(ConfigError, match=f"column 'c': {option}="):
+                make()
+
+    @pytest.mark.parametrize("option", ["levels", "privileged"])
+    def test_age_band_takes_no_level_option(self, option):
+        # An age_band column is read as ages; a level option would be ignored.
+        with pytest.raises(ConfigError, match=f"{option}= does not apply to kind sensitive "
+                                              "with transform=age_band"):
+            ds.ColumnSchema("age", "sensitive", transform="age_band",
+                            **{option: self.VALUES[option]})
+
+    @pytest.mark.parametrize("ln, line, option", [
+        (4, "column color categorical levels=red|green|blue levels=red", "levels"),
+        (6, "column group sensitive privileged=B privileged=A", "privileged"),
+        (6, "column group sensitive transform=age_band transform=age_band", "transform"),
+        (7, "column outcome label positive=yes positive=no", "positive"),
+    ])
+    def test_repeated_option_is_refused(self, tmp_path, ln, line, option):
+        lines = SCHEMA_TEXT.splitlines()
+        lines[ln - 1] = line
+        path = tmp_path / "s.schema"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"s\.schema:{ln}: option {option}= given twice"):
+            ds.load_schema(path)
+
+    @pytest.mark.parametrize("option", ["colour=red", "name=y", "kind=label"])
+    def test_unknown_option_is_refused(self, tmp_path, option):
+        path = tmp_path / "s.schema"
+        line = f"column x2 numerical {option}"
+        path.write_text(SCHEMA_TEXT.replace("column x2 numerical", line), encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"s\.schema:3: unknown option"):
+            ds.load_schema(path)
+
 
 class TestLoadCsv:
     def test_loads_and_strips(self, tmp_path, schema):
@@ -103,7 +150,9 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", rows)
         raw = ds.load_csv(path, schema)
         assert raw.n == 3
-        assert raw.rows[0] == ["1.0", "2.0", "red", "circle", "B", "yes"]
+        assert list(raw.columns) == ["x1", "x2", "color", "shape", "group", "outcome"]
+        assert [cells[0] for cells in raw.columns.values()] == ["1.0", "2.0", "red", "circle",
+                                                                 "B", "yes"]
 
     def test_missing_rows_dropped_and_counted(self, tmp_path, schema):
         rows = synthetic_rows(20)
@@ -134,7 +183,8 @@ class TestLoadCsv:
         rows = [["yes", "1.0", "B", "red", "2.0", "circle"],
                 ["no", "2.0", "A", "blue", "1.0", "square"]]
         raw = ds.load_csv(write_csv(tmp_path / "d.csv", rows, header=header), schema)
-        assert raw.column("x1") == ["1.0", "2.0"]
+        assert list(raw.columns) == header
+        assert raw.columns["x1"] == ["1.0", "2.0"]
 
     def test_empty_file(self, tmp_path, schema):
         path = tmp_path / "d.csv"
@@ -351,7 +401,7 @@ class TestEncode:
 
     def test_label_mapping(self, encoded, csv_file, schema):
         raw = ds.load_csv(csv_file, schema)
-        outcomes = raw.column("outcome")
+        outcomes = raw.columns["outcome"]
         assert np.array_equal(
             encoded.y, [1.0 if v == "yes" else 0.0 for v in outcomes]
         )
