@@ -273,6 +273,10 @@ def cmd_train_embed(run: Run) -> None:
             "final_val_bce": (hist_nc.val_loss or [None])[-1],
             "final_train_mse": (hist_cn.train_loss or [None])[-1],
             "final_val_mse": (hist_cn.val_loss or [None])[-1],
+            # The 1-based epoch each model was saved at; None (undefined)
+            # when no epoch was scored.
+            "best_epoch_num": hist_nc.best_epoch,
+            "best_epoch_cat": hist_cn.best_epoch,
             # Latent units that are zero on every row, on each side of Z.
             "dead_units_num": np.count_nonzero(~Z[:, :run.encoder.latent_num].any(axis=0)),
             "dead_units_cat": np.count_nonzero(~Z[:, run.encoder.latent_num:].any(axis=0)),

@@ -148,10 +148,13 @@ class RawTable:
 
 
 def _csv_records(fh, path):
-    """csv.reader(fh)'s records; a csv.Error is a DataError naming the line."""
+    """csv.reader(fh)'s records, each with the file line it ends on (a
+    quoted cell can hold line breaks); a csv.Error is a DataError naming
+    the line."""
     reader = csv.reader(fh)
     try:
-        yield from reader
+        for record in reader:
+            yield reader.line_num, record
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
@@ -173,7 +176,7 @@ def load_csv(path, schema: list[ColumnSchema]) -> RawTable:
     with undecodable_is_data_error(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
         records = _csv_records(fh, path)
         try:
-            header = [h.strip() for h in next(records)]
+            header = [h.strip() for h in next(records)[1]]
         except StopIteration:
             raise DataError(f"{path}: file is empty, expected a header row") from None
         if len(set(header)) != len(header):
@@ -190,7 +193,7 @@ def load_csv(path, schema: list[ColumnSchema]) -> RawTable:
         used = [i for i, h in enumerate(header) if h not in ignored]
         columns: dict[str, list[str]] = {h: [] for h in header}
         dropped = 0
-        for ln, raw in enumerate(records, start=2):
+        for ln, raw in records:
             if not raw:
                 continue  # blank line
             if len(raw) != len(header):

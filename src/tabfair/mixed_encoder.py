@@ -104,7 +104,9 @@ def train_mixed(X_num, X_cat, config: MixedEncoderConfig) -> MixedTrainResult:
 
     The sensitive matrix S and the labels y are never part of either
     network's inputs or targets. The two trainings are independent;
-    their seeds derive from config.seed (seed and seed + 1). The
+    their seeds derive from config.seed (seed and seed + 1). Each runs
+    at most config.epochs epochs, stops on its own validation loss,
+    and returns its best epoch's parameters (see train()). The
     cat->num network trains in a forked child when BLAS is pinned (see
     run_both(), which retrains it here if the child fails); the child
     sends back its flat buffer, from which MlpParams rebuilds the

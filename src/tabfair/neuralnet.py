@@ -3,19 +3,21 @@
 Configurable MLPs with ReLU hidden layers and a sigmoid or linear
 output, exact analytic backpropagation for BCE/MSE, Adam updates, and a
 deterministic mini-batch training loop with a held-out validation
-split. Parameters, gradients and Adam moments share one flat layout
-(MlpParams.flat), so an Adam step is one vectorized pass. That layout
-stores each layer as its weights, row-major, then its bias: a
-(fan_in + 1) x fan_out block [W; b]. A layer is one GEMM over it: each
-layer's input is kept with a trailing ones column, the pre-activations
-are z = [a, 1] @ [W; b], and backward() writes [dW; db] = [a, 1]^T delta
-into the gradient's block with one product. The BCE of the sigmoid
-network is taken from its logits z, exact without a clamp. A training
-run allocates its buffers (layer inputs and pre-activations, gradient,
-Adam scratch) once and reuses them on every step, with the same
-operations in the same order as a fresh computation, so results are
-bit-identical to it. Everything is a pure function of its inputs and
-seed; training never mutates your data.
+split, which keeps the epoch of lowest validation loss and stops
+PATIENCE epochs after it. Parameters, gradients and Adam moments share
+one flat layout (MlpParams.flat), so an Adam step is one vectorized
+pass. That layout stores each layer as its weights, row-major, then its
+bias: a (fan_in + 1) x fan_out block [W; b]. A layer is one GEMM over
+it: each layer's input is kept with a trailing ones column, the
+pre-activations are z = [a, 1] @ [W; b], and backward() writes
+[dW; db] = [a, 1]^T delta into the gradient's block with one product.
+The BCE of the sigmoid network is taken from its logits z, exact
+without a clamp. A training run allocates its buffers (layer inputs and
+pre-activations, gradient, Adam scratch, the best epoch's parameters)
+once and reuses them on every step, with the same operations in the
+same order as a fresh computation, so results are bit-identical to it.
+Everything is a pure function of its inputs and seed; training never
+mutates your data.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ ADAM_LR = 0.001
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# train() stops after this many epochs in a row whose validation loss is
+# not strictly below the best so far, and returns the best epoch's
+# parameters.
+PATIENCE = 10
 
 
 @dataclass(frozen=True)
@@ -156,11 +163,14 @@ class ForwardCache:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch training and validation losses. val_loss is empty when
-    no validation rows were held out."""
+    """Per-epoch training and validation losses of the epochs that ran,
+    and the 1-based epoch whose parameters train() returned. val_loss is
+    empty and best_epoch None when no validation rows were held out or
+    no epoch ran."""
 
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
+    best_epoch: int | None = None
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -388,8 +398,15 @@ def train(
     The epoch training loss is the row-weighted mean of the mini-batch
     losses (equals the loss over all training rows visited that epoch);
     the validation loss is evaluated on frozen parameters at each epoch
-    end. Deterministic given the seed. A non-finite loss aborts with a
-    diagnostic instead of propagating NaNs.
+    end. An epoch is the best so far when its validation loss is
+    strictly below every earlier epoch's. Training stops after PATIENCE
+    epochs in a row without a new best, or after `epochs`, the cap, and
+    returns the best epoch's parameters, bit for bit those of a run
+    capped at that epoch; history lists the epochs that ran and names
+    the best. With no validation rows every epoch runs and the last
+    epoch's parameters are returned. Deterministic given the seed. A
+    non-finite loss aborts with a diagnostic instead of propagating
+    NaNs.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -432,6 +449,7 @@ def train(
     last = train_idx.size - (n_batches - 1) * batch_size
     views = {m: ([x[:m] for x in step_inputs], [z[:m] for z in step_pre])
              for m in (batch_size, last)}
+    best, best_val = np.empty_like(params.flat), math.inf
     for epoch in range(epochs):
         order = train_idx[rng.permutation(train_idx.size)]
         total, seen = 0.0, 0
@@ -460,6 +478,13 @@ def train(
                     f"training diverged: non-finite validation loss at epoch {epoch + 1}"
                 )
             history.val_loss.append(val)
+            if val < best_val:
+                best_val, history.best_epoch = val, epoch + 1
+                np.copyto(best, params.flat)
+            elif epoch + 1 - history.best_epoch == PATIENCE:
+                break
+    if history.best_epoch is not None:
+        np.copyto(params.flat, best)
     return params, history
 
 

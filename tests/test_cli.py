@@ -21,7 +21,7 @@ from tabfair.errors import ConfigError, DataError
 from tabfair.fair_projection import (ORTHOGONALITY_TOL, FairProjectionConfig,
                                      build_sensitive_matrix, debias)
 from tabfair.linalg import load_matrix, save_matrix
-from tabfair.neuralnet import MlpConfig, init_params, load_mlp, save_mlp
+from tabfair.neuralnet import PATIENCE, MlpConfig, init_params, load_mlp, save_mlp
 
 BASE_CONFIG = {
     "dataset": "synthetic",
@@ -256,6 +256,29 @@ class TestStages:
         assert int(prov["dead_units_cat"]) == np.count_nonzero(dead[16:])
         assert np.count_nonzero(dead) > 0
 
+    def test_train_embed_records_the_epoch_each_network_stopped_at(self, tmp_path):
+        # 300 epochs is a cap both networks stop well short of: each
+        # runs PATIENCE epochs past its first validation minimum, and
+        # the final_* keys are the last epoch that ran.
+        config = make_workspace(tmp_path, encoder={"epochs": 300})
+        out = tmp_path / "out"
+        assert main(["prepare", "--config", str(config)]) == 0
+        names = ["Z.npy", "model_num_cat.npz", "model_cat_num.npz", "loss_num_cat.csv",
+                 "loss_cat_num.csv", "train_embed.provenance.txt"]
+        runs = []
+        for _ in range(2):
+            assert main(["train-embed", "--config", str(config)]) == 0
+            runs.append({name: (out / name).read_bytes() for name in names})
+        assert runs[0] == runs[1]
+        prov = read_provenance(out / "train_embed.provenance.txt")
+        for side, net, loss in (("num", "num_cat", "bce"), ("cat", "cat_num", "mse")):
+            rows = (out / f"loss_{net}.csv").read_text(encoding="utf-8").splitlines()[1:]
+            val = [float(row.split(",")[2]) for row in rows]
+            best = int(prov[f"best_epoch_{side}"])
+            assert best == int(np.argmin(val)) + 1
+            assert len(val) == best + PATIENCE < 300
+            assert float(prov[f"final_val_{loss}"]) == val[-1] >= val[best - 1]
+
     def test_debias_provenance_records_rank_and_residual(self, tmp_path):
         config = make_workspace(tmp_path)
         main(["pipeline", "--config", str(config)])
@@ -376,6 +399,19 @@ class TestManifest:
                                         "final_train_mse", "final_val_mse"), "undefined")
         prov = read_provenance(out / "train_embed.provenance.txt")
         assert {k: v for k, v in prov.items() if k.startswith("final_")} == losses
+        assert prov["best_epoch_num"] == prov["best_epoch_cat"] == "undefined"
+
+    def test_without_validation_rows_every_epoch_runs_and_none_is_best(self, tmp_path):
+        config = make_workspace(tmp_path, encoder={"epochs": 30, "val_fraction": 0.0})
+        for verb in ("prepare", "train-embed"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        out = tmp_path / "out"
+        prov = read_provenance(out / "train_embed.provenance.txt")
+        assert prov["best_epoch_num"] == prov["best_epoch_cat"] == "undefined"
+        assert prov["final_val_bce"] == prov["final_val_mse"] == "undefined"
+        for net in ("num_cat", "cat_num"):
+            rows = (out / f"loss_{net}.csv").read_text(encoding="utf-8").splitlines()
+            assert len(rows) == 1 + 30 and rows[-1].startswith("30,") and rows[-1][-1] == ","
 
 
 class TestExitCodes:

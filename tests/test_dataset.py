@@ -170,6 +170,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 4"):
             ds.load_csv(path, schema)
 
+    def test_ragged_row_after_a_line_break_in_a_cell_names_its_file_line(self, tmp_path,
+                                                                          schema):
+        # Record 2 spans lines 2-3; line 5, record 4, has 4 of 6 cells.
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2,color,shape,group,outcome\n"
+                        '1.0,2.0,"red\nish",circle,B,yes\n'
+                        "1.0,2.0,red,circle,B,yes\n"
+                        "1.0,2.0,red,circle\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"d\.csv: line 5 has 4 cells, expected 6$"):
+            ds.load_csv(path, schema)
+
     def test_header_mismatch(self, tmp_path, schema):
         path = write_csv(
             tmp_path / "d.csv", [["1", "2", "r", "c", "B", "yes"]],

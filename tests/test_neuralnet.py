@@ -20,6 +20,7 @@ from tabfair.neuralnet import (
     ADAM_BETA2,
     ADAM_EPS,
     ADAM_LR,
+    PATIENCE,
     AdamState,
     MlpConfig,
     MlpParams,
@@ -464,6 +465,7 @@ class TestTrain:
         for w, r in zip(params.weights, ref.weights):
             assert np.array_equal(w, r)
         assert history.train_loss == [] and history.val_loss == []
+        assert history.best_epoch is None
 
     def test_deterministic_given_seed(self):
         cfg = MlpConfig(layer_widths=(3, 5, 3), output_activation="linear", latent_index=1)
@@ -507,6 +509,59 @@ class TestTrain:
         assert history.train_loss == train_loss
         assert history.val_loss == val_loss
         assert len(val_loss) == 6
+
+    @staticmethod
+    def make_noisy_data(output):
+        # 80 rows, 20 held out, with noisy targets: the validation loss
+        # bottoms out after a few epochs and rises as the net overfits.
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(80, 5))
+        if output == "sigmoid":
+            Y = (X[:, :4] + rng.normal(scale=0.5, size=(80, 4)) > 0).astype(np.float64)
+        else:
+            Y = X[:, 1:] + rng.normal(scale=0.5, size=(80, 4))
+        cfg = MlpConfig(layer_widths=(5, 32, 3, 32, 4), output_activation=output, latent_index=2)
+        return cfg, X, Y
+
+    @pytest.mark.parametrize("output", ["sigmoid", "linear"])
+    def test_early_stop_returns_the_run_capped_at_its_best_epoch(self, output):
+        cfg, X, Y = self.make_noisy_data(output)
+        kwargs = dict(batch_size=8, val_fraction=0.25, seed=3, lr=0.01)
+        params, history = train(cfg, X, Y, epochs=200, **kwargs)
+        best = history.best_epoch
+        assert 1 < best and len(history.train_loss) == len(history.val_loss) == best + PATIENCE
+        # The best epoch is the first minimum, and no later epoch beats it.
+        assert history.val_loss[best - 1] < min(history.val_loss[: best - 1])
+        assert history.val_loss[best - 1] <= min(history.val_loss[best:])
+        capped, capped_history = train(cfg, X, Y, epochs=best, **kwargs)
+        assert params.flat.tobytes() == capped.flat.tobytes()
+        assert history.train_loss[:best] == capped_history.train_loss
+        assert history.val_loss[:best] == capped_history.val_loss
+        assert capped_history.best_epoch == best
+
+    def test_falling_validation_loss_runs_to_the_cap_as_the_reference(self):
+        # The validation loss falls at each of 30 epochs, more than
+        # PATIENCE, so the last epoch is the best and nothing stops.
+        cfg = MlpConfig(layer_widths=(3, 5, 3), output_activation="linear", latent_index=1)
+        X, Y = self.make_linear_data(103)
+        kwargs = dict(epochs=30, batch_size=16, val_fraction=0.15, seed=8, lr=0.01)
+        params, history = train(cfg, X, Y, **kwargs)
+        ref, train_loss, val_loss = reference_train(cfg, X, Y, **kwargs)
+        assert 30 > PATIENCE and all(b < a for a, b in zip(val_loss, val_loss[1:]))
+        assert params.flat.tobytes() == ref.flat.tobytes()
+        assert history.train_loss == train_loss and history.val_loss == val_loss
+        assert history.best_epoch == 30
+
+    def test_without_validation_rows_every_epoch_runs(self):
+        # Held-out rows stop this run before its 40 epochs; without them
+        # every epoch runs.
+        cfg, X, Y = self.make_noisy_data("linear")
+        kwargs = dict(batch_size=8, seed=3, lr=0.01)
+        _, held_out = train(cfg, X, Y, epochs=40, val_fraction=0.25, **kwargs)
+        _, history = train(cfg, X, Y, epochs=40, val_fraction=0.0, **kwargs)
+        assert len(held_out.train_loss) < 40
+        assert len(history.train_loss) == 40 and history.val_loss == []
+        assert history.best_epoch is None
 
     def test_one_backward_and_adam_step_per_batch(self, monkeypatch):
         # The benchmark's neuralnet.steps counts adam_step calls: train()
