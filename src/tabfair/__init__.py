@@ -70,7 +70,6 @@ from .linalg import (
 from .mixed_encoder import (
     MixedEncoderConfig,
     encode_dataset,
-    extract_latent,
     train_mixed,
 )
 from .neuralnet import (
@@ -81,6 +80,7 @@ from .neuralnet import (
     adam_step,
     backward,
     bce_loss,
+    extract_latent,
     forward,
     init_params,
     load_mlp,

@@ -20,6 +20,7 @@ and 3 for a failed projection.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -64,8 +65,8 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
     every path absolute: a path from the config file is relative to that
     file, an `out_dir` override to the working directory. Only the
     top-level keys are checked here: all of CONFIG_KEYS and no other,
-    each of its type and in range. The encoder and projection sections
-    are checked when a Run is built from the result."""
+    each of its type (checked before the overrides apply) and in range.
+    The sections are checked when a Run is built from the result."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -75,14 +76,11 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> di
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: a config must be a JSON object")
-    for key in CONFIG_KEYS:
-        if key not in cfg:
-            raise ConfigError(f"{path}: missing config key {key!r}")
+    _check_keys(f"{path}: ", cfg, CONFIG_KEYS, CONFIG_KEYS)
     if seed is not None:
         cfg["seed"] = seed
     if out_dir is not None:
         cfg["out_dir"] = out_dir
-    _check_keys(f"{path}: ", cfg, CONFIG_KEYS)
     if cfg["seed"] < 0:
         raise ConfigError(f"{path}: config key 'seed' must be >= 0, got {cfg['seed']}")
     # The name is written as the `dataset <name>` line of each report.
@@ -110,21 +108,24 @@ def config_hash(cfg: dict) -> str:
 
 
 def _section(cfg: dict, name: str, cls, **given):
-    """cfg[name] as a cls: omitted keys take the library defaults, and a
-    key cls does not declare, a value that does not fit its field's
-    type, or one cls refuses, is a ConfigError. `given` fills fields the
-    section may not set, so the section naming one is an unknown key."""
+    """cfg[name] as a cls: omitted keys take the library defaults; a
+    missing field that has none, a key cls does not declare, a value that
+    does not fit its field's type, or one cls refuses, is a ConfigError.
+    `given` fills fields the section may not set: naming one is unknown."""
     hints = {k: v for k, v in typing.get_type_hints(cls).items() if k not in given}
-    _check_keys(f"config section {name!r}: ", cfg[name], hints)
-    try:
-        return cls(**cfg[name], **given)
-    except TypeError as exc:  # a required key is missing
-        raise ConfigError(f"config section {name!r}: {exc}") from exc
+    required = [f.name for f in dataclasses.fields(cls) if f.name in hints and
+                f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    _check_keys(f"config section {name!r}: ", cfg[name], hints, required)
+    return cls(**cfg[name], **given)
 
 
-def _check_keys(where: str, values: dict, hints: dict) -> None:
-    """Refuse a key of `values` that `hints` does not name, and a value
-    that does not fit its key's type hint; `where` starts each message."""
+def _check_keys(where: str, values: dict, hints: dict, required) -> None:
+    """Refuse a key of `required` that `values` lacks, then a key of
+    `values` that `hints` does not name, and a value that does not fit
+    its key's type hint; `where` starts each message."""
+    for key in required:
+        if key not in values:
+            raise ConfigError(f"{where}missing config key {key!r}")
     for key, value in values.items():
         if key not in hints:
             raise ConfigError(f"{where}unknown config key {key!r}; the keys are "
@@ -262,8 +263,10 @@ def cmd_train_embed(run: Run) -> None:
     run.write("Z.npy", save_matrix, Z)
     run.write("model_num_cat.npz", save_mlp, result.params_num_cat)
     run.write("model_cat_num.npz", save_mlp, result.params_cat_num)
-    run.write("loss_num_cat.csv", lambda path, h: h.to_csv(path), hist_nc)
-    run.write("loss_cat_num.csv", lambda path, h: h.to_csv(path), hist_cn)
+    for net, hist in (("num_cat", hist_nc), ("cat_num", hist_cn)):
+        val = hist.val_loss or [""] * len(hist.train_loss)  # empty: no rows held out
+        rows = zip(range(1, len(hist.train_loss) + 1), hist.train_loss, val)
+        run.write(f"loss_{net}.csv", ds.write_csv, ("epoch", "train_loss", "val_loss"), rows)
     run.write_provenance(
         "train_embed.provenance.txt",
         {
@@ -325,19 +328,14 @@ def cmd_evaluate(run: Run) -> None:
         raise ConfigError(f"{run.out / 'C.npy'} was made under another config "
                           f"(config_hash {made['config_hash']}); run debias first")
     C = run.read("C.npy", load_matrix)
-
-    def score(Z):
-        report = ev.evaluate_representation(Z, y, S, split, names)
-        return report, ev.roc_curve_points(report.test_scores,
-                                           y[split.test].astype(np.int64))
-
     # Both scored before anything is written: a missing, stale or
     # corrupt input, or a failed probe, leaves no report.
-    biased, debiased = score(Z), score(C)
+    biased = ev.evaluate_representation(Z, y, S, split, names)
+    debiased = ev.evaluate_representation(C, y, S, split, names)
     summary = {"debiased_k": made["k"], "attributes": made["attributes"]}
-    for tag, (report, points) in zip(("biased", "debiased"), (biased, debiased)):
+    for tag, report in (("biased", biased), ("debiased", debiased)):
         run.write(f"report_{tag}.txt", ev.save_report, report, run.cfg["dataset"], tag)
-        run.write(f"roc_{tag}.csv", ev.save_roc_csv, points)
+        run.write(f"roc_{tag}.csv", ev.save_roc_csv, report.roc)
         summary[f"{tag}_accuracy"] = report.accuracy
         summary[f"{tag}_roc_auc"] = report.roc_auc
         summary[f"{tag}_probe_loss"] = report.probe.loss

@@ -537,6 +537,12 @@ def write_key_values(path, header: str, pairs) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_csv(path, header, rows) -> None:
+    """A CSV of the names `header`, then a line per row, each value spelled by spell()."""
+    lines = [",".join(header)] + [",".join(map(spell, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def read_text_artifact(path, header: str | None = None) -> str:
     """The text of an artifact after its format line `header` (None: the
     format has none). A file that does not start with that line, or does

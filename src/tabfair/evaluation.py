@@ -15,11 +15,10 @@ single final division.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import SplitIndices, spell, write_key_values
+from .dataset import SplitIndices, spell, write_csv, write_key_values
 from .errors import ConfigError, DataError, NumericalError, UndefinedMetricError
 from .neuralnet import _bce, _exp_neg_abs, _sigmoid
 
@@ -267,15 +266,16 @@ class FairnessReport:
     """One probe evaluation: accuracy/ROC-AUC plus DI x 100 and SPD per
     sensitive attribute, mirroring one table row per attribute.
 
-    test_scores holds the probe's test-row probabilities and probe the
-    fitted probe, with its fit on the train rows (see LogisticModel);
-    report files store neither.
+    test_scores holds the probe's test-row probabilities, roc their
+    ROC curve (see roc_curve_points, save_roc_csv) and probe the fitted
+    probe (see LogisticModel); report files store none of the three.
     """
 
     accuracy: float
     roc_auc: float
     attributes: list[AttributeFairness]
     test_scores: np.ndarray | None = field(default=None, repr=False, compare=False)
+    roc: list[tuple[float, float, float]] | None = field(default=None, repr=False, compare=False)
     probe: LogisticModel | None = field(default=None, repr=False, compare=False)
 
 
@@ -286,11 +286,11 @@ def evaluate_representation(
     split: SplitIndices,
     sensitive_names: list[str],
 ) -> FairnessReport:
-    """Train the probe on the train rows, score the test rows, and
-    compute fairness metrics on the test predictions. A DI left
-    undefined by a zero privileged positive rate is recorded as None
-    rather than raised. A split that does not hold each row once, or a
-    y or S with a value other than 0/1, is a DataError."""
+    """Train the probe on the train rows, score the test rows, draw their
+    ROC curve, and compute fairness metrics on the test predictions. A
+    DI left undefined by a zero privileged positive rate is recorded as
+    None rather than raised. A split that does not hold each row once,
+    or a y or S with a value other than 0/1, is a DataError."""
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     S = np.asarray(S, dtype=np.float64)
@@ -329,6 +329,7 @@ def evaluate_representation(
         roc_auc=roc_auc(scores, y_test),
         attributes=attrs,
         test_scores=scores,
+        roc=roc_curve_points(scores, y_test),
         probe=model,
     )
 
@@ -350,5 +351,6 @@ def save_report(path, report: FairnessReport, dataset: str, representation: str)
 
 
 def save_roc_csv(path, points: list[tuple[float, float, float]]) -> None:
-    rows = ["threshold,tpr,fpr"] + [",".join(map(spell, point)) for point in points]
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    """FairnessReport.roc as a CSV (see write_csv); the sentinel
+    threshold above every score is spelled inf."""
+    write_csv(path, ("threshold", "tpr", "fpr"), points)

@@ -6,7 +6,8 @@ the categorical indicators (sigmoid output, BCE loss), the other maps
 the categorical block to a latent code and decodes the standardized
 numerical block (linear output, MSE loss). encode_dataset() places
 the two latent codes side by side, numerical side first, as the n x p
-mixed-space representation Z.
+mixed-space representation Z. Training and latent extraction are the
+engine's (neuralnet.train, neuralnet.extract_latent).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .linalg import run_both
-from .neuralnet import MlpConfig, MlpParams, TrainHistory, _check_input, train
+from .neuralnet import MlpConfig, MlpParams, TrainHistory, extract_latent, train
 
 
 @dataclass(frozen=True)
@@ -126,37 +127,6 @@ def train_mixed(X_num, X_cat, config: MixedEncoderConfig) -> MixedTrainResult:
     (params_nc, hist_nc), (flat_cn, hist_cn) = run_both(
         lambda: fit(num_cat, X_num, X_cat, config.seed), fit_cat_num)
     return MixedTrainResult(params_nc, MlpParams(cat_num, flat_cn), hist_nc, hist_cn)
-
-
-def extract_latent(params: MlpParams, X, out: np.ndarray | None = None) -> np.ndarray:
-    """Post-activation values at the network's latent layer, the same
-    bits as forward(params, X).activations[latent_index]. Given `out`,
-    a rows x latent-width array (a column slice of Z, say), they are
-    written into it and it is returned; otherwise into a new array.
-
-    It stops at the latent layer: the layers after it, which only the
-    reconstruction needs, are never evaluated. The layers before it are
-    hidden layers, so each is the GEMM [a, 1] @ [W; b] and a ReLU
-    applied in place; below the latent layer the GEMM writes beside a
-    ones column that the next layer reads.
-    """
-    X = _check_input(params.config, X)
-    rows, k = X.shape[0], params.config.latent_index
-    if out is None:
-        out = np.empty((rows, params.config.layer_widths[k]))
-    a = np.empty((rows, X.shape[1] + 1))
-    a[:, :-1] = X
-    a[:, -1] = 1.0
-    *below, latent = params.blocks[:k]
-    for block in below:
-        h = np.empty((rows, block.shape[1] + 1))
-        h[:, -1] = 1.0
-        np.matmul(a, block, out=h[:, :-1])
-        np.maximum(h[:, :-1], 0.0, out=h[:, :-1])
-        a = h
-    np.matmul(a, latent, out=out)
-    np.maximum(out, 0.0, out=out)
-    return out
 
 
 def encode_dataset(X_num, X_cat, config: MixedEncoderConfig):

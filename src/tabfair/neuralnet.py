@@ -10,7 +10,8 @@ pass. That layout stores each layer as its weights, row-major, then its
 bias: a (fan_in + 1) x fan_out block [W; b]. A layer is one GEMM over
 it: each layer's input is kept with a trailing ones column, the
 pre-activations are z = [a, 1] @ [W; b], and backward() writes
-[dW; db] = [a, 1]^T delta into the gradient's block with one product.
+[dW; db] = [a, 1]^T delta into the gradient's block with one product;
+extract_latent() runs these layers up to the latent one and no further.
 The BCE of the sigmoid network is taken from its logits z, exact
 without a clamp. A training run allocates its buffers (layer inputs and
 pre-activations, gradient, Adam scratch, the best epoch's parameters)
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import spell
 from .errors import ConfigError, DataError, NumericalError
 
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
@@ -172,13 +172,6 @@ class TrainHistory:
     val_loss: list[float] = field(default_factory=list)
     best_epoch: int | None = None
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,train_loss,val_loss\n")
-            for i, tr in enumerate(self.train_loss):
-                val = spell(self.val_loss[i]) if i < len(self.val_loss) else ""
-                fh.write(f"{i + 1},{spell(tr)},{val}\n")
-
 
 def init_params(config: MlpConfig, seed: int) -> MlpParams:
     """Glorot-uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases."""
@@ -262,6 +255,37 @@ def _forward(params: MlpParams, inputs: list, pre: list) -> ForwardCache:
         return ForwardCache(inputs=inputs, pre=pre, output=z)
     e = _exp_neg_abs(z)
     return ForwardCache(inputs=inputs, pre=pre, output=_sigmoid(z, e), exp_neg_abs=e)
+
+
+def extract_latent(params: MlpParams, X, out: np.ndarray | None = None) -> np.ndarray:
+    """Post-activation values at the network's latent layer, the same
+    bits as forward(params, X).activations[latent_index]. Given `out`,
+    a rows x latent-width array (a column slice of Z, say), they are
+    written into it and it is returned; otherwise into a new array.
+
+    It stops at the latent layer: the layers after it, which only the
+    reconstruction needs, are never evaluated. The layers before it are
+    hidden layers, so each is the GEMM [a, 1] @ [W; b] and a ReLU
+    applied in place; below the latent layer the GEMM writes beside a
+    ones column that the next layer reads.
+    """
+    X = _check_input(params.config, X)
+    rows, k = X.shape[0], params.config.latent_index
+    if out is None:
+        out = np.empty((rows, params.config.layer_widths[k]))
+    a = np.empty((rows, X.shape[1] + 1))
+    a[:, :-1] = X
+    a[:, -1] = 1.0
+    *below, latent = params.blocks[:k]
+    for block in below:
+        h = np.empty((rows, block.shape[1] + 1))
+        h[:, -1] = 1.0
+        np.matmul(a, block, out=h[:, :-1])
+        np.maximum(h[:, :-1], 0.0, out=h[:, :-1])
+        a = h
+    np.matmul(a, latent, out=out)
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def _check_shapes(pred: np.ndarray, target: np.ndarray) -> None:

@@ -21,6 +21,7 @@ from tabfair.errors import ConfigError, DataError
 from tabfair.fair_projection import (ORTHOGONALITY_TOL, FairProjectionConfig,
                                      build_sensitive_matrix, debias)
 from tabfair.linalg import load_matrix, save_matrix
+from tabfair.mixed_encoder import train_mixed
 from tabfair.neuralnet import PATIENCE, MlpConfig, init_params, load_mlp, save_mlp
 
 BASE_CONFIG = {
@@ -109,6 +110,36 @@ class TestStages:
         lines = (tmp_path / "out" / "loss_num_cat.csv").read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == 1 + BASE_CONFIG["encoder"]["epochs"]
+
+    @pytest.mark.parametrize("epochs, val_fraction", [(300, 0.1), (12, 0.0)])
+    def test_loss_csvs_hold_the_train_histories(self, tmp_path, epochs, val_fraction):
+        # Each loss CSV is its network's TrainHistory: a row per epoch
+        # that ran (300 is a cap both networks stop short of), values
+        # float() reads back to the same bits, and an empty val_loss
+        # cell when no rows are held out.
+        config = make_workspace(tmp_path, encoder={"epochs": epochs,
+                                                   "val_fraction": val_fraction})
+        for verb in ("prepare", "train-embed"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        out = tmp_path / "out"
+        result = train_mixed(load_matrix(out / "X_num.npy"), load_matrix(out / "X_cat.npy"),
+                             Run(load_config(config)).encoder)
+
+        def bits(values):
+            return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+        for net, hist in (("num_cat", result.history_num_cat),
+                          ("cat_num", result.history_cat_num)):
+            header, *rows = (out / f"loss_{net}.csv").read_text(encoding="utf-8").splitlines()
+            assert header == "epoch,train_loss,val_loss"
+            cells = [row.split(",") for row in rows]
+            assert [int(c[0]) for c in cells] == list(range(1, len(hist.train_loss) + 1))
+            assert len(cells) < epochs if val_fraction else len(cells) == epochs
+            assert bits([float(c[1]) for c in cells]) == bits(hist.train_loss)
+            if val_fraction:
+                assert bits([float(c[2]) for c in cells]) == bits(hist.val_loss)
+            else:
+                assert hist.val_loss == [] and {c[2] for c in cells} == {""}
 
     def test_train_embed_never_touches_sensitive_artifacts(self, tmp_path):
         # Structural firewall: representation learning runs even with
@@ -437,6 +468,17 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["prepare", "--config", str(path)]) == 1
 
+    def test_missing_section_key_is_config_error(self, tmp_path, capsys):
+        # Worded as at the top level, before the output directory is made.
+        config = make_workspace(tmp_path)
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        cfg["encoder"] = {"latent_cat": 5}
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["pipeline", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config section 'encoder': missing config key 'latent_num'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_section_key_is_config_error(self, tmp_path, capsys):
         # The seed is the top level's; the encoder section may not set it.
         typos = [("encoder", "epoch"), ("projection", "include_intercep"), ("encoder", "seed")]
@@ -499,6 +541,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "'attributes' is empty" in err, err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("seed", None), ("seed", "0"), ("out_dir", 5)])
+    def test_config_file_is_checked_before_flags_apply(self, tmp_path, capsys, key, value):
+        # A flag does not mend the file: a key it lacks, or one of the
+        # wrong type, is refused though the flag would replace it.
+        flag = ["--seed", "0"] if key == "seed" else ["--out", str(tmp_path / "o")]
+        config = make_workspace(tmp_path)
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        if value is None:
+            del cfg[key]
+        else:
+            cfg[key] = value
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["prepare", "--config", str(config), *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}: ") and repr(key) in err, err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "o").exists()
 
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
@@ -1101,6 +1160,39 @@ class TestTooling:
         assert kept == str(len(rows) - 1)
         counters = json.loads(spans.read_text(encoding="utf-8"))["counters"]
         assert counters["dataset.rows"] == int(kept)
+
+    def test_module_boundaries_and_traced_spans_hold(self, tmp_path):
+        # The engine imports nothing from the package but its errors, the
+        # encoder no private name of another module; and a traced pipeline
+        # still times latent extraction and the ROC curve once per network
+        # and per representation, under the names the benchmark reads.
+        import ast
+
+        def imports(name):
+            tree = ast.parse((self.ROOT / "src" / "tabfair" / name).read_text(encoding="utf-8"))
+            kinds = (ast.Import, ast.ImportFrom)
+            return [node for node in ast.walk(tree) if isinstance(node, kinds)]
+
+        engine = []
+        for node in imports("neuralnet.py"):
+            if isinstance(node, ast.ImportFrom):
+                engine.append("." * node.level + (node.module or ""))
+            else:
+                engine += [alias.name for alias in node.names]
+        assert [m for m in engine if m.startswith((".", "tabfair"))] == [".errors"], engine
+        private = [alias.name for node in imports("mixed_encoder.py") for alias in node.names
+                   if alias.name.startswith("_")]
+        assert private == []
+        config = make_workspace(tmp_path)
+        spans = tmp_path / "spans.json"
+        subprocess.run(
+            [sys.executable, str(self.ROOT / "perfbench" / "traced_cli.py"), str(spans),
+             "pipeline", "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": str(self.ROOT / "src")},
+            capture_output=True, text=True, check=True, timeout=120)
+        calls = {name: span["calls"]
+                 for name, span in json.loads(spans.read_text(encoding="utf-8"))["spans"].items()}
+        assert calls["mixed_encoder.extract_latent"] == calls["evaluation.roc_curve_points"] == 2
 
     def test_readme_library_example_runs(self, tmp_path, capsys):
         # The README's "Library use" block, run on a German-shaped CSV

@@ -495,6 +495,23 @@ class TestKeyValues:
         ds.write_key_values(path, "tabfair-test 1", [("a", 1), ("s", "x 0.5"), ("s", "y")])
         assert path.read_text(encoding="utf-8") == "tabfair-test 1\na 1\ns x 0.5\ns y\n"
 
+    def test_csv_spells_each_value(self, tmp_path):
+        # The ROC's sentinel threshold is inf; an empty string is an
+        # empty cell; floats read back bit for bit; no rows, no lines
+        # after the header.
+        path = tmp_path / "t.csv"
+        ds.write_csv(path, ("a", "b", "c"), [(np.inf, 0.0, 1), (0.1, None, ""),
+                                             (np.float64(-0.0), True, 5e-324)])
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines == ["a,b,c", "inf,0,1", "0.10000000000000001,undefined,",
+                         "-0,true,4.9406564584124654e-324", ""]
+        for value in EDGE_FLOATS:
+            ds.write_csv(path, ("v",), [(value,)])
+            back = float(path.read_text(encoding="utf-8").splitlines()[1])
+            assert np.float64(back).tobytes() == np.float64(value).tobytes(), value
+        ds.write_csv(path, ("epoch", "train_loss", "val_loss"), iter(()))
+        assert path.read_bytes() == b"epoch,train_loss,val_loss\n"
+
 
 class TestStratifiedSplit:
     def test_tiny_forced_case(self):

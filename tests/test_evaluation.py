@@ -458,9 +458,8 @@ class TestRocCurve:
         pts = roc_curve_points([0.2, 0.8], [0, 1])
         path = tmp_path / "roc.csv"
         save_roc_csv(path, pts)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "threshold,tpr,fpr"
-        assert len(lines) == 4
+        assert path.read_text(encoding="utf-8") == (
+            "threshold,tpr,fpr\ninf,0,0\n0.80000000000000004,1,0\n0.20000000000000001,1,1\n")
 
 
 class TestEvaluateRepresentation:
@@ -548,6 +547,18 @@ class TestEvaluateRepresentation:
         report = evaluate_representation(Z, y, S, split, ["group"])
         model = train_probe(Z[split.train], y[split.train])
         assert np.array_equal(report.test_scores, predict_proba(model, Z[split.test]))
+
+    def test_roc_is_the_curve_of_the_test_scores(self):
+        # The report draws the curve the AUC summarizes; like the scores
+        # and the probe, it takes no part in comparing reports.
+        Z, y, S, split = self.make_setup()
+        report = evaluate_representation(Z, y, S, split, ["group"])
+        assert report.roc == roc_curve_points(report.test_scores, y[split.test])
+        area = sum((f1 - f0) * (t0 + t1) / 2
+                   for (_, t0, f0), (_, t1, f1) in zip(report.roc, report.roc[1:]))
+        assert area == pytest.approx(report.roc_auc, abs=1e-12)
+        assert report == dataclasses.replace(report, roc=None)
+        assert "roc=" not in repr(report)
 
     def test_name_count_must_match(self):
         Z, y, S, split = self.make_setup()

@@ -621,20 +621,6 @@ class TestTrain:
         assert message.startswith("training diverged: non-finite loss at epoch 1, batch ")
         assert message.endswith(" of 3") and "row" not in message
 
-    def test_history_csv(self, tmp_path):
-        cfg = MlpConfig(layer_widths=(3, 4, 3), output_activation="linear", latent_index=1)
-        X, Y = self.make_linear_data(40)
-        _, history = train(cfg, X, Y, epochs=3, batch_size=8, val_fraction=0.1, seed=2)
-        path = tmp_path / "loss.csv"
-        history.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss"
-        assert len(lines) == 4
-        epoch, tr, val = lines[1].split(",")
-        assert epoch == "1"
-        assert float(tr) == history.train_loss[0]
-        assert float(val) == history.val_loss[0]
-
 
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
