@@ -54,7 +54,6 @@ from .evaluation import (
 from .fair_projection import (
     DebiasedRepresentation,
     FairProjectionConfig,
-    build_sensitive_matrix,
     debias,
     select_k,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "adam_step",
     "backward",
     "bce_loss",
-    "build_sensitive_matrix",
     "debias",
     "discretize_german_age",
     "disparate_impact",

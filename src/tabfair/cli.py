@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 usage/config error or a file the system cannot
 read or make, 2 data error, 3 numerical failure. A k above the width
 of Z that the encoder config gives is refused before any stage runs;
 `debias` can still exit 1 for a k out of range for the Z.npy it reads,
-and 3 for a failed projection.
+and 3 for a failed projection. A collinear S exits 2 from `prepare`
+or `debias`, with the same line: both build S with one function.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 from . import dataset as ds
 from . import evaluation as ev
 from .errors import ConfigError, DataError, NumericalError, TabfairError
-from .fair_projection import (FairProjectionConfig, build_sensitive_matrix,
-                              check_sensitive_rank, debias)
+from .fair_projection import FairProjectionConfig, debias, sensitive_design
 from .linalg import load_matrix, save_matrix
 from .mixed_encoder import MixedEncoderConfig, encode_dataset
 from .neuralnet import save_mlp, train_rows
@@ -221,8 +221,8 @@ def cmd_prepare(run: Run) -> None:
         if s.min() == s.max():
             raise DataError(f"sensitive column {name!r}: one of its two groups has "
                             f"none of the {s.size} test rows")
-    # debias repeats this rank test; here it names the column, before training.
-    check_sensitive_rank(encoded.S, encoded.sensitive_names, run.projection)
+    # debias builds the same S and refuses it the same way; here, before training.
+    sensitive_design(encoded.S, encoded.sensitive_names, run.projection)
     # train-embed repeats this test; here it comes before any file is written.
     rows = train_rows(encoded.n, run.encoder.val_fraction)
     if run.encoder.batch_size > rows:
@@ -295,7 +295,7 @@ def cmd_debias(run: Run) -> None:
     Z = run.read("Z.npy", load_matrix)
     S_full = run.read("S.npy", load_matrix)
     names = _read_names(run, S_full)
-    result = debias(Z, build_sensitive_matrix(S_full, names, run.projection), run.projection)
+    result = debias(Z, S_full, names, run.projection)
     run.write("Z_hat.txt", save_matrix, result.Z_hat)
     run.write("C.npy", save_matrix, result.C)
     run.write_provenance(

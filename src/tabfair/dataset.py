@@ -431,8 +431,8 @@ def _require_observed(name: str, levels: tuple[str, ...], values: list[str]) -> 
     though declared, would be an all-zero column and leave S^T S
     singular. `prepare`'s test-split check would also stop it, but it
     would blame the split, and library callers of `encode` (README
-    "Library use") never run `prepare`: they would meet it only as a
-    rank-deficient S in debias, with no column named."""
+    "Library use") never run `prepare`: they would meet it only in
+    debias, as a collinear column, not as a level never observed."""
     seen = set(values)
     for level in levels:
         if level not in seen:

@@ -12,6 +12,10 @@ factor R of Z = QR (Chan's R-SVD), so no n x p factor of Z is formed.
 Z_hat = C N_k^T has rank k, so the result is kept as its k coordinates
 C = (I - P_S) Z N_k and the orthonormal basis N_k; a linear probe on C
 is a linear probe on Z_hat.
+
+debias() takes the dataset's whole S and its column names. Only
+sensitive_design() turns them into the S above, and refuses an S that
+cannot be residualized against, for `prepare` as for debias().
 """
 
 from __future__ import annotations
@@ -94,42 +98,43 @@ def select_k(D, variance_target: float) -> int:
     return int(np.searchsorted(cum, variance_target) + 1)
 
 
-def build_sensitive_matrix(S, names: list[str], config: FairProjectionConfig) -> np.ndarray:
-    """The columns of S belonging to config's sensitive attributes, in
-    attribute order (multiple attributes are removed simultaneously),
-    or every column when it names none.
-
-    An attribute matches the column of that name and every
-    reference-dropped indicator column "<attribute>=<level>".
-    """
-    return np.asarray(S, dtype=np.float64)[:, _attribute_columns(names, config)]
-
-
-def _attribute_columns(names: list[str], config: FairProjectionConfig) -> list[int]:
-    columns = []
-    for attr in config.attributes or names:
-        hits = [j for j, n in enumerate(names) if n == attr or n.startswith(f"{attr}=")]
-        if not hits:
-            raise ConfigError(f"unknown sensitive attribute {attr!r}; dataset has {names}")
-        columns.extend(hits)
-    return columns
-
-
-def _with_intercept(S: np.ndarray, config: FairProjectionConfig) -> np.ndarray:
-    return np.hstack([S, np.ones((S.shape[0], 1))]) if config.include_intercept else S
-
-
-def check_sensitive_rank(S, names: list[str], config: FairProjectionConfig) -> None:
-    """Refuse, as a DataError naming it, the first column of the S that
-    debias() would be given (build_sensitive_matrix's columns, then the
-    intercept if set) that is collinear with the columns before it."""
-    columns = _attribute_columns(names, config)
-    S = _with_intercept(np.asarray(S, dtype=np.float64)[:, columns], config)
-    j = first_collinear_column(np.linalg.qr(S, mode="r"))
+def sensitive_design(S: np.ndarray, names: list[str], config: FairProjectionConfig) -> np.ndarray:
+    """The S that debias() residualizes against, from the dataset's S and
+    its column names: the columns of config's attributes, in attribute
+    order (all columns for None), then a ones column when include_intercept
+    is set. An attribute matches the column of that name and every
+    reference-dropped indicator column "<attribute>=<level>". An S that is
+    not one column per name, or an empty design, is a ConfigError; a design
+    with as many columns as rows, or with a column collinear with those
+    before it (named; the ones column is `intercept`), a DataError."""
+    if S.shape[1] != len(names):
+        raise ConfigError(f"S has {S.shape[1]} columns for {len(names)} sensitive names")
+    columns = list(range(len(names)))
+    if config.attributes is not None:
+        columns = []
+        for attr in config.attributes:
+            hits = [j for j, n in enumerate(names) if n == attr or n.startswith(f"{attr}=")]
+            if not hits:
+                raise ConfigError(f"unknown sensitive attribute {attr!r}; dataset has {names}")
+            columns.extend(hits)
+    if not columns:
+        raise ConfigError("S has no columns: there is no sensitive attribute to remove")
+    design = S[:, columns]
+    if config.include_intercept:
+        design = np.hstack([design, np.ones((len(S), 1))])
+    n, cols = design.shape
+    if cols >= n:
+        # Columns that span every row leave C = 0, and the relative
+        # orthogonality gate would divide rounding noise by noise.
+        raise DataError(f"S has {cols} columns"
+                        f"{' with the intercept' if config.include_intercept else ''} for {n} "
+                        "rows; debias needs more rows than S has columns")
+    j = first_collinear_column(np.linalg.qr(design, mode="r"))
     if j is not None:
         named = [names[c] for c in columns] + ["intercept"]
         raise DataError(f"column {named[j]!r} of S is collinear with the columns before "
                         f"it {named[:j]}; drop collinear sensitive columns")
+    return design
 
 
 def _orthogonality_residual(C, N_k, S) -> tuple[float, float]:
@@ -141,8 +146,9 @@ def _orthogonality_residual(C, N_k, S) -> tuple[float, float]:
     return residual, residual / denom
 
 
-def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
-    """Compute Z_hat = (I - P_S) @ rank_k(Z), as its factors C and N_k.
+def debias(Z, S, names: list[str], config: FairProjectionConfig) -> DebiasedRepresentation:
+    """Compute Z_hat = (I - P_S) @ rank_k(Z), as its factors C and N_k,
+    with S the sensitive_design() of the dataset's S and `names`.
 
     One SVD of the p x p (min(n, p) x p when n < p) triangular factor R
     of Z = QR gives the singular values D of Z, for the k selection, and
@@ -150,29 +156,15 @@ def debias(Z, S, config: FairProjectionConfig) -> DebiasedRepresentation:
     (Z N_k) N_k^T. The n x k product Z N_k is residualized, Z N_k -
     Q_S (Q_S^T Z N_k) with Q_S the thin-QR basis of S, into C; neither
     an n x n nor an n x p matrix is materialized. The sign of a column
-    of N_k flips that column of C and cancels in Z_hat. S (with the
-    intercept column, when configured) whose Gram matrix S^T S has a
-    reciprocal condition number below linalg.RCOND_LIMIT raises
-    NumericalError; the test runs on the singular values of the QR
-    factor of S, which equal those of S. An S with at least as many
-    columns as Z has rows is a DataError.
+    of N_k flips that column of C and cancels in Z_hat. sensitive_design()
+    lists the refusals of S.
     """
     Z = _as_matrix(Z, "Z")
     S = _as_matrix(S, "S")
     if Z.shape[0] != S.shape[0]:
         raise ConfigError(f"row mismatch: Z has {Z.shape[0]} rows, S has {S.shape[0]}")
-    if S.shape[1] == 0:
-        raise ConfigError("S has no columns: there is no sensitive attribute to remove")
-    S = _with_intercept(S, config)
+    S = sensitive_design(S, names, config)
     n, p = Z.shape
-    if S.shape[1] >= n:
-        # Columns that span every row leave C = 0, and the relative
-        # orthogonality gate would divide rounding noise by noise.
-        raise DataError(
-            f"S has {S.shape[1]} columns"
-            f"{' with the intercept' if config.include_intercept else ''} for {n} rows; "
-            "debias needs more rows than S has columns"
-        )
     if config.k is not None and not 1 <= config.k <= min(n, p):
         raise ConfigError(f"k={config.k} out of range [1, {min(n, p)}] for a {n}x{p} matrix")
     svd = rank_k_svd(np.linalg.qr(Z, mode="r"), min(n, p))

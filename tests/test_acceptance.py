@@ -196,7 +196,7 @@ def test_criterion_04_debiased_representation_is_orthogonal_to_s():
         Z = rng.normal(size=(n, p)) + rng.normal(size=p)
         S = _binary_sensitive(rng, n, cols)
         config = FairProjectionConfig(k=int(rng.integers(1, p + 1)))
-        result = debias(Z, S, config)
+        result = debias(Z, S, [f"s{j}" for j in range(cols)], config)
         assert result.relative_residual < 1e-8, f"instance {trial}"
 
 
@@ -214,7 +214,7 @@ def test_criterion_05_blocked_debias_matches_dense():
         Z = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, size=p)
         S = _binary_sensitive(rng, n, int(rng.integers(1, 3)))
         config = FairProjectionConfig(k=int(rng.integers(1, p + 1)))
-        Z_hat = debias(Z, S, config).Z_hat
+        Z_hat = debias(Z, S, [f"s{j}" for j in range(S.shape[1])], config).Z_hat
         dense = _dense_residualizer(S) @ rank_k_svd(Z, config.k).reconstruction()
         assert np.max(np.abs(Z_hat - dense)) < 1e-10
     n = 300

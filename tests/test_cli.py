@@ -18,8 +18,8 @@ from tabfair.cli import (PROVENANCE_FORMAT, PRODUCERS, Run, config_hash, load_co
                          read_provenance)
 from tabfair.dataset import load_split, stratified_split, write_key_values
 from tabfair.errors import ConfigError, DataError
-from tabfair.fair_projection import (ORTHOGONALITY_TOL, FairProjectionConfig,
-                                     build_sensitive_matrix, debias)
+from tabfair.fair_projection import (ORTHOGONALITY_TOL, FairProjectionConfig, debias,
+                                     sensitive_design)
 from tabfair.linalg import load_matrix, save_matrix
 from tabfair.mixed_encoder import train_mixed
 from tabfair.neuralnet import PATIENCE, MlpConfig, init_params, load_mlp, save_mlp
@@ -73,8 +73,7 @@ def library_debias(out: Path, projection):
     the S.npy and sensitive_names.txt there."""
     S = load_matrix(out / "S.npy")
     names = (out / "sensitive_names.txt").read_text(encoding="utf-8").split()
-    return debias(load_matrix(out / "Z.npy"), build_sensitive_matrix(S, names, projection),
-                  projection)
+    return debias(load_matrix(out / "Z.npy"), S, names, projection)
 
 
 def manifest_without_clock(path: Path) -> dict:
@@ -103,18 +102,14 @@ class TestStages:
             assert main([verb, "--config", str(config)]) == 0, verb
         assert (tmp_path / "out" / "report_debiased.txt").exists()
 
-    def test_loss_csv_one_row_per_epoch(self, tmp_path):
-        config = make_workspace(tmp_path)
-        main(["prepare", "--config", str(config)])
-        main(["train-embed", "--config", str(config)])
-        lines = (tmp_path / "out" / "loss_num_cat.csv").read_text().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss"
-        assert len(lines) == 1 + BASE_CONFIG["encoder"]["epochs"]
-
-    @pytest.mark.parametrize("epochs, val_fraction", [(300, 0.1), (12, 0.0)])
+    @pytest.mark.parametrize("epochs, val_fraction", [
+        (300, 0.1), (12, 0.0),
+        (BASE_CONFIG["encoder"]["epochs"], BASE_CONFIG["encoder"]["val_fraction"]),
+    ])
     def test_loss_csvs_hold_the_train_histories(self, tmp_path, epochs, val_fraction):
         # Each loss CSV is its network's TrainHistory: a row per epoch
-        # that ran (300 is a cap both networks stop short of), values
+        # that ran (300 is a cap both networks stop short of; no network
+        # stops within PATIENCE epochs or without held-out rows), values
         # float() reads back to the same bits, and an empty val_loss
         # cell when no rows are held out.
         config = make_workspace(tmp_path, encoder={"epochs": epochs,
@@ -134,7 +129,8 @@ class TestStages:
             assert header == "epoch,train_loss,val_loss"
             cells = [row.split(",") for row in rows]
             assert [int(c[0]) for c in cells] == list(range(1, len(hist.train_loss) + 1))
-            assert len(cells) < epochs if val_fraction else len(cells) == epochs
+            stops_early = val_fraction and epochs > PATIENCE
+            assert len(cells) < epochs if stops_early else len(cells) == epochs
             assert bits([float(c[1]) for c in cells]) == bits(hist.train_loss)
             if val_fraction:
                 assert bits([float(c[2]) for c in cells]) == bits(hist.val_loss)
@@ -233,9 +229,7 @@ class TestStages:
             assert (str(result.k), ",".join(attributes)) == (prov["k"], prov["attributes"])
             # The factors evaluate probes: an orthonormal basis, and
             # coordinates orthogonal to S (with the intercept, when set).
-            S = build_sensitive_matrix(load_matrix(tmp_path / "out" / "S.npy"), names, library)
-            if projection["include_intercept"]:
-                S = np.hstack([S, np.ones((len(S), 1))])
+            S = sensitive_design(load_matrix(tmp_path / "out" / "S.npy"), names, library)
             gram = result.N_k.T @ result.N_k
             assert np.max(np.abs(gram - np.eye(result.k))) < 1e-12, projection
             tol = ORTHOGONALITY_TOL * np.linalg.norm(S)
@@ -844,16 +838,21 @@ class TestExitCodes:
         config.write_text(json.dumps(cfg), encoding="utf-8")
         return config
 
-    def test_collinear_sensitive_is_numerical_error(self, tmp_path, capsys):
+    def test_collinear_sensitive_in_debias_alone_is_data_error(self, tmp_path, capsys):
         # prepare checks only the attributes configured when it ran;
-        # debias, run alone with more, keeps its own rank check.
+        # debias, run alone with more, refuses the collinear column as
+        # prepare would have, with the same line.
         config = self.collinear_workspace(tmp_path, ["group"])
         assert main(["prepare", "--config", str(config)]) == 0
         assert main(["train-embed", "--config", str(config)]) == 0
         self.collinear_workspace(tmp_path, ["group", "group2"])
         capsys.readouterr()
-        assert main(["debias", "--config", str(config)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        line = ("data error: column 'group2' of S is collinear with the columns before it "
+                "['group']; drop collinear sensitive columns\n")
+        assert main(["debias", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == line
+        assert main(["prepare", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == line
 
     def test_sensitive_columns_spanning_every_row_is_data_error(self, tmp_path, capsys):
         # Three rows, two S columns and the intercept: the projection

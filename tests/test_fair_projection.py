@@ -5,15 +5,14 @@ selection, and an SVD that never sees the n x p Z."""
 import numpy as np
 import pytest
 
-from tabfair.errors import ConfigError, DataError, NumericalError
+from tabfair.errors import ConfigError, DataError
 from tabfair.fair_projection import (
     ORTHOGONALITY_TOL,
     FairProjectionConfig,
     _orthogonality_residual,
-    build_sensitive_matrix,
-    check_sensitive_rank,
     debias,
     select_k,
+    sensitive_design,
 )
 from tabfair.linalg import projector, rank_k_svd
 
@@ -22,6 +21,11 @@ def dense_residualizer(S):
     """I - S (S^T S)^-1 S^T from the normal equations, independent of
     the QR path under test."""
     return np.eye(S.shape[0]) - S @ np.linalg.solve(S.T @ S, S.T)
+
+
+def names(S):
+    """One name per column of S: a, b, ..."""
+    return [chr(ord("a") + j) for j in range(S.shape[1])]
 
 
 def random_instance(rng, n=None, p=None, s_cols=1):
@@ -53,8 +57,8 @@ class TestConfig:
             FairProjectionConfig(k=1, attributes=attributes)
 
     def test_no_attributes_selects_every_column(self):
-        S = np.arange(6.0).reshape(2, 3)
-        got = build_sensitive_matrix(S, ["a", "b=x", "b=y"], FairProjectionConfig(k=1))
+        S = np.random.default_rng(3).normal(size=(6, 3))
+        got = sensitive_design(S, ["a", "b=x", "b=y"], FairProjectionConfig(k=1))
         assert np.array_equal(got, S)
 
     def test_bad_values(self):
@@ -72,7 +76,7 @@ class TestDebias:
         for _ in range(30):
             Z, S = random_instance(rng)
             k = int(rng.integers(1, min(Z.shape) + 1))
-            result = debias(Z, S, FairProjectionConfig(k=k))
+            result = debias(Z, S, names(S), FairProjectionConfig(k=k))
             assert result.relative_residual < 1e-8
             assert np.allclose(result.Z_hat.T @ S, 0.0, atol=1e-8)
 
@@ -83,7 +87,7 @@ class TestDebias:
             Z, S = random_instance(rng, n=20, s_cols=2)
             if np.linalg.matrix_rank(S) < 2:
                 continue
-            result = debias(Z, S, FairProjectionConfig(k=3))
+            result = debias(Z, S, names(S), FairProjectionConfig(k=3))
             assert np.allclose(result.Z_hat.T @ S, 0.0, atol=1e-8)
 
     def test_matches_dense_oracle(self):
@@ -105,7 +109,7 @@ class TestDebias:
             else:
                 k = int(rng.integers(1, min(Z.shape) + 1))
                 config = FairProjectionConfig(k=k, include_intercept=intercept)
-            result = debias(Z, S, config)
+            result = debias(Z, S, names(S), config)
             assert result.k == k
             S_full = np.hstack([S, np.ones((len(S), 1))]) if intercept else S
             Z_k = rank_k_svd(Z, k).reconstruction()
@@ -121,7 +125,7 @@ class TestDebias:
         Z, S = random_instance(rng, n=8, p=3)
         Z[5, 1] = value
         with pytest.raises(DataError, match="Z contains non-finite"):
-            debias(Z, S, FairProjectionConfig(k=2))
+            debias(Z, S, names(S), FairProjectionConfig(k=2))
 
     def test_svd_never_sees_the_tall_matrix(self, monkeypatch):
         # The SVD runs on the p x p factor R of Z, not on the n x p Z.
@@ -135,22 +139,22 @@ class TestDebias:
         monkeypatch.setattr(np.linalg, "svd", recording)
         rng = np.random.default_rng(28)
         Z, S = random_instance(rng, n=500, p=8)
-        debias(Z, S, FairProjectionConfig(k=3))
+        debias(Z, S, names(S), FairProjectionConfig(k=3))
         assert seen and max(rows for rows, _ in seen) <= 8
 
     def test_ones_column_centers(self):
         # S = all-ones: residualization subtracts column means.
         rng = np.random.default_rng(10)
         Z = rng.normal(size=(9, 4))
-        result = debias(Z, np.ones((9, 1)), FairProjectionConfig(k=4))
+        result = debias(Z, np.ones((9, 1)), ["a"], FairProjectionConfig(k=4))
         Z_k = rank_k_svd(Z, 4).reconstruction()
         assert np.allclose(result.Z_hat, Z_k - Z_k.mean(axis=0), atol=1e-10)
 
     def test_fixed_point_when_already_orthogonal(self):
         rng = np.random.default_rng(12)
         Z, S = random_instance(rng, n=12, p=5)
-        first = debias(Z, S, FairProjectionConfig(k=5)).Z_hat
-        again = debias(first, S, FairProjectionConfig(k=np.linalg.matrix_rank(first)))
+        first = debias(Z, S, names(S), FairProjectionConfig(k=5)).Z_hat
+        again = debias(first, S, names(S), FairProjectionConfig(k=np.linalg.matrix_rank(first)))
         assert np.allclose(again.Z_hat, first, atol=1e-8)
 
     def test_optimality_among_constrained_challengers(self):
@@ -159,7 +163,7 @@ class TestDebias:
         rng = np.random.default_rng(14)
         Z, S = random_instance(rng, n=10, p=6)
         for k in (1, 2, 3):
-            best = np.linalg.norm(Z - debias(Z, S, FairProjectionConfig(k=k)).Z_hat)
+            best = np.linalg.norm(Z - debias(Z, S, names(S), FairProjectionConfig(k=k)).Z_hat)
             Q = np.eye(10) - projector(S)
             for _ in range(1000):
                 R = rng.normal(size=(10, k)) @ rng.normal(size=(k, 6))
@@ -170,14 +174,15 @@ class TestDebias:
         rng = np.random.default_rng(16)
         Z, S = random_instance(rng, n=6, p=4)
         with pytest.raises(ConfigError):
-            debias(Z, S, FairProjectionConfig(k=5))
+            debias(Z, S, names(S), FairProjectionConfig(k=5))
 
     def test_rank_deficient_s(self):
         rng = np.random.default_rng(18)
         Z = rng.normal(size=(8, 4))
         S = np.ones((8, 2))  # collinear columns
-        with pytest.raises(NumericalError):
-            debias(Z, S, FairProjectionConfig(k=2))
+        with pytest.raises(DataError, match=r"^column 'b' of S is collinear with the "
+                                            r"columns before it \['a'\]"):
+            debias(Z, S, names(S), FairProjectionConfig(k=2))
 
     @pytest.mark.parametrize("include_intercept, columns", [(True, 2), (False, 3), (False, 4)])
     def test_s_spanning_every_row_is_data_error(self, include_intercept, columns):
@@ -190,22 +195,22 @@ class TestDebias:
         with pytest.raises(DataError, match=f"S has {columns + include_intercept} columns"
                                             f"{' with the intercept' if include_intercept else ''}"
                                             " for 3 rows"):
-            debias(Z, S, config)
+            debias(Z, S, names(S), config)
 
     def test_row_mismatch(self):
         with pytest.raises(ConfigError):
-            debias(np.zeros((4, 2)), np.ones((5, 1)), FairProjectionConfig(k=1))
+            debias(np.zeros((4, 2)), np.ones((5, 1)), ["a"], FairProjectionConfig(k=1))
 
     @pytest.mark.parametrize("include_intercept", [False, True])
     def test_s_without_columns(self, include_intercept):
         config = FairProjectionConfig(k=1, include_intercept=include_intercept)
         with pytest.raises(ConfigError, match="no columns"):
-            debias(np.eye(4, 2), np.zeros((4, 0)), config)
+            debias(np.eye(4, 2), np.zeros((4, 0)), [], config)
 
     def test_intercept_augmentation(self):
         rng = np.random.default_rng(20)
         Z, S = random_instance(rng, n=14, p=5)
-        result = debias(Z, S, FairProjectionConfig(k=3, include_intercept=True))
+        result = debias(Z, S, names(S), FairProjectionConfig(k=3, include_intercept=True))
         ones = np.ones((14, 1))
         assert np.allclose(result.Z_hat.T @ S, 0.0, atol=1e-8)
         assert np.allclose(result.Z_hat.T @ ones, 0.0, atol=1e-8)
@@ -217,7 +222,7 @@ class TestDebias:
         Z = np.diag([4.0, 2.0, 1.0, 0.5])
         Z = np.vstack([Z, np.zeros((2, 4))])
         S = np.array([[1, 0, 1, 0, 1, 0]], dtype=float).T
-        assert debias(Z, S, FairProjectionConfig(variance_target=1.0)).k == 4
+        assert debias(Z, S, names(S), FairProjectionConfig(variance_target=1.0)).k == 4
 
 
 def relative_residual(M, S):
@@ -251,7 +256,7 @@ class TestFactors:
                 config = FairProjectionConfig(k=int(rng.integers(1, min(n, p) + 1)),
                                               include_intercept=intercept)
             S_full = np.hstack([S, np.ones((n, 1))]) if intercept else S
-            yield Z, S_full, debias(Z, S, config)
+            yield Z, S_full, debias(Z, S, names(S), config)
 
     def test_shapes_and_orthonormal_basis(self):
         for Z, _, result in self.instances(np.random.default_rng(30)):
@@ -314,34 +319,37 @@ class TestSelectK:
 
 
 class TestBuildSensitiveMatrix:
+    """sensitive_design: the S debias projects against, from the dataset's
+    whole S and its names."""
+
     def test_single_attribute(self, encoded):
-        S = build_sensitive_matrix(encoded.S, encoded.sensitive_names, GROUP)
+        S = sensitive_design(encoded.S, encoded.sensitive_names, GROUP)
         assert S.shape == (encoded.n, 1)
         assert np.array_equal(S[:, 0], encoded.S[:, 0])
 
     def test_intercept_appended(self, encoded):
-        # debias appends the intercept: the result has zero column means.
-        S = build_sensitive_matrix(encoded.S, encoded.sensitive_names, GROUP)
-        assert S.shape == (encoded.n, 1)
+        # The ones column follows the attribute's, and the debiased
+        # result has zero column means.
+        config = FairProjectionConfig(k=3, include_intercept=True, attributes=["group"])
+        S = sensitive_design(encoded.S, encoded.sensitive_names, config)
+        assert S.shape == (encoded.n, 2)
+        assert np.array_equal(S[:, 0], encoded.S[:, 0]) and np.all(S[:, 1] == 1.0)
         Z = np.hstack([encoded.X_num, encoded.X_cat]) + 3.0
-        config = FairProjectionConfig(k=3, include_intercept=True)
-        Z_hat = debias(Z, S, config).Z_hat
+        Z_hat = debias(Z, encoded.S, encoded.sensitive_names, config).Z_hat
         assert np.max(np.abs(Z_hat.mean(axis=0))) < 1e-12 * np.max(np.abs(Z_hat))
         assert np.allclose(Z_hat.T @ S, 0.0, atol=1e-10)
 
     def test_unknown_attribute(self, encoded):
         with pytest.raises(ConfigError, match="unknown sensitive attribute"):
-            build_sensitive_matrix(encoded.S, encoded.sensitive_names,
-                                   FairProjectionConfig(k=1, attributes=["nope"]))
+            sensitive_design(encoded.S, encoded.sensitive_names,
+                             FairProjectionConfig(k=1, attributes=["nope"]))
 
     def test_duplicate_attribute_rank_deficient(self, encoded):
-        # The slice keeps the duplicate; debias rejects it.
-        S = build_sensitive_matrix(encoded.S, encoded.sensitive_names,
-                                   FairProjectionConfig(k=1, attributes=["group", "group"]))
-        assert S.shape == (encoded.n, 2)
+        # The design keeps the duplicate, and its second copy is named.
         Z = np.hstack([encoded.X_num, encoded.X_cat])
-        with pytest.raises(NumericalError, match="collinear"):
-            debias(Z, S, FairProjectionConfig(k=3))
+        config = FairProjectionConfig(k=3, attributes=["group", "group"])
+        with pytest.raises(DataError, match=r"'group' of S is collinear .* \['group'\]"):
+            debias(Z, encoded.S, encoded.sensitive_names, config)
 
     def test_rank_check_names_the_collinear_column(self):
         rng = np.random.default_rng(5)
@@ -352,23 +360,48 @@ class TestBuildSensitiveMatrix:
             return FairProjectionConfig(k=1, attributes=attributes,
                                         include_intercept=include_intercept)
 
-        check_sensitive_rank(S, names, config(["a", "b"], True))
+        sensitive_design(S, names, config(["a", "b"], True))
         # b=y repeats a, in attribute order a, b=x, b=y ...
         S[:, 2] = S[:, 0]
         with pytest.raises(DataError, match=r"'b=y' of S is collinear .* \['a', 'b=x'\]"):
-            check_sensitive_rank(S, names, config(["a", "b"]))
+            sensitive_design(S, names, config(["a", "b"]))
         # ... and a repeats b=y in order b=x, b=y, a.
         with pytest.raises(DataError, match=r"'a' of S is collinear .* \['b=x', 'b=y'\]"):
-            check_sensitive_rank(S, names, config(["b", "a"]))
+            sensitive_design(S, names, config(["b", "a"]))
         # b=x + b=y = 1 on every row: the intercept is named.
         S[:, 2] = 1.0 - S[:, 1]
-        check_sensitive_rank(S, names, config(["b"]))
+        sensitive_design(S, names, config(["b"]))
         centered = config(["b"], True)
         with pytest.raises(DataError, match=r"'intercept' of S is collinear"):
-            check_sensitive_rank(S, names, centered)
-        # debias refuses what the check refuses, as a NumericalError.
-        with pytest.raises(NumericalError):
-            debias(rng.normal(size=(12, 3)), build_sensitive_matrix(S, names, centered), centered)
+            sensitive_design(S, names, centered)
+        # debias refuses what the design refuses, with the same named DataError.
+        with pytest.raises(DataError, match=r"'intercept' of S is collinear"):
+            debias(rng.normal(size=(12, 3)), S, names, centered)
+
+    def test_debias_removes_only_the_configured_attributes(self):
+        rng = np.random.default_rng(7)
+        Z = rng.normal(size=(40, 6))
+        S = rng.integers(0, 2, size=(40, 3)).astype(float)
+        names = ["a", "b=x", "b=y"]
+        got = debias(Z, S, names, FairProjectionConfig(k=3, attributes=["a"]))
+        alone = debias(Z, S[:, :1], ["a"], FairProjectionConfig(k=3))
+        assert np.array_equal(got.C.view(np.uint64), alone.C.view(np.uint64))
+        assert np.array_equal(got.N_k.view(np.uint64), alone.N_k.view(np.uint64))
+        assert relative_residual(got.C, S[:, :1]) < ORTHOGONALITY_TOL
+        assert relative_residual(got.C, S[:, 1:]) > 1e-3
+        # None removes every column, as naming every attribute does.
+        every = debias(Z, S, names, FairProjectionConfig(k=3))
+        named = debias(Z, S, names, FairProjectionConfig(k=3, attributes=["a", "b"]))
+        assert np.array_equal(every.C.view(np.uint64), named.C.view(np.uint64))
+        assert relative_residual(every.C, S) < ORTHOGONALITY_TOL
+
+    def test_names_must_match_the_columns_of_s(self):
+        rng = np.random.default_rng(9)
+        Z, S = random_instance(rng, n=10, s_cols=2)
+        with pytest.raises(ConfigError, match="S has 2 columns for 3 sensitive names"):
+            debias(Z, S, ["a", "b", "c"], FairProjectionConfig(k=1))
+        with pytest.raises(ConfigError, match="S has 2 columns for 1 sensitive names"):
+            debias(Z, S, ["a"], FairProjectionConfig(k=1))
 
     def test_prefix_matching_for_multi_level(self, tmp_path):
         # A 3-level sensitive column contributes both indicator columns.
@@ -389,6 +422,6 @@ class TestBuildSensitiveMatrix:
         ]
         raw = ds.load_csv(write_csv(tmp_path / "d.csv", rows), schema2)
         enc = ds.encode(raw, schema2)
-        S = build_sensitive_matrix(enc.S, enc.sensitive_names, GROUP)
+        S = sensitive_design(enc.S, enc.sensitive_names, GROUP)
         assert S.shape == (4, 2)
         assert np.array_equal(S, enc.S)

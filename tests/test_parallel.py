@@ -189,7 +189,7 @@ class TestSameErrors:
                                                            edit, message):
         # evaluate does not project: it scores only the C.npy debias made
         # under its own config. A config under which the projection would
-        # fail is refused as a stale C.npy (exit 1, not 3), a k out of
+        # fail is refused as a stale C.npy (exit 1, not 2), a k out of
         # range as a config error before C.npy is read.
         config = test_cli.TestExitCodes.collinear_workspace(tmp_path, ["group"])
         for verb in ("prepare", "train-embed") + (("debias",) if edit else ()):
