@@ -7,8 +7,12 @@ approximation and then residualized against the sensitive matrix S:
 
 Every column of Z_hat is orthogonal to every column of S, and the
 truncation keeps the dominant variation of Z. The order is fixed:
-truncate first, then residualize. The SVD is taken of the triangular
-factor R of Z = QR (Chan's R-SVD), so no n x p factor of Z is formed.
+truncate first, then residualize. The SVD is taken of the p x p Gram
+matrix G = Z^T Z, whose singular values are those of Z squared and
+whose right singular vectors are Z's, so no n x p copy or factor of Z
+is formed. Squaring halves the accurate digits: a direction whose
+singular value is below about 1e-7 sigma_1 is numerically undetermined.
+Only the top k directions and sums of squared singular values are used.
 Z_hat = C N_k^T has rank k, so the result is kept as its k coordinates
 C = (I - P_S) Z N_k and the orthonormal basis N_k; a linear probe on C
 is a linear probe on Z_hat.
@@ -150,14 +154,17 @@ def debias(Z, S, names: list[str], config: FairProjectionConfig) -> DebiasedRepr
     """Compute Z_hat = (I - P_S) @ rank_k(Z), as its factors C and N_k,
     with S the sensitive_design() of the dataset's S and `names`.
 
-    One SVD of the p x p (min(n, p) x p when n < p) triangular factor R
-    of Z = QR gives the singular values D of Z, for the k selection, and
-    its right singular vectors N. The rank-k truncation is Z_k =
-    (Z N_k) N_k^T. The n x k product Z N_k is residualized, Z N_k -
-    Q_S (Q_S^T Z N_k) with Q_S the thin-QR basis of S, into C; neither
-    an n x n nor an n x p matrix is materialized. The sign of a column
-    of N_k flips that column of C and cancels in Z_hat. sensitive_design()
-    lists the refusals of S.
+    One SVD of the p x p Gram matrix G = Z^T Z, formed by one SYRK, gives
+    the squared singular values D^2 of Z, for the k selection, and its
+    right singular vectors N, signed as rank_k_svd() signs them. Values
+    of D^2 at or below p * eps * max(D^2) are rounding noise of the
+    product, as for dead ReLU units, and are set to 0. A Z whose Gram
+    matrix overflows float64 is a NumericalError. The rank-k truncation
+    is Z_k = (Z N_k) N_k^T. The n x k product Z N_k is residualized,
+    Z N_k - Q_S (Q_S^T Z N_k) with Q_S the thin-QR basis of S, into C;
+    neither an n x n nor an n x p matrix is materialized. The sign of a
+    column of N_k flips that column of C and cancels in Z_hat.
+    sensitive_design() lists the refusals of S.
     """
     Z = _as_matrix(Z, "Z")
     S = _as_matrix(S, "S")
@@ -167,8 +174,15 @@ def debias(Z, S, names: list[str], config: FairProjectionConfig) -> DebiasedRepr
     n, p = Z.shape
     if config.k is not None and not 1 <= config.k <= min(n, p):
         raise ConfigError(f"k={config.k} out of range [1, {min(n, p)}] for a {n}x{p} matrix")
-    svd = rank_k_svd(np.linalg.qr(Z, mode="r"), min(n, p))
-    k = config.k if config.k is not None else select_k(svd.D, config.variance_target)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = Z.T @ Z
+        # trace(G) = ||Z||_F^2 bounds every |G_ij| and the sum of D^2.
+        overflow = not np.isfinite(np.trace(G))
+    if overflow:
+        raise NumericalError("the Gram matrix Z^T Z overflows float64; scale Z down")
+    svd = rank_k_svd(G, min(n, p))
+    D = np.sqrt(np.where(svd.D > p * np.finfo(np.float64).eps * svd.D[0], svd.D, 0.0))
+    k = config.k if config.k is not None else select_k(D, config.variance_target)
     N_k = svd.N[:, :k]
     ZN = Z @ N_k
     C, sensitive_condition = residualize(S, ZN)
@@ -181,7 +195,7 @@ def debias(Z, S, names: list[str], config: FairProjectionConfig) -> DebiasedRepr
     norm_k = float(np.linalg.norm(ZN))
     variance_kept = information_loss = None
     if norm_k > 0.0:
-        variance_kept = float(explained_variance(svd.D)[k - 1])
+        variance_kept = float(explained_variance(D)[k - 1])
         information_loss = float(np.linalg.norm(ZN - C)) / norm_k
     return DebiasedRepresentation(
         C=C, N_k=N_k, k=k, residual=residual, relative_residual=relative,

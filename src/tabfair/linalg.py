@@ -1,6 +1,8 @@
 """Dense real-matrix utilities: truncated SVD, explained variance,
 projectors onto sensitive-attribute column spaces, which test S's rank
-and condition number with one SVD, and matrix files.
+and condition number with one SVD, and matrix files. rank_k_svd()
+factors the matrix it is given; debias() gives it the p x p Gram matrix
+Z^T Z, never the n x p Z.
 
 load_matrix() reads numpy's `.npy` format only: a C-order float64 array
 of two dimensions. save_matrix() also writes text, for a path not ending
@@ -103,8 +105,10 @@ def rank_k_svd(Z, k: int) -> SvdResult:
 def explained_variance(D) -> np.ndarray:
     """Cumulative fraction of squared singular values.
 
-    Entry j is min(1, sum(D[:j+1]**2) / sum(D**2)); the last entry is
-    exactly 1. D must be non-increasing, non-negative, and not all zero.
+    Entry j is sum(D[:j+1]**2) / sum(D**2), both sums from one running
+    sum, so the entries never decrease, never exceed 1, and are exactly
+    1 from the last nonzero value on. D must be non-increasing,
+    non-negative, and not all zero.
     """
     D = np.asarray(D, dtype=np.float64)
     if D.ndim != 1 or D.size == 0:
@@ -113,12 +117,10 @@ def explained_variance(D) -> np.ndarray:
         raise DataError("singular values must be finite and non-negative")
     if np.any(np.diff(D) > 0):
         raise ConfigError("singular values must be non-increasing")
-    total = float(np.sum(D**2))
-    if total == 0.0:
+    cum = np.cumsum(D**2)
+    if cum[-1] == 0.0:
         raise DataError("all singular values are zero")
-    cum = np.minimum(np.cumsum(D**2) / total, 1.0)  # the two sums round apart
-    cum[-1] = 1.0
-    return cum
+    return cum / cum[-1]
 
 
 def _orthonormal_basis(S: np.ndarray) -> tuple[np.ndarray, float]:

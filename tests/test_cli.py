@@ -872,6 +872,19 @@ class TestExitCodes:
         assert sorted(p.name for p in out.iterdir()) == ["S.npy", "Z.npy",
                                                          "sensitive_names.txt"]
 
+    def test_overflowing_z_is_numerical_failure(self, tmp_path, capsys):
+        # Every entry of a finite Z near 1e160 squares past float64.
+        config = make_workspace(tmp_path)
+        for verb in ("prepare", "train-embed"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        Z_path = tmp_path / "out" / "Z.npy"
+        save_matrix(Z_path, load_matrix(Z_path) + 1e160)
+        capsys.readouterr()
+        assert main(["debias", "--config", str(config)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: the Gram matrix Z^T Z overflows float64; scale Z down\n")
+        assert not (tmp_path / "out" / "C.npy").exists()
+
     def test_probe_that_does_not_converge_writes_no_report(self, tmp_path, capsys,
                                                            monkeypatch):
         config = make_workspace(tmp_path)
@@ -1192,6 +1205,9 @@ class TestTooling:
         calls = {name: span["calls"]
                  for name, span in json.loads(spans.read_text(encoding="utf-8"))["spans"].items()}
         assert calls["mixed_encoder.extract_latent"] == calls["evaluation.roc_curve_points"] == 2
+        # debias's one SVD goes through rank_k_svd, which the benchmark's
+        # linalg.rank_k_svd span times.
+        assert calls["linalg.rank_k_svd"] == 1
 
     def test_readme_library_example_runs(self, tmp_path, capsys):
         # The README's "Library use" block, run on a German-shaped CSV

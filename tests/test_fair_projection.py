@@ -1,11 +1,11 @@
 """Closed-form debiasing: orthogonality, the dense projector oracle and
 diagnostics, idempotence, optimality against random challengers, k
-selection, and an SVD that never sees the n x p Z."""
+selection, and no factorization of the n x p Z."""
 
 import numpy as np
 import pytest
 
-from tabfair.errors import ConfigError, DataError
+from tabfair.errors import ConfigError, DataError, NumericalError
 from tabfair.fair_projection import (
     ORTHOGONALITY_TOL,
     FairProjectionConfig,
@@ -14,7 +14,7 @@ from tabfair.fair_projection import (
     select_k,
     sensitive_design,
 )
-from tabfair.linalg import projector, rank_k_svd
+from tabfair.linalg import projector, rank_k_svd, residualize
 
 
 def dense_residualizer(S):
@@ -128,19 +128,55 @@ class TestDebias:
             debias(Z, S, names(S), FairProjectionConfig(k=2))
 
     def test_svd_never_sees_the_tall_matrix(self, monkeypatch):
-        # The SVD runs on the p x p factor R of Z, not on the n x p Z.
-        seen = []
-        svd = np.linalg.svd
+        # The SVD runs on the p x p Gram matrix of Z, not on the n x p Z,
+        # and the only QR is of S's n x 1 design.
+        seen = {"svd": [], "qr": []}
+        for name in seen:
+            def recording(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                seen[_name].append(np.shape(a))
+                return _original(a, *args, **kwargs)
 
-        def recording(a, *args, **kwargs):
-            seen.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording)
+            monkeypatch.setattr(np.linalg, name, recording)
         rng = np.random.default_rng(28)
         Z, S = random_instance(rng, n=500, p=8)
         debias(Z, S, names(S), FairProjectionConfig(k=3))
-        assert seen and max(rows for rows, _ in seen) <= 8
+        assert seen["svd"] and max(rows for rows, _ in seen["svd"]) <= 8
+        assert seen["qr"] and set(seen["qr"]) == {(500, 1)}
+
+    def test_gram_svd_matches_the_svd_of_z(self):
+        # ReLU-like latents with dead units: the top k directions of
+        # Z^T Z give the Z_hat of Z's own SVD to 1e-12 of its largest entry.
+        rng = np.random.default_rng(40)
+        X = rng.normal(size=(2000, 30))
+        Z = np.maximum(X @ rng.normal(size=(30, 60)) + rng.normal(size=60), 0.0)
+        Z[:, rng.choice(60, size=8, replace=False)] = 0.0
+        S = rng.integers(0, 2, size=(2000, 2)).astype(float)
+        for k in (5, 18, 30):
+            Z_hat = debias(Z, S, names(S), FairProjectionConfig(k=k)).Z_hat
+            expected, _ = residualize(S, rank_k_svd(Z, k).reconstruction())
+            assert np.max(np.abs(Z_hat - expected)) <= 1e-12 * np.max(np.abs(expected)), k
+
+    def test_variance_target_one_keeps_the_rank(self):
+        # Dead units add no variance, so a target of 1 keeps rank(Z)
+        # directions, not p. A running sum divided by a separately
+        # summed total stopped short of 1 and selected the zero tail.
+        S = np.zeros((300, 1))
+        S[::2] = 1.0
+        for seed in range(10):
+            Z = np.maximum(np.random.default_rng(seed).normal(size=(300, 12)), 0.0)
+            Z[:, -2:] = 0.0
+            result = debias(Z, S, ["a"], FairProjectionConfig(variance_target=1.0))
+            assert result.k == np.linalg.matrix_rank(Z) == 10, seed
+
+    @pytest.mark.parametrize("scale", ["entries", "trace"])
+    def test_overflowing_gram_matrix_is_numerical_error(self, scale):
+        # Z is finite, but Z^T Z overflows: at 1e160 every entry does; at
+        # 1.2e154 on a diagonal, only the sum of the squared singular values.
+        rng = np.random.default_rng(42)
+        Z, S = random_instance(rng, n=50, p=4)
+        Z = Z * 1e160 if scale == "entries" else np.eye(50, 4) * 1.2e154
+        with pytest.raises(NumericalError, match=r"^the Gram matrix Z\^T Z overflows float64"):
+            debias(Z, S, names(S), FairProjectionConfig(k=2))
 
     def test_ones_column_centers(self):
         # S = all-ones: residualization subtracts column means.

@@ -178,8 +178,8 @@ class TestExplainedVariance:
         assert explained_variance(D)[-1] == 1.0
 
     def test_fractions_never_exceed_one(self):
-        # The running sum reaches the total at 0.1, before the zero tail,
-        # and rounds above np.sum's pairwise total: 1 + 2**-52 unclipped.
+        # The running sum reaches its total at 0.1, before the zero tail.
+        # Divided by np.sum's pairwise total, it read 1 + 2**-52.
         D = [3.8, 3.2, 2.7, 2.3, 2.3, 1.8, 1.4, 0.7, 0.1, 0.0, 0.0]
         got = explained_variance(D)
         assert np.max(got) == 1.0
