@@ -18,7 +18,8 @@ class ConfigError(TabfairError):
 
 class DataError(TabfairError):
     """Malformed or unusable input data: ragged CSV rows, unparseable
-    cells, constant numerical columns, degenerate label distributions."""
+    cells, constant numerical columns, degenerate label distributions,
+    or a sensitive-attribute matrix with a collinear column."""
 
 
 class UndefinedMetricError(DataError):
@@ -28,7 +29,8 @@ class UndefinedMetricError(DataError):
 
 class NumericalError(TabfairError):
     """Numerical failure: non-convergence, divergence during training,
-    or an ill-conditioned sensitive-attribute matrix."""
+    a Gram matrix that overflows, or a projection that fails its
+    orthogonality check."""
 
 
 @contextlib.contextmanager

@@ -18,8 +18,8 @@ C = (I - P_S) Z N_k and the orthonormal basis N_k; a linear probe on C
 is a linear probe on Z_hat.
 
 debias() takes the dataset's whole S and its column names. Only
-sensitive_design() turns them into the S above, and refuses an S that
-cannot be residualized against, for `prepare` as for debias().
+sensitive_design() turns them into the S above, for `prepare` as for
+debias(); linalg.orthonormal_basis() refuses and names a collinear column.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .linalg import (_as_matrix, explained_variance, first_collinear_column, rank_k_svd,
-                     residualize)
+from .linalg import _as_matrix, explained_variance, orthonormal_basis, rank_k_svd, residualize
 
 # Acceptable relative orthogonality residual of Z_hat^T S.
 ORTHOGONALITY_TOL = 1e-8
@@ -133,11 +132,7 @@ def sensitive_design(S: np.ndarray, names: list[str], config: FairProjectionConf
         raise DataError(f"S has {cols} columns"
                         f"{' with the intercept' if config.include_intercept else ''} for {n} "
                         "rows; debias needs more rows than S has columns")
-    j = first_collinear_column(np.linalg.qr(design, mode="r"))
-    if j is not None:
-        named = [names[c] for c in columns] + ["intercept"]
-        raise DataError(f"column {named[j]!r} of S is collinear with the columns before "
-                        f"it {named[:j]}; drop collinear sensitive columns")
+    orthonormal_basis(design, [names[c] for c in columns] + ["intercept"])
     return design
 
 
@@ -158,13 +153,14 @@ def debias(Z, S, names: list[str], config: FairProjectionConfig) -> DebiasedRepr
     the squared singular values D^2 of Z, for the k selection, and its
     right singular vectors N, signed as rank_k_svd() signs them. Values
     of D^2 at or below p * eps * max(D^2) are rounding noise of the
-    product, as for dead ReLU units, and are set to 0. A Z whose Gram
-    matrix overflows float64 is a NumericalError. The rank-k truncation
-    is Z_k = (Z N_k) N_k^T. The n x k product Z N_k is residualized,
-    Z N_k - Q_S (Q_S^T Z N_k) with Q_S the thin-QR basis of S, into C;
-    neither an n x n nor an n x p matrix is materialized. The sign of a
-    column of N_k flips that column of C and cancels in Z_hat.
-    sensitive_design() lists the refusals of S.
+    product and are set to 0, as are the rows of N_k for the all-zero
+    columns of Z (dead units), so those columns of Z_hat are 0. A Z
+    whose Gram matrix overflows float64 is a NumericalError. The rank-k
+    truncation is Z_k = (Z N_k) N_k^T. The n x k product Z N_k is
+    residualized, Z N_k - Q_S (Q_S^T Z N_k) with Q_S the thin-QR basis
+    of S, into C; neither an n x n nor an n x p matrix is materialized.
+    The sign of a column of N_k flips that column of C and cancels in
+    Z_hat. sensitive_design() lists the refusals of S.
     """
     Z = _as_matrix(Z, "Z")
     S = _as_matrix(S, "S")
@@ -184,6 +180,7 @@ def debias(Z, S, names: list[str], config: FairProjectionConfig) -> DebiasedRepr
     D = np.sqrt(np.where(svd.D > p * np.finfo(np.float64).eps * svd.D[0], svd.D, 0.0))
     k = config.k if config.k is not None else select_k(D, config.variance_target)
     N_k = svd.N[:, :k]
+    N_k[~Z.any(axis=0)] = 0.0
     ZN = Z @ N_k
     C, sensitive_condition = residualize(S, ZN)
     residual, relative = _orthogonality_residual(C, N_k, S)

@@ -1,8 +1,9 @@
 """Dense real-matrix utilities: truncated SVD, explained variance,
-projectors onto sensitive-attribute column spaces, which test S's rank
-and condition number with one SVD, and matrix files. rank_k_svd()
-factors the matrix it is given; debias() gives it the p x p Gram matrix
-Z^T Z, never the n x p Z.
+projectors onto sensitive-attribute column spaces, whose one thin QR of
+S (orthonormal_basis()) gives the basis, the first collinear column and
+the condition number, and matrix files. rank_k_svd() factors the matrix
+it is given; debias() gives it the p x p Gram matrix Z^T Z, never the
+n x p Z.
 
 load_matrix() reads numpy's `.npy` format only: a C-order float64 array
 of two dimensions. save_matrix() also writes text, for a path not ending
@@ -123,42 +124,30 @@ def explained_variance(D) -> np.ndarray:
     return cum / cum[-1]
 
 
-def _orthonormal_basis(S: np.ndarray) -> tuple[np.ndarray, float]:
-    """Thin-QR basis Q of col(S) and the 2-norm condition number of S,
-    refusing an S with no columns or a rank-deficient one. S = QR with Q orthonormal, so one SVD of
-    the triangular factor R gives S's singular values for both."""
-    if S.shape[1] == 0:
-        raise ConfigError("S has no columns: there is no sensitive attribute to remove")
-    Q, R = np.linalg.qr(S)
-    sv = np.linalg.svd(R, compute_uv=False)
-    if _rank_deficient(sv, S.shape[1]):
-        raise NumericalError(
-            "S^T S is rank-deficient (reciprocal condition number below "
-            f"{RCOND_LIMIT:g}); drop collinear sensitive columns"
-        )
-    return Q, float(sv[0] / sv[-1])
+def orthonormal_basis(S, labels=None) -> tuple[np.ndarray, float]:
+    """Thin-QR basis Q of col(S) and the 2-norm condition number of S.
 
-
-def _rank_deficient(sv: np.ndarray, cols: int) -> bool:
-    """Whether singular values sv show a matrix of `cols` columns rank-
-    deficient: fewer than cols (fewer rows than columns), all zero, or
-    (sv[-1] / sv[0])**2, its Gram matrix's rcond, below RCOND_LIMIT."""
-    return sv.size < cols or sv[0] == 0.0 or (sv[-1] / sv[0]) ** 2 < RCOND_LIMIT
-
-
-def first_collinear_column(R: np.ndarray) -> int | None:
-    """Given the QR factor R of S, the index of the first column of S
-    collinear with the columns before it, or None when there is none.
-
-    R[:j, :j] is the R factor of S's first j columns and shares their
-    singular values. Their condition number never falls as j grows, so
-    some block is refused exactly when the whole R is, which is all
-    _orthonormal_basis() tests; this loop serves to name the column.
+    S = QR with Q orthonormal, so R[:j, :j], the R factor of S's first j
+    columns, shares their singular values. The first block with fewer
+    singular values than columns (fewer rows than columns), all of them
+    zero, or (sv[-1] / sv[0])**2, its Gram matrix's rcond, below
+    RCOND_LIMIT, is a DataError naming its last column as collinear with
+    those before it, by `labels` (column indices when None). The last
+    block is R, whose singular values give the condition number. An S
+    with no columns is a ConfigError.
     """
-    for j in range(1, R.shape[1] + 1):
-        if _rank_deficient(np.linalg.svd(R[:j, :j], compute_uv=False), j):
-            return j - 1
-    return None
+    S = _as_matrix(S, "S")
+    cols = S.shape[1]
+    if cols == 0:
+        raise ConfigError("S has no columns: there is no sensitive attribute to remove")
+    labels = list(range(cols)) if labels is None else labels
+    Q, R = np.linalg.qr(S)
+    for j in range(1, cols + 1):
+        sv = np.linalg.svd(R[:j, :j], compute_uv=False)
+        if sv.size < j or sv[0] == 0.0 or (sv[-1] / sv[0]) ** 2 < RCOND_LIMIT:
+            raise DataError(f"column {labels[j - 1]!r} of S is collinear with the columns "
+                            f"before it {labels[:j - 1]}; drop collinear sensitive columns")
+    return Q, float(sv[0] / sv[-1])
 
 
 def projector(S) -> np.ndarray:
@@ -166,23 +155,24 @@ def projector(S) -> np.ndarray:
 
     P is symmetric and idempotent with trace equal to the number of
     columns of S. Materializes an n x n matrix: intended for modest n;
-    use residualize() for tall inputs.
+    use residualize() for tall inputs. orthonormal_basis() lists the
+    refusals of S.
     """
-    Q, _ = _orthonormal_basis(_as_matrix(S, "S"))
+    Q, _ = orthonormal_basis(S)
     return Q @ Q.T
 
 
 def residualize(S, M) -> tuple[np.ndarray, float]:
     """(I - P_S) @ M = M - Q (Q^T M) without materializing any n x n
-    matrix, Q the thin-QR basis of S; and the 2-norm condition number
-    of S, from the same factorization."""
+    matrix, and the 2-norm condition number of S: both from
+    orthonormal_basis(S), which lists the refusals of S."""
     S = _as_matrix(S, "S")
     M = _as_matrix(M, "M")
     if S.shape[0] != M.shape[0]:
         raise ConfigError(
             f"row mismatch: S has {S.shape[0]} rows, M has {M.shape[0]}"
         )
-    Q, condition = _orthonormal_basis(S)
+    Q, condition = orthonormal_basis(S)
     return M - Q @ (Q.T @ M), condition
 
 

@@ -1205,9 +1205,10 @@ class TestTooling:
         calls = {name: span["calls"]
                  for name, span in json.loads(spans.read_text(encoding="utf-8"))["spans"].items()}
         assert calls["mixed_encoder.extract_latent"] == calls["evaluation.roc_curve_points"] == 2
-        # debias's one SVD goes through rank_k_svd, which the benchmark's
-        # linalg.rank_k_svd span times.
-        assert calls["linalg.rank_k_svd"] == 1
+        # debias's one SVD goes through rank_k_svd and its projection
+        # through residualize, which the benchmark's linalg.rank_k_svd and
+        # linalg.residualize spans time.
+        assert calls["linalg.rank_k_svd"] == calls["linalg.residualize"] == 1
 
     def test_readme_library_example_runs(self, tmp_path, capsys):
         # The README's "Library use" block, run on a German-shaped CSV

@@ -143,6 +143,19 @@ class TestDebias:
         assert seen["svd"] and max(rows for rows, _ in seen["svd"]) <= 8
         assert seen["qr"] and set(seen["qr"]) == {(500, 1)}
 
+    def test_dead_units_are_exactly_zero(self):
+        # An all-zero column of Z, a dead ReLU unit, is exactly 0 in N_k
+        # and in Z_hat, not rounding noise of the Gram SVD.
+        rng = np.random.default_rng(0)
+        Z = np.maximum(rng.normal(size=(300, 12)) @ rng.normal(size=(12, 12)), 0.0)
+        dead = [1, 5, 10]
+        Z[:, dead] = 0.0
+        S = rng.integers(0, 2, size=(300, 1)).astype(float)
+        result = debias(Z, S, ["a"], FairProjectionConfig(k=6))
+        assert np.all(result.N_k[dead] == 0.0)
+        assert np.all(result.Z_hat[:, dead] == 0.0)
+        assert result.Z_hat[:, np.setdiff1d(np.arange(12), dead)].any(axis=0).all()
+
     def test_gram_svd_matches_the_svd_of_z(self):
         # ReLU-like latents with dead units: the top k directions of
         # Z^T Z give the Z_hat of Z's own SVD to 1e-12 of its largest entry.
@@ -413,6 +426,28 @@ class TestBuildSensitiveMatrix:
         # debias refuses what the design refuses, with the same named DataError.
         with pytest.raises(DataError, match=r"'intercept' of S is collinear"):
             debias(rng.normal(size=(12, 3)), S, names, centered)
+
+    def test_names_the_column_residualize_indexes(self):
+        # One rank test: a design refused by sensitive_design is refused
+        # by residualize too, which names the same column by its index.
+        rng = np.random.default_rng(11)
+        S = rng.integers(0, 2, size=(12, 2)).astype(float)
+        names = ["a", "b"]
+        ones = np.ones((12, 1))
+        # a repeated; then a + b = 1 on every row, so the intercept is collinear.
+        S[:, 1] = 1.0 - S[:, 0]
+        cases = [(["a", "a"], False, S[:, [0, 0]], 1, "'a'", "['a']"),
+                 (["a", "b"], True, np.hstack([S, ones]), 2, "'intercept'", "['a', 'b']")]
+        for attributes, intercept, design, j, name, before in cases:
+            config = FairProjectionConfig(k=1, attributes=attributes, include_intercept=intercept)
+            with pytest.raises(DataError) as by_name:
+                sensitive_design(S, names, config)
+            with pytest.raises(DataError) as by_index:
+                residualize(design, ones)
+            assert str(by_name.value).startswith(f"column {name} of S is collinear with "
+                                                 f"the columns before it {before};")
+            assert str(by_index.value).startswith(f"column {j} of S is collinear with "
+                                                  f"the columns before it {list(range(j))};")
 
     def test_debias_removes_only_the_configured_attributes(self):
         rng = np.random.default_rng(7)
