@@ -282,6 +282,19 @@ class TestFirstCollinearColumn:
         assert self.refusal(rng.normal(size=(2, 3))).startswith(
             "column 2 of S is collinear with the columns before it [0, 1];")
 
+    def test_same_threshold_as_projector(self):
+        # The matrices of test_rank_threshold_is_gram_rcond, either side
+        # of the limit: residualize draws the line where projector does.
+        rng = np.random.default_rng(17)
+        U, _ = np.linalg.qr(rng.normal(size=(8, 2)))
+        V, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        S = U @ np.diag([1.0, 1e-6 * (1 + 1e-3)]) @ V
+        orthonormal_basis(S)
+        residualize(S, np.ones((8, 1)))
+        projector(S)
+        assert self.refusal(U @ np.diag([1.0, 1e-6 * (1 - 1e-3)]) @ V).startswith(
+            "column 1 of S is collinear with the columns before it [0];")
+
 
 class TestResidualize:
     def test_matches_dense_path(self):
