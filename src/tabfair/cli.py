@@ -14,8 +14,9 @@ Exit codes: 0 success, 1 usage/config error or a file the system cannot
 read or make, 2 data error, 3 numerical failure. A k above the width
 of Z that the encoder config gives is refused before any stage runs;
 `debias` can still exit 1 for a k out of range for the Z.npy it reads,
-and 3 for a failed projection. A collinear S exits 2 from `prepare`
-or `debias`, with the same line: both build S with one function.
+and 3 for a failed projection. A collinear S exits 2 from `prepare` or
+`debias` with the same line: both build S with one function and test it
+with one QR. Names that do not fit S.npy exit 2 from `debias` or `evaluate`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import dataset as ds
 from . import evaluation as ev
 from .errors import ConfigError, DataError, NumericalError, TabfairError
 from .fair_projection import FairProjectionConfig, debias, sensitive_design
-from .linalg import load_matrix, save_matrix
+from .linalg import load_matrix, orthonormal_basis, save_matrix
 from .mixed_encoder import MixedEncoderConfig, encode_dataset
 from .neuralnet import save_mlp, train_rows
 
@@ -199,15 +200,6 @@ def _load_names(path: Path) -> list[str]:
     return ds.read_text_artifact(path).split()
 
 
-def _read_names(run: Run, S: np.ndarray) -> list[str]:
-    """sensitive_names.txt, which must name each column of S.npy."""
-    names = run.read("sensitive_names.txt", _load_names)
-    if len(names) != S.shape[1]:
-        raise DataError(f"{run.out / 'sensitive_names.txt'}: {len(names)} names for "
-                        f"the {S.shape[1]} columns of S.npy")
-    return names
-
-
 def cmd_prepare(run: Run) -> None:
     """Load, encode, and split the dataset; persist every encoded block
     plus the level map and split indices."""
@@ -221,8 +213,8 @@ def cmd_prepare(run: Run) -> None:
         if s.min() == s.max():
             raise DataError(f"sensitive column {name!r}: one of its two groups has "
                             f"none of the {s.size} test rows")
-    # debias builds the same S and refuses it the same way; here, before training.
-    sensitive_design(encoded.S, encoded.sensitive_names, run.projection)
+    # debias builds, factors and refuses the same S; here, before training.
+    orthonormal_basis(*sensitive_design(encoded.S, encoded.sensitive_names, run.projection))
     # train-embed repeats this test; here it comes before any file is written.
     rows = train_rows(encoded.n, run.encoder.val_fraction)
     if run.encoder.batch_size > rows:
@@ -294,7 +286,7 @@ def cmd_debias(run: Run) -> None:
     Z_hat.txt is an export: no stage reads it back."""
     Z = run.read("Z.npy", load_matrix)
     S_full = run.read("S.npy", load_matrix)
-    names = _read_names(run, S_full)
+    names = run.read("sensitive_names.txt", _load_names)
     result = debias(Z, S_full, names, run.projection)
     run.write("Z_hat.txt", save_matrix, result.Z_hat)
     run.write("C.npy", save_matrix, result.C)
@@ -320,7 +312,7 @@ def cmd_evaluate(run: Run) -> None:
     on Z_hat. A C.npy that debias made under another config is refused."""
     S = run.read("S.npy", load_matrix)
     y = run.read("y.npy", load_matrix).ravel()
-    names = _read_names(run, S)
+    names = run.read("sensitive_names.txt", _load_names)
     split = run.read("split.txt", ds.load_split)
     Z = run.read("Z.npy", load_matrix)
     made = run.read("debias.provenance.txt", lambda path: read_provenance(path, "k", "attributes"))

@@ -290,12 +290,14 @@ def evaluate_representation(
     ROC curve, and compute fairness metrics on the test predictions. A
     DI left undefined by a zero privileged positive rate is recorded as
     None rather than raised. A split that does not hold each row once,
-    or a y or S with a value other than 0/1, is a DataError."""
+    an S not one column per name, or a y or S not all 0/1, is a DataError."""
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[1] != len(sensitive_names):
-        raise ConfigError("S must be 2-D, with one name per sensitive column")
+    if S.ndim != 2:
+        raise ConfigError("S must be 2-D")
+    if S.shape[1] != len(sensitive_names):
+        raise DataError(f"S has {S.shape[1]} columns for {len(sensitive_names)} sensitive names")
     if Z.shape[0] != y.size or S.shape[0] != y.size:
         raise ConfigError("Z, y, and S row counts must match")
     rows = np.sort(np.concatenate([split.train, split.test]))

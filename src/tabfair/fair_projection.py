@@ -18,8 +18,9 @@ C = (I - P_S) Z N_k and the orthonormal basis N_k; a linear probe on C
 is a linear probe on Z_hat.
 
 debias() takes the dataset's whole S and its column names. Only
-sensitive_design() turns them into the S above, for `prepare` as for
-debias(); linalg.orthonormal_basis() refuses and names a collinear column.
+sensitive_design() turns them into the S above and a label per column,
+for `prepare` as for debias(); linalg.orthonormal_basis(), the one QR of
+S per stage, refuses a collinear column by its label.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .linalg import _as_matrix, explained_variance, orthonormal_basis, rank_k_svd, residualize
+from .linalg import _as_matrix, explained_variance, rank_k_svd, residualize
 
 # Acceptable relative orthogonality residual of Z_hat^T S.
 ORTHOGONALITY_TOL = 1e-8
@@ -101,17 +102,18 @@ def select_k(D, variance_target: float) -> int:
     return int(np.searchsorted(cum, variance_target) + 1)
 
 
-def sensitive_design(S: np.ndarray, names: list[str], config: FairProjectionConfig) -> np.ndarray:
-    """The S that debias() residualizes against, from the dataset's S and
-    its column names: the columns of config's attributes, in attribute
-    order (all columns for None), then a ones column when include_intercept
-    is set. An attribute matches the column of that name and every
-    reference-dropped indicator column "<attribute>=<level>". An S that is
-    not one column per name, or an empty design, is a ConfigError; a design
-    with as many columns as rows, or with a column collinear with those
-    before it (named; the ones column is `intercept`), a DataError."""
+def sensitive_design(S: np.ndarray, names: list[str],
+                     config: FairProjectionConfig) -> tuple[np.ndarray, list[str]]:
+    """The S that debias() residualizes against, and a label per column,
+    from the dataset's S and its column names: the columns of config's
+    attributes, in attribute order (all columns for None), then a ones
+    column `intercept` when include_intercept is set. An attribute matches
+    the column of that name and every reference-dropped indicator column
+    "<attribute>=<level>". An S that is not one column per name, or a
+    design with as many columns as rows, is a DataError; an empty design
+    a ConfigError. orthonormal_basis(design, labels) tests its rank."""
     if S.shape[1] != len(names):
-        raise ConfigError(f"S has {S.shape[1]} columns for {len(names)} sensitive names")
+        raise DataError(f"S has {S.shape[1]} columns for {len(names)} sensitive names")
     columns = list(range(len(names)))
     if config.attributes is not None:
         columns = []
@@ -122,9 +124,10 @@ def sensitive_design(S: np.ndarray, names: list[str], config: FairProjectionConf
             columns.extend(hits)
     if not columns:
         raise ConfigError("S has no columns: there is no sensitive attribute to remove")
-    design = S[:, columns]
+    design, labels = S[:, columns], [names[c] for c in columns]
     if config.include_intercept:
         design = np.hstack([design, np.ones((len(S), 1))])
+        labels.append("intercept")
     n, cols = design.shape
     if cols >= n:
         # Columns that span every row leave C = 0, and the relative
@@ -132,8 +135,7 @@ def sensitive_design(S: np.ndarray, names: list[str], config: FairProjectionConf
         raise DataError(f"S has {cols} columns"
                         f"{' with the intercept' if config.include_intercept else ''} for {n} "
                         "rows; debias needs more rows than S has columns")
-    orthonormal_basis(design, [names[c] for c in columns] + ["intercept"])
-    return design
+    return design, labels
 
 
 def _orthogonality_residual(C, N_k, S) -> tuple[float, float]:
@@ -160,13 +162,14 @@ def debias(Z, S, names: list[str], config: FairProjectionConfig) -> DebiasedRepr
     residualized, Z N_k - Q_S (Q_S^T Z N_k) with Q_S the thin-QR basis
     of S, into C; neither an n x n nor an n x p matrix is materialized.
     The sign of a column of N_k flips that column of C and cancels in
-    Z_hat. sensitive_design() lists the refusals of S.
+    Z_hat. sensitive_design() lists the refusals of S but its rank, which
+    residualize()'s QR, the one factorization of S, tests by label.
     """
     Z = _as_matrix(Z, "Z")
     S = _as_matrix(S, "S")
     if Z.shape[0] != S.shape[0]:
         raise ConfigError(f"row mismatch: Z has {Z.shape[0]} rows, S has {S.shape[0]}")
-    S = sensitive_design(S, names, config)
+    S, labels = sensitive_design(S, names, config)
     n, p = Z.shape
     if config.k is not None and not 1 <= config.k <= min(n, p):
         raise ConfigError(f"k={config.k} out of range [1, {min(n, p)}] for a {n}x{p} matrix")
@@ -182,7 +185,7 @@ def debias(Z, S, names: list[str], config: FairProjectionConfig) -> DebiasedRepr
     N_k = svd.N[:, :k]
     N_k[~Z.any(axis=0)] = 0.0
     ZN = Z @ N_k
-    C, sensitive_condition = residualize(S, ZN)
+    C, sensitive_condition = residualize(S, ZN, labels)
     residual, relative = _orthogonality_residual(C, N_k, S)
     if relative >= ORTHOGONALITY_TOL:
         raise NumericalError(

@@ -1,9 +1,9 @@
 """Dense real-matrix utilities: truncated SVD, explained variance,
 projectors onto sensitive-attribute column spaces, whose one thin QR of
-S (orthonormal_basis()) gives the basis, the first collinear column and
-the condition number, and matrix files. rank_k_svd() factors the matrix
-it is given; debias() gives it the p x p Gram matrix Z^T Z, never the
-n x p Z.
+S (orthonormal_basis(), run once per debias(), in residualize()) gives
+the basis, the first collinear column and the condition number, and
+matrix files. rank_k_svd() factors the matrix it is given; debias()
+gives it the p x p Gram matrix Z^T Z, never the n x p Z.
 
 load_matrix() reads numpy's `.npy` format only: a C-order float64 array
 of two dimensions. save_matrix() also writes text, for a path not ending
@@ -134,7 +134,7 @@ def orthonormal_basis(S, labels=None) -> tuple[np.ndarray, float]:
     RCOND_LIMIT, is a DataError naming its last column as collinear with
     those before it, by `labels` (column indices when None). The last
     block is R, whose singular values give the condition number. An S
-    with no columns is a ConfigError.
+    with no columns is a ConfigError. tabfair takes no other QR.
     """
     S = _as_matrix(S, "S")
     cols = S.shape[1]
@@ -162,17 +162,17 @@ def projector(S) -> np.ndarray:
     return Q @ Q.T
 
 
-def residualize(S, M) -> tuple[np.ndarray, float]:
+def residualize(S, M, labels=None) -> tuple[np.ndarray, float]:
     """(I - P_S) @ M = M - Q (Q^T M) without materializing any n x n
-    matrix, and the 2-norm condition number of S: both from
-    orthonormal_basis(S), which lists the refusals of S."""
+    matrix, and the 2-norm condition number of S: both from one
+    orthonormal_basis(S, labels), which lists the refusals of S."""
     S = _as_matrix(S, "S")
     M = _as_matrix(M, "M")
     if S.shape[0] != M.shape[0]:
         raise ConfigError(
             f"row mismatch: S has {S.shape[0]} rows, M has {M.shape[0]}"
         )
-    Q, condition = orthonormal_basis(S)
+    Q, condition = orthonormal_basis(S, labels)
     return M - Q @ (Q.T @ M), condition
 
 

@@ -229,7 +229,7 @@ class TestStages:
             assert (str(result.k), ",".join(attributes)) == (prov["k"], prov["attributes"])
             # The factors evaluate probes: an orthonormal basis, and
             # coordinates orthogonal to S (with the intercept, when set).
-            S = sensitive_design(load_matrix(tmp_path / "out" / "S.npy"), names, library)
+            S, _ = sensitive_design(load_matrix(tmp_path / "out" / "S.npy"), names, library)
             gram = result.N_k.T @ result.N_k
             assert np.max(np.abs(gram - np.eye(result.k))) < 1e-12, projection
             tol = ORTHOGONALITY_TOL * np.linalg.norm(S)
@@ -1125,8 +1125,10 @@ class TestExitCodes:
         for verb in ("debias", "evaluate"):
             # An uncaught exception (a traceback) would fail the test here.
             assert main([verb, "--config", str(config)]) == 2, verb
-            err = capsys.readouterr().err
-            assert f"{len(names) - 1} names for the {len(names)} columns of S.npy" in err, err
+            # The library's one message, from sensitive_design and from
+            # evaluate_representation.
+            assert capsys.readouterr().err == (f"data error: S has {len(names)} columns for "
+                                               f"{len(names) - 1} sensitive names\n"), verb
 
     def test_k_out_of_range_fails_before_compute(self, tmp_path, capsys):
         config = make_workspace(tmp_path, projection={"k": 999})
@@ -1209,6 +1211,21 @@ class TestTooling:
         # through residualize, which the benchmark's linalg.rank_k_svd and
         # linalg.residualize spans time.
         assert calls["linalg.rank_k_svd"] == calls["linalg.residualize"] == 1
+
+    def test_one_qr_in_the_package(self):
+        # linalg.orthonormal_basis is the one factorization of S; any
+        # other reference to a qr in src/tabfair/ would factor S again.
+        import ast
+
+        found = []
+        for path in sorted((self.ROOT / "src" / "tabfair").glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                found += [(path.name, getattr(top, "name", None), ast.unparse(node))
+                          for node in ast.walk(top)
+                          if isinstance(node, ast.Attribute) and node.attr == "qr"
+                          or isinstance(node, ast.Name) and node.id == "qr"
+                          or isinstance(node, ast.alias) and node.name == "qr"]
+        assert found == [("linalg.py", "orthonormal_basis", "np.linalg.qr")], found
 
     def test_readme_library_example_runs(self, tmp_path, capsys):
         # The README's "Library use" block, run on a German-shaped CSV

@@ -562,7 +562,7 @@ class TestEvaluateRepresentation:
 
     def test_name_count_must_match(self):
         Z, y, S, split = self.make_setup()
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="^S has 1 columns for 2 sensitive names$"):
             evaluate_representation(Z, y, S, split, ["a", "b"])
         # A 1-D S, or Z, has no columns to name or fit.
         for args in ((Z, y, S[:, 0]), (Z[:, 0], y, S)):
