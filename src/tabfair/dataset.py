@@ -78,8 +78,9 @@ class ColumnSchema:
 
 
 def validate_schema(columns: list[ColumnSchema]) -> None:
-    """Whole-schema invariants: unique names, exactly one label, and at
-    least one numerical, one categorical and one sensitive column."""
+    """Whole-schema invariants: unique names, exactly one label, at
+    least one numerical, one categorical and one sensitive column, and
+    no sensitive name holding '=', which S's column names reserve."""
     names = [c.name for c in columns]
     if len(set(names)) != len(names):
         raise ConfigError("schema column names must be unique")
@@ -92,6 +93,10 @@ def validate_schema(columns: list[ColumnSchema]) -> None:
         )
     if "sensitive" not in kinds:
         raise ConfigError("schema needs at least one sensitive column to debias against")
+    for c in columns:
+        if c.kind == "sensitive" and "=" in c.name:
+            raise ConfigError(f"sensitive column {c.name!r}: a name may not contain '=', "
+                              "which separates attribute and level in S's column names")
 
 
 def load_schema(path) -> list[ColumnSchema]:

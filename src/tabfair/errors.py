@@ -1,10 +1,11 @@
-"""Exception taxonomy shared by the library and the CLI.
-
-The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-NumericalError -> 3.
+"""Exception taxonomy shared by the library and the CLI, which maps it
+onto exit codes: ConfigError -> 1, DataError -> 2, NumericalError -> 3.
+as_matrix() is the package's one check of a matrix argument.
 """
 
 import contextlib
+
+import numpy as np
 
 
 class TabfairError(Exception):
@@ -41,3 +42,16 @@ def undecodable_is_data_error(where):
         yield
     except UnicodeDecodeError as exc:
         raise DataError(f"{where}: not UTF-8 text: {exc}") from exc
+
+
+def as_matrix(a, name: str, rows: int | None = None) -> np.ndarray:
+    """`a` as float64, refused by `name` unless it is 2-D and has `rows`
+    rows when given (a ConfigError), and is finite (a DataError)."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ConfigError(f"{name} must be 2-D, got ndim={a.ndim}")
+    if rows is not None and a.shape[0] != rows:
+        raise ConfigError(f"{name} has {a.shape[0]} rows, expected {rows}")
+    if not np.isfinite(a).all():
+        raise DataError(f"{name} contains non-finite entries")
+    return a

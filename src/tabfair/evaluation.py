@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import SplitIndices, spell, write_csv, write_key_values
-from .errors import ConfigError, DataError, NumericalError, UndefinedMetricError
+from .errors import ConfigError, DataError, NumericalError, UndefinedMetricError, as_matrix
 from .neuralnet import _bce, _exp_neg_abs, _sigmoid
 
 DI_PASS_THRESHOLD = 80.0  # DI x 100 must exceed this (strict) to pass
@@ -96,14 +96,13 @@ def train_probe(Z, y) -> LogisticModel:
     (Armijo), until the gradient norm is below PROBE_TOL. The objective
     is strictly convex, so the optimum is unique and the fit
     deterministic. The model carries the objective and gradient norm
-    at its weights. A single-class label vector is a DataError; not
+    at its weights. Z is refused as as_matrix() refuses it, with one row
+    per label, and a single-class label vector is a DataError; not
     converging within PROBE_MAX_ITER steps, or a line search that finds
     no decrease, is a NumericalError.
     """
-    Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    if Z.ndim != 2 or Z.shape[0] != y.size:
-        raise ConfigError("Z must be 2-D with one row per label")
+    Z = as_matrix(Z, "Z", rows=y.size)
     if y.size == 0 or y.min() == y.max():
         raise DataError("probe training labels contain a single class")
     p = Z.shape[1]
@@ -137,12 +136,11 @@ def train_probe(Z, y) -> LogisticModel:
 
 
 def predict_proba(model: LogisticModel, Z) -> np.ndarray:
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != model.weights.size:
-        raise ConfigError(
-            f"Z width {Z.shape[1] if Z.ndim == 2 else '?'} != model width "
-            f"{model.weights.size}"
-        )
+    """sigmoid(Z @ weights + bias) per row: as_matrix(Z, "Z"), refused also
+    (a ConfigError) unless Z has the model's width."""
+    Z = as_matrix(Z, "Z")
+    if Z.shape[1] != model.weights.size:
+        raise ConfigError(f"Z width {Z.shape[1]} != model width {model.weights.size}")
     return _sigmoid(Z @ model.weights + model.bias)
 
 
@@ -289,17 +287,15 @@ def evaluate_representation(
     """Train the probe on the train rows, score the test rows, draw their
     ROC curve, and compute fairness metrics on the test predictions. A
     DI left undefined by a zero privileged positive rate is recorded as
-    None rather than raised. A split that does not hold each row once,
-    an S not one column per name, or a y or S not all 0/1, is a DataError."""
-    Z = np.asarray(Z, dtype=np.float64)
+    None rather than raised. Z and S are refused as as_matrix() refuses
+    them, with one row per label; a split that does not hold each row
+    once, an S not one column per name, or a y or S not all 0/1, is a
+    DataError."""
     y = np.asarray(y, dtype=np.float64).ravel()
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2:
-        raise ConfigError("S must be 2-D")
+    Z = as_matrix(Z, "Z", rows=y.size)
+    S = as_matrix(S, "S", rows=y.size)
     if S.shape[1] != len(sensitive_names):
         raise DataError(f"S has {S.shape[1]} columns for {len(sensitive_names)} sensitive names")
-    if Z.shape[0] != y.size or S.shape[0] != y.size:
-        raise ConfigError("Z, y, and S row counts must match")
     rows = np.sort(np.concatenate([split.train, split.test]))
     if not np.array_equal(rows, np.arange(y.size)):
         raise DataError(f"the split must hold each of the {y.size} rows once, "

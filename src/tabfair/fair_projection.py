@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
-from .linalg import _as_matrix, explained_variance, rank_k_svd, residualize
+from .errors import ConfigError, DataError, NumericalError, as_matrix
+from .linalg import explained_variance, rank_k_svd, residualize
 
 # Acceptable relative orthogonality residual of Z_hat^T S.
 ORTHOGONALITY_TOL = 1e-8
@@ -162,13 +162,12 @@ def debias(Z, S, names: list[str], config: FairProjectionConfig) -> DebiasedRepr
     residualized, Z N_k - Q_S (Q_S^T Z N_k) with Q_S the thin-QR basis
     of S, into C; neither an n x n nor an n x p matrix is materialized.
     The sign of a column of N_k flips that column of C and cancels in
-    Z_hat. sensitive_design() lists the refusals of S but its rank, which
-    residualize()'s QR, the one factorization of S, tests by label.
+    Z_hat. S must have Z's rows; sensitive_design() lists its other
+    refusals but its rank, which residualize()'s QR, the one
+    factorization of S, tests by label.
     """
-    Z = _as_matrix(Z, "Z")
-    S = _as_matrix(S, "S")
-    if Z.shape[0] != S.shape[0]:
-        raise ConfigError(f"row mismatch: Z has {Z.shape[0]} rows, S has {S.shape[0]}")
+    Z = as_matrix(Z, "Z")
+    S = as_matrix(S, "S", rows=Z.shape[0])
     S, labels = sensitive_design(S, names, config)
     n, p = Z.shape
     if config.k is not None and not 1 <= config.k <= min(n, p):

@@ -22,10 +22,6 @@ two networks' training or the two halves of a text matrix, in two
 processes when BLAS is pinned to one thread per process (see
 tabfair.BLAS_PINNED), so that each job's BLAS calls are the ones a
 single process makes; otherwise in one process, in order.
-
-All operations are pure and work on float64 ``numpy`` arrays. Matrices
-are required to be finite; violations raise early rather than letting
-NaNs propagate.
 """
 
 from __future__ import annotations
@@ -41,20 +37,11 @@ import numpy as np
 
 import tabfair
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, as_matrix
 
 # S^T S with a reciprocal condition number below this is treated as
 # rank-deficient; callers are told to drop collinear sensitive columns.
 RCOND_LIMIT = 1e-12
-
-
-def _as_matrix(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ConfigError(f"{name} must be a 2-D matrix, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise DataError(f"{name} contains non-finite entries")
-    return a
 
 
 @dataclass(frozen=True)
@@ -84,7 +71,7 @@ def rank_k_svd(Z, k: int) -> SvdResult:
     iteration cap surfaces as NumericalError. Deterministic including
     signs (see SvdResult).
     """
-    Z = _as_matrix(Z, "Z")
+    Z = as_matrix(Z, "Z")
     n, p = Z.shape
     if not 1 <= k <= min(n, p):
         raise ConfigError(f"k={k} out of range [1, {min(n, p)}] for a {n}x{p} matrix")
@@ -136,7 +123,7 @@ def orthonormal_basis(S, labels=None) -> tuple[np.ndarray, float]:
     block is R, whose singular values give the condition number. An S
     with no columns is a ConfigError. tabfair takes no other QR.
     """
-    S = _as_matrix(S, "S")
+    S = as_matrix(S, "S")
     cols = S.shape[1]
     if cols == 0:
         raise ConfigError("S has no columns: there is no sensitive attribute to remove")
@@ -165,13 +152,10 @@ def projector(S) -> np.ndarray:
 def residualize(S, M, labels=None) -> tuple[np.ndarray, float]:
     """(I - P_S) @ M = M - Q (Q^T M) without materializing any n x n
     matrix, and the 2-norm condition number of S: both from one
-    orthonormal_basis(S, labels), which lists the refusals of S."""
-    S = _as_matrix(S, "S")
-    M = _as_matrix(M, "M")
-    if S.shape[0] != M.shape[0]:
-        raise ConfigError(
-            f"row mismatch: S has {S.shape[0]} rows, M has {M.shape[0]}"
-        )
+    orthonormal_basis(S, labels), which lists the refusals of S; M must
+    have S's rows."""
+    S = as_matrix(S, "S")
+    M = as_matrix(M, "M", rows=S.shape[0])
     Q, condition = orthonormal_basis(S, labels)
     return M - Q @ (Q.T @ M), condition
 
@@ -359,7 +343,7 @@ def save_matrix(path, M) -> None:
     `path`, and the second half to a part file beside it, which is then
     appended and removed. The text is an export: load_matrix() does not
     read it."""
-    M = _as_matrix(M, "matrix")
+    M = as_matrix(M, "matrix")
     path = Path(path)
     if path.suffix == ".npy":
         np.save(path, np.ascontiguousarray(M), allow_pickle=False)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, as_matrix
 
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
 
@@ -200,12 +200,9 @@ def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
 
 
 def _check_input(config: MlpConfig, X) -> np.ndarray:
-    """X as a finite float64 batch of the network's input width."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ConfigError("X must be 2-D (batch x features)")
-    if not np.isfinite(X).all():
-        raise DataError("network input contains non-finite values")
+    """as_matrix(X, "X"), refused also (a ConfigError) unless it has the
+    network's input width."""
+    X = as_matrix(X, "X")
     if X.shape[1] != config.layer_widths[0]:
         raise ConfigError(
             f"input width {X.shape[1]} != network input width {config.layer_widths[0]}"
@@ -430,12 +427,14 @@ def train(
     the best. With no validation rows every epoch runs and the last
     epoch's parameters are returned. Deterministic given the seed. A
     non-finite loss aborts with a diagnostic instead of propagating
-    NaNs.
+    NaNs. Refused before any step, in order: X as _check_input() refuses
+    it, Y as as_matrix() does with X's rows, then (ConfigError) a Y not
+    of the output width, and val_fraction, epochs, batch_size out of range.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ConfigError("X and Y must be 2-D with equal row counts")
+    # Checked once here: every batch below is a row subset of X and Y,
+    # so the loop runs the unchecked forward pass and loss.
+    X = _check_input(config, X)
+    Y = as_matrix(Y, "Y", rows=X.shape[0])
     if Y.shape[1] != config.layer_widths[-1]:
         raise ConfigError(
             f"target width {Y.shape[1]} != network output width {config.layer_widths[-1]}"
@@ -444,9 +443,6 @@ def train(
         raise ConfigError(f"val_fraction must be in [0, 1), got {val_fraction}")
     if epochs < 0 or batch_size < 1:
         raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-    # Checked once here: every batch below is a row subset of X, so the
-    # loop runs the unchecked forward pass and loss.
-    X = _check_input(config, X)
     n = X.shape[0]
 
     params = init_params(config, seed)

@@ -928,6 +928,17 @@ class TestExitCodes:
         assert "at least one sensitive column" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_equals_sign_in_a_sensitive_name_writes_nothing(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        (tmp_path / "synthetic.schema").write_text(SCHEMA_TEXT.replace(
+            "column group sensitive privileged=B",
+            "column group sensitive\ncolumn group=B sensitive privileged=1"), encoding="utf-8")
+        assert main(["pipeline", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "sensitive column 'group=B'" in err, err
+        assert len(err.splitlines()) == 1
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize("line", ["column group sensitive levels=A|B|C",
                                       "column group sensitive levels=A|B|C privileged=C"])
     def test_unobserved_sensitive_level_stops_at_prepare(self, tmp_path, capsys, line):
@@ -1226,6 +1237,19 @@ class TestTooling:
                           or isinstance(node, ast.Name) and node.id == "qr"
                           or isinstance(node, ast.alias) and node.name == "qr"]
         assert found == [("linalg.py", "orthonormal_basis", "np.linalg.qr")], found
+
+    def test_one_matrix_check_in_the_package(self):
+        # errors.as_matrix is the one check that an argument is a 2-D
+        # matrix; explained_variance takes a 1-D D. A .ndim anywhere else
+        # in src/tabfair/ would be a second owner of the rule.
+        import ast
+
+        found = set()
+        for path in sorted((self.ROOT / "src" / "tabfair").glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                found |= {(path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                          if isinstance(node, ast.Attribute) and node.attr == "ndim"}
+        assert found == {("errors.py", "as_matrix"), ("linalg.py", "explained_variance")}, found
 
     def test_readme_library_example_runs(self, tmp_path, capsys):
         # The README's "Library use" block, run on a German-shaped CSV

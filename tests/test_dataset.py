@@ -88,6 +88,20 @@ class TestSchema:
             ds.validate_schema(cols)
         ds.validate_schema(cols + [ds.ColumnSchema("s", "sensitive")])
 
+    def test_sensitive_name_without_equals_sign(self):
+        # "g=B" would read as level B of an attribute g: with a
+        # multi-level g beside it, attributes ["g"] would select it too.
+        cols = [
+            ds.ColumnSchema("a", "numerical"),
+            ds.ColumnSchema("b", "categorical"),
+            ds.ColumnSchema("g", "sensitive"),
+            ds.ColumnSchema("y", "label"),
+        ]
+        ds.validate_schema(cols + [ds.ColumnSchema("x=1", "numerical")])
+        with pytest.raises(ConfigError, match="^sensitive column 'g=B': a name may not "
+                                              "contain '='"):
+            ds.validate_schema(cols + [ds.ColumnSchema("g=B", "sensitive", privileged="1")])
+
     def test_option_kind_pairing_enforced(self):
         with pytest.raises(ConfigError):
             ds.ColumnSchema("a", "numerical", privileged="x")

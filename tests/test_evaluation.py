@@ -295,8 +295,24 @@ class TestProbe:
         model = LogisticModel(weights=np.array([1.0, 2.0]), bias=0.0)
         with pytest.raises(ConfigError, match="Z width 3 != model width 2"):
             predict_proba(model, np.zeros((3, 3)))
-        with pytest.raises(ConfigError, match=r"Z width \? != model width 2"):
+        with pytest.raises(ConfigError, match="^Z must be 2-D, got ndim=1$"):
             predict_proba(model, np.zeros(2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_z_is_a_data_error(self, value):
+        # Bad data, not a failed fit: refused before any Newton step.
+        Z, y = self.separable()
+        Z[7, 1] = value
+        with pytest.raises(DataError, match="^Z contains non-finite entries$"):
+            train_probe(Z, y)
+        model = LogisticModel(weights=np.array([1.0, 2.0]), bias=0.0)
+        with pytest.raises(DataError, match="^Z contains non-finite entries$"):
+            predict_proba(model, Z)
+
+    def test_row_count_must_match_the_labels(self):
+        Z, y = self.separable()
+        with pytest.raises(ConfigError, match="^Z has 59 rows, expected 60$"):
+            train_probe(Z[1:], y)
 
     def test_probe_loss_at_half_is_ln2(self):
         # At zero weights the ridge term is 0 and every probability 1/2.
@@ -568,6 +584,20 @@ class TestEvaluateRepresentation:
         for args in ((Z, y, S[:, 0]), (Z[:, 0], y, S)):
             with pytest.raises(ConfigError, match="must be 2-D"):
                 evaluate_representation(*args, split, ["group"])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_z_is_a_data_error(self, value):
+        Z, y, S, split = self.make_setup()
+        Z[split.test[0], 2] = value
+        with pytest.raises(DataError, match="^Z contains non-finite entries$"):
+            evaluate_representation(Z, y, S, split, ["group"])
+
+    def test_row_counts_must_match_the_labels(self):
+        # Checked before the names: each message names the matrix.
+        Z, y, S, split = self.make_setup()
+        for args, name in (((Z[1:], y, S), "Z"), ((Z, y, S[1:]), "S")):
+            with pytest.raises(ConfigError, match=f"^{name} has 119 rows, expected 120$"):
+                evaluate_representation(*args, split, ["a", "b"])
 
     def test_non_binary_s_or_y_is_data_error(self):
         # Cast to int, 0.5 and 0.7 would be scored as 0.

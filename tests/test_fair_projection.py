@@ -249,7 +249,7 @@ class TestDebias:
             debias(Z, S, names(S), config)
 
     def test_row_mismatch(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^S has 5 rows, expected 4$"):
             debias(np.zeros((4, 2)), np.ones((5, 1)), ["a"], FairProjectionConfig(k=1))
 
     @pytest.mark.parametrize("include_intercept", [False, True])

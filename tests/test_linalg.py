@@ -334,7 +334,7 @@ class TestResidualize:
             residualize(np.ones((5, 2)), np.ones((5, 3)))
 
     def test_row_mismatch(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^M has 5 rows, expected 4$"):
             residualize(np.ones((4, 1)), np.ones((5, 2)))
 
     def test_s_without_columns_is_config_error(self):

@@ -595,6 +595,22 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(cfg, X, Y[:, :1], epochs=0, batch_size=4, val_fraction=0.0, seed=0)
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_non_finite_target_is_a_data_error(self, epochs):
+        # Refused before any step: not a silent return at epochs=0, nor a
+        # divergence at epochs=1.
+        cfg = MlpConfig(layer_widths=(3, 4, 3), output_activation="linear", latent_index=1)
+        X, Y = self.make_linear_data(20)
+        Y[4, 2] = np.nan
+        with pytest.raises(DataError, match="^Y contains non-finite entries$"):
+            train(cfg, X, Y, epochs=epochs, batch_size=4, val_fraction=0.0, seed=0)
+
+    def test_row_counts_must_match(self):
+        cfg = MlpConfig(layer_widths=(3, 4, 3), output_activation="linear", latent_index=1)
+        X, Y = self.make_linear_data(20)
+        with pytest.raises(ConfigError, match="^Y has 19 rows, expected 20$"):
+            train(cfg, X, Y[1:], epochs=1, batch_size=4, val_fraction=0.0, seed=0)
+
     def test_batch_size_exceeding_train_rows(self):
         cfg = MlpConfig(layer_widths=(3, 4, 3), output_activation="linear", latent_index=1)
         X, Y = self.make_linear_data(20)
@@ -604,9 +620,12 @@ class TestTrain:
     def test_divergence_is_loud(self):
         # the overflow is the point; silence numpy's warning about it
         cfg = MlpConfig(layer_widths=(1, 2, 1), output_activation="linear", latent_index=1)
-        X = np.full((8, 1), 1e200)
-        with np.errstate(over="ignore"), pytest.raises((NumericalError, DataError)):
-            train(cfg, X, X * 1e200, epochs=3, batch_size=4, val_fraction=0.0, seed=0)
+        # Finite data whose loss overflows: (1e200)**2 is inf.
+        Y = X = np.full((8, 1), 1e200)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError,
+                                                      match="^training diverged: non-finite "
+                                                            "loss at epoch 1, batch 1 of 2$"):
+            train(cfg, X, Y, epochs=3, batch_size=4, val_fraction=0.0, seed=0)
 
     def test_divergence_names_the_batch(self):
         # The message counts batches within the epoch; it names no row,
