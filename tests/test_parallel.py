@@ -2,8 +2,7 @@
 thread, and the two networks give the same bits and the same errors
 whether run_both() runs them in two processes or in one. evaluate, which
 runs in one process, must fail on a bad input before it writes a
-report; both modes make the same inputs (TestSameBits), so those tests
-take no mode."""
+report, whichever mode train-embed made its inputs in."""
 
 import json
 import os
@@ -164,7 +163,7 @@ class TestSameErrors:
                               "roc_debiased.csv", "evaluate.provenance.txt"}
 
     @pytest.mark.parametrize("fault, code", [("corrupt", 2), ("missing", 1)])
-    def test_bad_z_in_evaluate_writes_no_report(self, tmp_path, capsys, fault, code):
+    def test_bad_z_in_evaluate_writes_no_report(self, tmp_path, capsys, mode, fault, code):
         # The biased scoring reads Z.npy; debias's C.npy and Z_hat.txt
         # do not stand in for it.
         config = make_workspace(tmp_path)
@@ -186,8 +185,8 @@ class TestSameErrors:
         ({"k": 999}, "config error: k=999 out of range"),
         (None, "debias.provenance.txt; run debias first"),
     ], ids=["collinear", "k-out-of-range", "no-debias"])
-    def test_projection_error_in_evaluate_writes_no_report(self, tmp_path, capsys, edit,
-                                                           message):
+    def test_projection_error_in_evaluate_writes_no_report(self, tmp_path, capsys, mode,
+                                                           edit, message):
         # evaluate does not project: it scores only the C.npy debias made
         # under its own config. A config under which the projection would
         # fail is refused as a stale C.npy (exit 1, not 2), a k out of
