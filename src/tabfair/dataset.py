@@ -564,7 +564,8 @@ def read_text_artifact(path, header: str | None = None) -> str:
 
 def read_key_values(path, header: str, required: tuple[str, ...] = ()) -> dict[str, str]:
     """Parse a file of a header line then 'key value' lines. A line with
-    no value or a missing required key is a DataError."""
+    no value, a key given twice, or a missing required key is a
+    DataError: no file this reads has a key that may repeat."""
     body = {}
     for ln, line in enumerate(read_text_artifact(path, header).splitlines(), start=2):
         if not line:
@@ -572,6 +573,8 @@ def read_key_values(path, header: str, required: tuple[str, ...] = ()) -> dict[s
         key, _, value = line.partition(" ")
         if not value.strip():
             raise DataError(f"{path}:{ln}: {key!r} has no value")
+        if key in body:
+            raise DataError(f"{path}:{ln}: {key!r} is given a second time")
         body[key] = value
     missing = [k for k in required if k not in body]
     if missing:

@@ -97,12 +97,13 @@ def train_probe(Z, y) -> LogisticModel:
     is strictly convex, so the optimum is unique and the fit
     deterministic. The model carries the objective and gradient norm
     at its weights. Z is refused as as_matrix() refuses it, with one row
-    per label, and a single-class label vector is a DataError; not
-    converging within PROBE_MAX_ITER steps, or a line search that finds
-    no decrease, is a NumericalError.
+    per label, and labels not all 0/1, or of a single class, are a
+    DataError; not converging within PROBE_MAX_ITER steps, or a line
+    search that finds no decrease, is a NumericalError.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     Z = as_matrix(Z, "Z", rows=y.size)
+    _binary(y, "y")  # as floats: a cast to int would truncate 0.5 to 0
     if y.size == 0 or y.min() == y.max():
         raise DataError("probe training labels contain a single class")
     p = Z.shape[1]

@@ -592,7 +592,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: stage 'prepare' failed: encoder 'batch_size' "
                               "217 exceeds the 216 training rows"), err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
         config = make_workspace(tmp_path, encoder={"batch_size": 216})
         for verb in ("prepare", "train-embed"):
             assert main([verb, "--config", str(config)]) == 0, verb
@@ -625,7 +625,7 @@ class TestExitCodes:
         assert main(["prepare", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"column 'x2': cell {cell!r} (row 6 of the kept rows)" in err, err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def assert_byte_order_mark_changes_only_its_hash(tmp_path, name, hash_key):
@@ -688,7 +688,7 @@ class TestExitCodes:
         assert err.startswith(f"data error: {tmp_path / 'synthetic.csv'}: line 4: field larger "
                               "than field limit"), err
         assert len(err.splitlines()) == 1
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line, message", [
         ("column x1 numerical levels=1|2", "levels= does not apply to kind numerical"),
@@ -708,7 +708,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err, err
         assert len(err.splitlines()) == 1
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, word, code, kind", [
         ("synthetic.csv", b"red", 2, "data error"),  # in a row, not the header
@@ -926,7 +926,7 @@ class TestExitCodes:
             "column group sensitive privileged=B", "column group ignored"), encoding="utf-8")
         assert main(["pipeline", "--config", str(config)]) == 1
         assert "at least one sensitive column" in capsys.readouterr().err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_equals_sign_in_a_sensitive_name_writes_nothing(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
@@ -937,7 +937,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "sensitive column 'group=B'" in err, err
         assert len(err.splitlines()) == 1
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", ["column group sensitive levels=A|B|C",
                                       "column group sensitive levels=A|B|C privileged=C"])
@@ -982,7 +982,7 @@ class TestExitCodes:
         assert main(["prepare", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "class 1.0 has 2 rows" in err and "puts 2 in the test split" in err
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_level_that_cannot_be_written_leaves_no_file(self, tmp_path, capsys):
         # A level with a space is refused before prepare writes anything:
@@ -1000,7 +1000,7 @@ class TestExitCodes:
             assert main(["prepare", "--config", str(config), "--out", str(where)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("data error: ") and "'dark red'" in err, err
-        assert list((tmp_path / "fresh").iterdir()) == []
+        assert not (tmp_path / "fresh").exists()
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_unknown_projection_attribute(self, tmp_path, capsys):
@@ -1059,6 +1059,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{name[0]} must contain only 0/1" in err, err
         assert not (out / "report_biased.txt").exists()
+
+    @pytest.mark.parametrize("name, key", [("split.txt", "seed"),
+                                           ("debias.provenance.txt", "config_hash")])
+    def test_artifact_written_twice_is_data_error(self, tmp_path, capsys, name, key):
+        # A file holding its own text twice gives each key a second value,
+        # which no reader may choose between.
+        config = make_workspace(tmp_path)
+        for verb in ("prepare", "train-embed", "debias"):
+            assert main([verb, "--config", str(config)]) == 0, verb
+        path = tmp_path / "out" / name
+        path.write_text(path.read_text(encoding="utf-8") * 2, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}:") and f"{key!r} is given a second time" in err
+        assert len(err.splitlines()) == 1, err
 
     def test_provenance_line_without_value_is_data_error(self, tmp_path):
         path = tmp_path / "x.provenance.txt"
@@ -1374,6 +1390,43 @@ class TestTooling:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
         )
         assert out.stdout.strip() == "[]"
+
+    def test_a_program_run_freezes_the_imported_heap(self):
+        # main() with no argv is a process's own entry point: what the
+        # imports left tracked goes out of the cyclic GC's reach.
+        src = Path(tabfair.cli.__file__).resolve().parents[1]
+        code = (
+            f"import gc, sys; sys.path.insert(0, {str(src)!r}); import tabfair.cli; "
+            "sys.argv = ['tabfair', '--help']; before = gc.get_freeze_count(); "
+            "code = tabfair.cli.main(); print(code, before, gc.get_freeze_count() > 0)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.split()[-3:] == ["0", "0", "True"]
+
+    def test_an_in_process_run_leaves_the_heap_unfrozen(self, tmp_path):
+        import gc
+
+        config = make_workspace(tmp_path)
+        before = gc.get_freeze_count()
+        assert main(["pipeline", "--config", str(config)]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_one_owner_of_the_gc_policy(self):
+        # cli.main freezes the heap of a program run; a gc call anywhere
+        # else in src/tabfair/ would change the GC of every host process.
+        import ast
+
+        found = []
+        for path in sorted((self.ROOT / "src" / "tabfair").glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                found += [(path.name, getattr(top, "name", None), ast.unparse(node))
+                          for node in ast.walk(top)
+                          if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "gc"
+                          or isinstance(node, ast.alias) and node.name == "gc"
+                          or isinstance(node, ast.ImportFrom) and node.module == "gc"]
+        assert found == [("cli.py", None, "gc"), ("cli.py", "main", "gc.freeze")], found
 
 
 class TestShippedConfigs:

@@ -509,6 +509,14 @@ class TestKeyValues:
         ds.write_key_values(path, "tabfair-test 1", [("a", 1), ("s", "x 0.5"), ("s", "y")])
         assert path.read_text(encoding="utf-8") == "tabfair-test 1\na 1\ns x 0.5\ns y\n"
 
+    def test_reader_refuses_a_repeated_key(self, tmp_path):
+        # Only reports and the level map repeat a key, and no reader reads
+        # either: in a file read back, a second value is a damaged file.
+        path = tmp_path / "kv.txt"
+        ds.write_key_values(path, "tabfair-test 1", [("a", 1), ("b", 2), ("a", 3)])
+        with pytest.raises(DataError, match=r"kv.txt:4: 'a' is given a second time$"):
+            ds.read_key_values(path, "tabfair-test 1")
+
     def test_csv_spells_each_value(self, tmp_path):
         # The ROC's sentinel threshold is inf; an empty string is an
         # empty cell; floats read back bit for bit; no rows, no lines

@@ -280,6 +280,15 @@ class TestProbe:
         with pytest.raises(DataError):
             train_probe(Z, np.ones(4))
 
+    @pytest.mark.parametrize("value", [np.nan, 0.5], ids=["nan", "half"])
+    def test_label_not_0_or_1_is_a_data_error(self, value):
+        # Bad data, refused before any Newton step: a NaN label would
+        # end the line search as a numerical failure, and 0.5 be fitted.
+        Z, y = self.separable()
+        y[7] = value
+        with pytest.raises(DataError, match="^y must contain only 0/1$"):
+            train_probe(Z, y)
+
     def test_sigmoid_hand_value(self):
         model = LogisticModel(weights=np.array([1.0]), bias=0.0)
         got = predict_proba(model, np.array([[0.5]]))
