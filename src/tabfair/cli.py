@@ -2,13 +2,15 @@
 
 Every stage writes files under the configured output directory and
 reads its inputs from there, so stages can be rerun or swapped
-independently, and `pipeline` is the four stages run in order. Only
-`debias` projects. It writes the projection's k coordinates `C.npy`;
-`evaluate` scores them, and refuses a `C.npy` that `debias` made under
-another config. No stage reads `Z_hat.txt`. A JSON config fixes the
-dataset paths, network shapes, projection rank, and the seed; given the
-same config, every stage is idempotent and byte-identical either way
-(the pipeline manifest's timestamp and timings aside).
+independently; `pipeline` is the four stages run in order, then a
+manifest of the files they wrote. Only `debias` projects. It writes the
+projection's k coordinates `C.npy`; `evaluate` scores Z and them as one
+table, and refuses a `C.npy` that `debias` made under another config.
+evaluation.py names each number `evaluate` writes. No stage reads `Z_hat.txt`.
+A JSON config fixes the dataset paths, network shapes, projection rank,
+and the seed; given the same config, every stage is idempotent and
+byte-identical either way (the pipeline manifest's timestamp and
+timings aside).
 
 Exit codes: 0 success, 1 usage/config error or a file the system cannot
 read or make, 2 data error, 3 numerical failure. A k above the width
@@ -322,10 +324,11 @@ def cmd_debias(run: Run) -> None:
 
 
 def cmd_evaluate(run: Run) -> None:
-    """Probe and fairness-score Z.npy and the projection's k coordinates
-    C.npy on the persisted split. Z_hat = C N_k^T with N_k orthonormal,
-    and the probe is rotation-invariant, so the probe on C is the probe
-    on Z_hat. A C.npy that debias made under another config is refused."""
+    """Score the table of representations, Z.npy and the projection's k
+    coordinates C.npy, on the persisted split; evaluation names every
+    number written. Z_hat = C N_k^T with N_k orthonormal, and the probe
+    is rotation-invariant, so the probe on C is the probe on Z_hat. A
+    C.npy that debias made under another config is refused."""
     S = run.read("S.npy", load_matrix)
     y = run.read("y.npy", load_matrix).ravel()
     names = run.read("sensitive_names.txt", _load_names)
@@ -336,23 +339,16 @@ def cmd_evaluate(run: Run) -> None:
         raise ConfigError(f"{run.out / 'C.npy'} was made under another config "
                           f"(config_hash {made['config_hash']}); run debias first")
     C = run.read("C.npy", load_matrix)
-    # Both scored before anything is written: a missing, stale or
+    # All scored before anything is written: a missing, stale or
     # corrupt input, or a failed probe, leaves no report.
-    biased = ev.evaluate_representation(Z, y, S, split, names)
-    debiased = ev.evaluate_representation(C, y, S, split, names)
-    summary = {"debiased_k": made["k"], "attributes": made["attributes"]}
-    for tag, report in (("biased", biased), ("debiased", debiased)):
+    reports = {tag: ev.evaluate_representation(M, y, S, split, names)
+               for tag, M in (("biased", Z), ("debiased", C))}
+    entries = {"debiased_k": made["k"], "attributes": made["attributes"]}
+    for tag, report in reports.items():
         run.write(f"report_{tag}.txt", ev.save_report, report, run.cfg["dataset"], tag)
         run.write(f"roc_{tag}.csv", ev.save_roc_csv, report.roc)
-        summary[f"{tag}_accuracy"] = report.accuracy
-        summary[f"{tag}_roc_auc"] = report.roc_auc
-        summary[f"{tag}_probe_loss"] = report.probe.loss
-        summary[f"{tag}_probe_grad_norm"] = report.probe.grad_norm
-        summary[f"{tag}_probe_iterations"] = report.probe.iterations
-        for a in report.attributes:
-            summary[f"{tag}_di_x100_{a.name}"] = a.di_x100
-            summary[f"{tag}_spd_{a.name}"] = a.spd
-    run.write_provenance("evaluate.provenance.txt", summary)
+        entries.update(ev.report_provenance(report, tag))
+    run.write_provenance("evaluate.provenance.txt", entries)
 
 
 def _sha256_file(path) -> str:
@@ -384,8 +380,9 @@ def _command(verb: str):
 
 def cmd_pipeline(run: Run) -> None:
     """Run all stages in order and write a manifest tying every artifact
-    to the config hash. A stage failure, a TabfairError or an OSError,
-    halts with the stage name, keeping the error's class."""
+    they wrote, by its sha256, to the config hash; it reads none back. A
+    stage failure, a TabfairError or an OSError, halts with the stage
+    name, keeping the error's class."""
     timings = {}
     for name in STAGES:
         start = time.perf_counter()
@@ -394,20 +391,12 @@ def cmd_pipeline(run: Run) -> None:
         except (TabfairError, OSError) as exc:
             raise type(exc)(f"stage {name!r} failed: {exc}") from exc
         timings[name] = time.perf_counter() - start
-    losses = read_provenance(run.out / "train_embed.provenance.txt")
-    scores = read_provenance(run.out / "evaluate.provenance.txt")
     manifest = {
         "format": "tabfair-manifest 1",
         "config_hash": config_hash(run.cfg),
         "dataset": run.cfg["dataset"],
         "seed": run.cfg["seed"],
-        "artifacts": [
-            {"name": p.name, "sha256": _sha256_file(p)} for p in run.written
-        ],
-        "loss_summary": {k: v for k, v in losses.items() if k.startswith("final_")},
-        "report_summary": {
-            k: v for k, v in scores.items() if k not in ("config_hash", "seed")
-        },
+        "artifacts": [{"name": p.name, "sha256": _sha256_file(p)} for p in run.written],
         # Always three decimals, so the file's size barely moves with the clock.
         "timings_seconds": {k: f"{v:.3f}" for k, v in timings.items()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

@@ -1,6 +1,7 @@
 """Exception taxonomy shared by the library and the CLI, which maps it
 onto exit codes: ConfigError -> 1, DataError -> 2, NumericalError -> 3.
-as_matrix() is the package's one check of a matrix argument.
+as_matrix() is the package's one check of a matrix argument, and
+check_names() its one check of the names of S's columns.
 """
 
 import contextlib
@@ -55,3 +56,12 @@ def as_matrix(a, name: str, rows: int | None = None) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DataError(f"{name} contains non-finite entries")
     return a
+
+
+def check_names(S: np.ndarray, names) -> None:
+    """Refuse (a DataError) `names` unless it names each column of S once."""
+    if S.shape[1] != len(names):
+        raise DataError(f"S has {S.shape[1]} columns for {len(names)} sensitive names")
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise DataError(f"sensitive name {name!r} names more than one column of S")

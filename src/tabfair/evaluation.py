@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import SplitIndices, spell, write_csv, write_key_values
-from .errors import ConfigError, DataError, NumericalError, UndefinedMetricError, as_matrix
+from .errors import (ConfigError, DataError, NumericalError, UndefinedMetricError, as_matrix,
+                     check_names)
 from .neuralnet import _bce, _exp_neg_abs, _sigmoid
 
 DI_PASS_THRESHOLD = 80.0  # DI x 100 must exceed this (strict) to pass
@@ -268,6 +269,8 @@ class FairnessReport:
     test_scores holds the probe's test-row probabilities, roc their
     ROC curve (see roc_curve_points, save_roc_csv) and probe the fitted
     probe (see LogisticModel); report files store none of the three.
+    Only save_report and report_provenance name its numbers, in the
+    report file and in evaluate.provenance.txt.
     """
 
     accuracy: float
@@ -289,14 +292,13 @@ def evaluate_representation(
     ROC curve, and compute fairness metrics on the test predictions. A
     DI left undefined by a zero privileged positive rate is recorded as
     None rather than raised. Z and S are refused as as_matrix() refuses
-    them, with one row per label; a split that does not hold each row
-    once, an S not one column per name, or a y or S not all 0/1, is a
-    DataError."""
+    them, with one row per label, and the names as check_names() refuses
+    them; a split that does not hold each row once, or a y or S not all
+    0/1, is a DataError."""
     y = np.asarray(y, dtype=np.float64).ravel()
     Z = as_matrix(Z, "Z", rows=y.size)
     S = as_matrix(S, "S", rows=y.size)
-    if S.shape[1] != len(sensitive_names):
-        raise DataError(f"S has {S.shape[1]} columns for {len(sensitive_names)} sensitive names")
+    check_names(S, sensitive_names)
     rows = np.sort(np.concatenate([split.train, split.test]))
     if not np.array_equal(rows, np.arange(y.size)):
         raise DataError(f"the split must hold each of the {y.size} rows once, "
@@ -315,22 +317,11 @@ def evaluate_representation(
             di = disparate_impact(y_pred, s_test)
         except UndefinedMetricError:
             di = None
-        attrs.append(
-            AttributeFairness(
-                name=name,
-                di_x100=None if di is None else di * 100.0,
-                spd=spd,
-                passes_80_rule=di is not None and eighty_percent_rule(di),
-            )
-        )
-    return FairnessReport(
-        accuracy=accuracy(y_pred, y_test),
-        roc_auc=roc_auc(scores, y_test),
-        attributes=attrs,
-        test_scores=scores,
-        roc=roc_curve_points(scores, y_test),
-        probe=model,
-    )
+        attrs.append(AttributeFairness(name, None if di is None else di * 100.0, spd,
+                                       di is not None and eighty_percent_rule(di)))
+    return FairnessReport(accuracy=accuracy(y_pred, y_test), roc_auc=roc_auc(scores, y_test),
+                          attributes=attrs, test_scores=scores,
+                          roc=roc_curve_points(scores, y_test), probe=model)
 
 
 REPORT_FORMAT = "tabfair-report 2"
@@ -347,6 +338,17 @@ def save_report(path, report: FairnessReport, dataset: str, representation: str)
         *(("sensitive", f"{a.name} di_x100 {spell(a.di_x100)} spd {spell(a.spd)} "
                         f"passes_80 {spell(a.passes_80_rule)}") for a in report.attributes),
     ])
+
+
+def report_provenance(report: FairnessReport, representation: str) -> dict:
+    """The entries of evaluate.provenance.txt for `report`, in order, each
+    key prefixed `{representation}_`."""
+    entries = {"accuracy": report.accuracy, "roc_auc": report.roc_auc,
+               "probe_loss": report.probe.loss, "probe_grad_norm": report.probe.grad_norm,
+               "probe_iterations": report.probe.iterations}
+    for a in report.attributes:
+        entries.update({f"di_x100_{a.name}": a.di_x100, f"spd_{a.name}": a.spd})
+    return {f"{representation}_{key}": value for key, value in entries.items()}
 
 
 def save_roc_csv(path, points: list[tuple[float, float, float]]) -> None:

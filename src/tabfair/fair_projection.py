@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, as_matrix
+from .errors import ConfigError, DataError, NumericalError, as_matrix, check_names
 from .linalg import explained_variance, rank_k_svd, residualize
 
 # Acceptable relative orthogonality residual of Z_hat^T S.
@@ -109,11 +109,10 @@ def sensitive_design(S: np.ndarray, names: list[str],
     attributes, in attribute order (all columns for None), then a ones
     column `intercept` when include_intercept is set. An attribute matches
     the column of that name and every reference-dropped indicator column
-    "<attribute>=<level>". An S that is not one column per name, or a
-    design with as many columns as rows, is a DataError; an empty design
-    a ConfigError. orthonormal_basis(design, labels) tests its rank."""
-    if S.shape[1] != len(names):
-        raise DataError(f"S has {S.shape[1]} columns for {len(names)} sensitive names")
+    "<attribute>=<level>". Names that check_names() refuses, or a design
+    with as many columns as rows, are a DataError; an empty design a
+    ConfigError. orthonormal_basis(design, labels) tests its rank."""
+    check_names(S, names)
     columns = list(range(len(names)))
     if config.attributes is not None:
         columns = []

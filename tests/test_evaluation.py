@@ -589,6 +589,10 @@ class TestEvaluateRepresentation:
         Z, y, S, split = self.make_setup()
         with pytest.raises(DataError, match="^S has 1 columns for 2 sensitive names$"):
             evaluate_representation(Z, y, S, split, ["a", "b"])
+        # Two columns under one name would report one attribute twice.
+        with pytest.raises(DataError, match="^sensitive name 'a' names more than one "
+                                            "column of S$"):
+            evaluate_representation(Z, y, np.hstack([S, 1.0 - S]), split, ["a", "a"])
         # A 1-D S, or Z, has no columns to name or fit.
         for args in ((Z, y, S[:, 0]), (Z[:, 0], y, S)):
             with pytest.raises(ConfigError, match="must be 2-D"):

@@ -480,6 +480,11 @@ class TestBuildSensitiveMatrix:
             debias(Z, S, ["a", "b", "c"], FairProjectionConfig(k=1))
         with pytest.raises(DataError, match="^S has 2 columns for 1 sensitive names$"):
             debias(Z, S, ["a"], FairProjectionConfig(k=1))
+        # A repeated name is refused, also where attributes select by name.
+        for attributes in (None, ["a"]):
+            with pytest.raises(DataError, match="^sensitive name 'a' names more than one "
+                                                "column of S$"):
+                debias(Z, S, ["a", "a"], FairProjectionConfig(k=1, attributes=attributes))
 
     def test_prefix_matching_for_multi_level(self, tmp_path):
         # A 3-level sensitive column contributes both indicator columns.
